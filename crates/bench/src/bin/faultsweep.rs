@@ -18,11 +18,9 @@
 //!    [`System::try_run`](flexcore::System::try_run) so a wedged
 //!    configuration is a data point, not a hang.
 //!
-//! Trial generation, execution, and the JSONL record codec all live in
-//! [`flexcore_bench::trial`], shared verbatim with the `flexserve` job
-//! server — the two cannot drift, and a merged `flexserve` trial log
-//! diffs clean against a `faultsweep` progress log for the same
-//! campaign parameters.
+//! Trial generation, execution, and the JSONL record codec live in
+//! [`flexcore_bench::trial`]; the progress log is the crash-safe
+//! [`flexcore_bench::journal`].
 //!
 //! Options: `--seed N` (default 0xf1ec), `--trials N` per workload for
 //! campaign 1 (default 100).
@@ -32,15 +30,17 @@
 //! * `--lockstep` — every faulted run also steps an ISA-level golden
 //!   model; architectural corruption the extension misses is caught as
 //!   a lockstep divergence and counted as detected.
-//! * `--progress FILE` — append one JSONL record per finished trial.
+//! * `--progress FILE` — append one JSONL record per finished trial,
+//!   each in a single write, after a header line stamping the campaign
+//!   parameters.
 //! * `--resume` — with `--progress`, skip trials already recorded in
 //!   the file (deterministic seeds make the skip exact), so an
 //!   interrupted campaign continues from its last checkpoint instead
-//!   of starting over. A trailing record truncated by a crash
-//!   mid-append is dropped with a warning (it is re-run), not a fatal
-//!   parse error.
-//! * `--checkpoint-every N` — flush buffered progress records to disk
-//!   every N trials (default 25).
+//!   of starting over. A trailing record torn by a crash mid-append is
+//!   dropped with a warning (it is re-run), not a fatal parse error,
+//!   and a file stamped with different parameters is refused.
+//! * `--checkpoint-every N` — fsync the progress file every N recorded
+//!   trials (default 25).
 //! * `--recover` — run every campaign-1 trial under the
 //!   rollback-and-replay [`Supervisor`](flexcore::Supervisor) and
 //!   triage it against a clean reference run of the same workload:
@@ -64,9 +64,9 @@
 //!   change the architectural outcome).
 
 use std::collections::HashMap;
-use std::io::Write as _;
 
 use flexcore::recovery::FaultOutcome;
+use flexcore_bench::journal::{Journal, JournalError};
 use flexcore_bench::trial::{
     self, CampaignSpec, TrialOutcome, TrialSpec, SWEEP_RATES, SWEEP_TARGETS,
 };
@@ -74,176 +74,37 @@ use flexcore_bench::{run_panic_tolerant_observed, ExtKind};
 use flexcore_telemetry::RateMeter;
 use flexcore_workloads::Workload;
 
-/// Per-trial progress log (JSONL): lets an interrupted campaign resume
-/// without redoing finished trials. The first line records the
-/// campaign parameters; resuming with different parameters is refused
-/// (the trial labels would not mean the same runs).
-struct ProgressLog {
-    path: Option<String>,
+/// The `--progress` journal plus the trials it recovered on resume.
+#[derive(Default)]
+struct Progress {
+    journal: Option<Journal>,
     done: HashMap<String, TrialOutcome>,
-    pending: Vec<String>,
-    flush_every: usize,
     reused: u64,
 }
 
-impl ProgressLog {
-    fn header(seed: u64, trials: usize, lockstep: bool, recover: bool, reconfig: bool) -> String {
-        let mut h = serde::Value::object()
-            .field("seed", &seed)
-            .field("trials", &(trials as u64))
-            .field("lockstep", &lockstep)
-            .field("recover", &recover);
-        // Stamped only when set, so progress files from plain campaigns
-        // keep their original headers (and stay resumable).
-        if reconfig {
-            h = h.field("reconfig", &true);
-        }
-        serde::to_string(&h.build())
+/// The progress file's header record: the campaign parameters that fix
+/// what every trial label means.
+fn header(seed: u64, trials: usize, lockstep: bool, recover: bool, reconfig: bool) -> serde::Value {
+    let mut h = serde::Value::object()
+        .field("seed", &seed)
+        .field("trials", &(trials as u64))
+        .field("lockstep", &lockstep)
+        .field("recover", &recover);
+    // Stamped only when set, so progress files from plain campaigns
+    // keep their original headers (and stay resumable).
+    if reconfig {
+        h = h.field("reconfig", &true);
     }
+    h.build()
+}
 
-    /// One line per parameter that differs between what the progress
-    /// file was stamped with and what this invocation requested —
-    /// that's the fix-it information a refused `--resume` needs.
-    fn header_diff(
-        stamped: &serde::Value,
-        seed: u64,
-        trials: usize,
-        lockstep: bool,
-        recover: bool,
-        reconfig: bool,
-    ) -> Vec<String> {
-        let mut diffs = Vec::new();
-        let mut check_u64 = |key: &str, requested: u64| match stamped
-            .get(key)
-            .and_then(serde::Value::as_u64)
-        {
-            Some(s) if s == requested => {}
-            Some(s) => diffs.push(format!("  {key}: file has {s}, this run requested {requested}")),
-            None => diffs.push(format!("  {key}: not stamped in the file (requested {requested})")),
-        };
-        check_u64("seed", seed);
-        check_u64("trials", trials as u64);
-        let mut check_bool = |key: &str, requested: bool| match stamped.get(key) {
-            Some(serde::Value::Bool(s)) if *s == requested => {}
-            Some(serde::Value::Bool(s)) => {
-                diffs.push(format!("  {key}: file has {s}, this run requested {requested}"));
-            }
-            _ => diffs.push(format!("  {key}: not stamped in the file (requested {requested})")),
-        };
-        check_bool("lockstep", lockstep);
-        check_bool("recover", recover);
-        match (stamped.get("reconfig"), reconfig) {
-            (None, false) | (Some(serde::Value::Bool(true)), true) => {}
-            (stamped_reconfig, _) => diffs.push(format!(
-                "  reconfig: file has {}, this run requested {reconfig}",
-                matches!(stamped_reconfig, Some(serde::Value::Bool(true)))
-            )),
-        }
-        if diffs.is_empty() {
-            diffs.push("  (header is not valid JSON or field order changed)".into());
-        }
-        diffs
-    }
-
-    #[allow(clippy::too_many_arguments)] // campaign identity is exactly these stamps
-    fn open(
-        path: Option<String>,
-        resume: bool,
-        flush_every: usize,
-        seed: u64,
-        trials: usize,
-        lockstep: bool,
-        recover: bool,
-        reconfig: bool,
-    ) -> Result<ProgressLog, String> {
-        let mut log = ProgressLog {
-            path,
-            done: HashMap::new(),
-            pending: Vec::new(),
-            flush_every: flush_every.max(1),
-            reused: 0,
-        };
-        let Some(p) = &log.path else {
-            return Ok(log);
-        };
-        let header = ProgressLog::header(seed, trials, lockstep, recover, reconfig);
-        match std::fs::read_to_string(p) {
-            Ok(text) if resume => {
-                // A crash (or kill -9) mid-append leaves a truncated
-                // final line; drop that one record and re-run it rather
-                // than poisoning the whole log.
-                let parsed = trial::parse_jsonl_tolerant(&text).map_err(|e| format!("{p}: {e}"))?;
-                if let Some(partial) = &parsed.dropped_partial {
-                    eprintln!(
-                        "faultsweep: {p}: dropped truncated trailing record `{partial}` \
-                         (crash mid-append; the trial will be re-run)"
-                    );
-                    parsed
-                        .repair_file(std::path::Path::new(p))
-                        .map_err(|e| format!("{p}: repairing truncated tail: {e}"))?;
-                }
-                let mut records = parsed.records.into_iter();
-                match records.next() {
-                    Some(first) if serde::to_string(&first) == header => {}
-                    Some(first) => {
-                        let diffs = ProgressLog::header_diff(
-                            &first, seed, trials, lockstep, recover, reconfig,
-                        );
-                        return Err(format!(
-                            "{p}: was written with different campaign parameters \
-                             (the trial labels would not mean the same runs):\n{}\n\
-                             re-run with the stamped parameters or start fresh",
-                            diffs.join("\n")
-                        ));
-                    }
-                    None => {}
-                }
-                for v in records {
-                    let label = v
-                        .get("label")
-                        .and_then(serde::Value::as_str)
-                        .ok_or_else(|| format!("{p}: record without a label"))?;
-                    let outcome = trial::decode_outcome(&v).map_err(|e| format!("{p}: {e}"))?;
-                    log.done.insert(label.to_string(), outcome);
-                }
-                Ok(log)
-            }
-            _ => {
-                // Fresh campaign: truncate and stamp the parameters.
-                std::fs::write(p, format!("{header}\n")).map_err(|e| format!("{p}: {e}"))?;
-                Ok(log)
-            }
-        }
-    }
-
-    fn record(&mut self, label: &str, o: TrialOutcome) {
-        if self.path.is_none() {
-            return;
-        }
-        self.pending.push(serde::to_string(&trial::outcome_record(label, &o)));
-        if self.pending.len() >= self.flush_every {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        let Some(p) = &self.path else {
-            return;
-        };
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut text = self.pending.join("\n");
-        text.push('\n');
-        let appended = std::fs::OpenOptions::new()
-            .append(true)
-            .open(p)
-            .and_then(|mut f| f.write_all(text.as_bytes()));
-        if let Err(e) = appended {
-            eprintln!("faultsweep: {p}: {e} (progress not saved)");
-        }
-        self.pending.clear();
-    }
+/// Exits with status 2 on a journal error: a campaign that cannot
+/// record its progress must not pretend it did.
+fn or_exit<T>(r: Result<T, JournalError>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("faultsweep: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// [`run_panic_tolerant`] with a resume cache: trials already in the
@@ -252,7 +113,7 @@ impl ProgressLog {
 fn run_with_progress(
     jobs: Vec<TrialSpec>,
     reference: Option<&flexcore::RunResult>,
-    progress: &mut ProgressLog,
+    progress: &mut Progress,
 ) -> Vec<flexcore_bench::JobReport<TrialOutcome>> {
     let mut slots: Vec<Option<flexcore_bench::JobReport<TrialOutcome>>> = Vec::new();
     let mut fresh = Vec::new();
@@ -279,8 +140,8 @@ fn run_with_progress(
         );
     });
     for (i, rep) in fresh_slots.into_iter().zip(reports) {
-        if let Ok(o) = &rep.outcome {
-            progress.record(&rep.label, *o);
+        if let (Some(journal), Ok(o)) = (&mut progress.journal, &rep.outcome) {
+            or_exit(journal.append_trial(&rep.label, o));
         }
         slots[i] = Some(rep);
     }
@@ -295,7 +156,7 @@ fn reconfig_campaign(
     cspec: &CampaignSpec,
     workloads: &[Workload],
     trials: usize,
-    progress: &mut ProgressLog,
+    progress: &mut Progress,
 ) -> bool {
     println!(
         "\nReconfig-window fault triage (bitstream strikes inside UMC -> CFI swap windows, \
@@ -367,6 +228,13 @@ fn reconfig_campaign(
     pass
 }
 
+/// Fsyncs the progress journal once the campaign is done.
+fn finish(progress: &mut Progress) {
+    if let Some(journal) = &mut progress.journal {
+        or_exit(journal.sync());
+    }
+}
+
 fn arg_value(name: &str) -> Option<u64> {
     let args: Vec<String> = std::env::args().collect();
     let i = args.iter().position(|a| a == name)?;
@@ -405,7 +273,7 @@ fn main() {
     let recover = std::env::args().any(|a| a == "--recover");
     let reconfig = std::env::args().any(|a| a == "--reconfig");
     let progress_path = arg_string("--progress");
-    let flush_every = arg_value("--checkpoint-every").unwrap_or(25) as usize;
+    let sync_every = arg_value("--checkpoint-every").unwrap_or(25) as usize;
     if resume && progress_path.is_none() {
         eprintln!("faultsweep: --resume needs --progress FILE to resume from");
         std::process::exit(2);
@@ -417,22 +285,20 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let mut progress = match ProgressLog::open(
-        progress_path,
-        resume,
-        flush_every,
-        seed,
-        trials,
-        lockstep,
-        recover,
-        reconfig,
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("faultsweep: {e}");
-            std::process::exit(2);
+    let mut progress = Progress::default();
+    if let Some(path) = &progress_path {
+        let path = std::path::Path::new(path);
+        let header = header(seed, trials, lockstep, recover, reconfig);
+        let (journal, recovery) = or_exit(Journal::open(path, &header, resume, sync_every));
+        if let Some(partial) = &recovery.dropped_partial {
+            eprintln!(
+                "faultsweep: {}: dropped truncated trailing record `{partial}` \
+                 (crash mid-append; the trial will be re-run)",
+                path.display()
+            );
         }
-    };
+        progress = Progress { journal: Some(journal), done: recovery.done, reused: 0 };
+    }
     let workloads = [Workload::sha(), Workload::bitcount()];
     let cspec = CampaignSpec { seed, trials, lockstep, recover, ..CampaignSpec::default() };
 
@@ -445,7 +311,7 @@ fn main() {
 
     if reconfig {
         let pass = reconfig_campaign(&cspec, &workloads, trials, &mut progress);
-        progress.flush();
+        finish(&mut progress);
         if progress.reused > 0 {
             println!("resumed: {} trials reused from the progress file", progress.reused);
         }
@@ -645,7 +511,7 @@ fn main() {
         clean_false_traps,
         if clean_false_traps == 0 { "PASS" } else { "FAIL" }
     );
-    progress.flush();
+    finish(&mut progress);
     if progress.reused > 0 {
         println!("resumed: {} trials reused from the progress file", progress.reused);
     }

@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod elide;
+pub mod journal;
 pub mod microbench;
 pub mod paper;
 mod runner;

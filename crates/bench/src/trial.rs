@@ -1,14 +1,6 @@
 //! Shared fault-campaign trial machinery: the single place that knows
-//! how to *generate*, *execute*, and *log* campaign trials.
-//!
-//! Both consumers go through this module so they cannot drift:
-//!
-//! * `faultsweep` — the batch campaign binary (SEC coverage, clean
-//!   false-trap rows, rate × target sweep).
-//! * `flexserve` (`flexcore-serve`) — the sharded campaign job server,
-//!   which runs the *same* trials across a worker pool and journals
-//!   the *same* JSONL records, so a merged `flexserve` trial log can be
-//!   diffed byte-for-byte against a `faultsweep` progress log.
+//! how to *generate*, *execute*, and *encode* campaign trials, for
+//! `faultsweep` and the benchmark's fault-campaign workload.
 //!
 //! The three invariants everything here protects:
 //!
@@ -16,14 +8,13 @@
 //!    `sweep_trials` derive every seed, fault site, and flipped bit
 //!    deterministically from `(campaign seed, trial index)`, and the
 //!    label encodes the position — so a record keyed by label can be
-//!    reused by any resume path.
+//!    reused on resume.
 //! 2. **Execution is a pure function of the spec.** [`run_trial`] has
 //!    no hidden state; re-running a trial anywhere (another worker,
 //!    another process, another day) reproduces the outcome bit-exactly.
 //! 3. **One codec.** [`outcome_record`] / [`decode_outcome`] define the
-//!    JSONL trial-record shape; [`parse_jsonl_tolerant`] defines how a
-//!    possibly crash-truncated log is read back (drop the partial tail
-//!    line, keep everything before it).
+//!    JSONL trial-record shape that the
+//!    [`journal`](crate::journal) appends and reads back.
 
 use flexcore::ext::{Bc, Dift, ExtEnv, Sec, Umc};
 use flexcore::faults::{FaultModel, FaultPlan, FaultRng, FaultSchedule, FaultTarget};
@@ -314,11 +305,7 @@ fn target_tag(target: FaultTarget) -> u64 {
 /// The paper's fabric-clock configuration for `ext`, with the campaign
 /// cycle budget applied.
 pub fn paper_config(ext: ExtKind) -> SystemConfig {
-    let base = match ext.paper_divisor() {
-        4 => SystemConfig::fabric_quarter_speed(),
-        _ => SystemConfig::fabric_half_speed(),
-    };
-    base.with_cycle_budget(CYCLE_BUDGET)
+    crate::paper_config(ext).with_cycle_budget(CYCLE_BUDGET)
 }
 
 /// ALU commit indices of one clean run (the fault-site population).
@@ -591,8 +578,7 @@ pub fn run_trial(spec: &TrialSpec, reference: Option<&RunResult>) -> TrialOutcom
     }
 }
 
-/// The JSONL trial record: the one shape `faultsweep` progress logs and
-/// `flexserve` journals both use.
+/// The JSONL trial record of a campaign progress journal.
 pub fn outcome_record(label: &str, o: &TrialOutcome) -> serde::Value {
     let mut obj = serde::Value::object()
         .field("label", &label)
@@ -632,82 +618,6 @@ pub fn decode_outcome(v: &serde::Value) -> Result<TrialOutcome, String> {
         triage: v.get("triage").and_then(serde::Value::as_str).and_then(FaultOutcome::from_label),
         mttr: v.get("mttr").and_then(serde::Value::as_u64),
     })
-}
-
-/// A JSONL log read back with crash tolerance.
-#[derive(Clone, Debug, Default)]
-pub struct TolerantLog {
-    /// Every successfully parsed record, in file order.
-    pub records: Vec<serde::Value>,
-    /// The dropped partial tail line (truncated mid-append by a crash),
-    /// when there was one — callers should log it as a warning.
-    pub dropped_partial: Option<String>,
-    /// Byte length of the file up to and including the last good
-    /// record's newline — the truncation point that removes the partial
-    /// tail without touching any good record.
-    pub good_len: usize,
-    /// Whether the good prefix ends with a newline (false only when the
-    /// last good record itself lacked one).
-    pub good_ends_with_newline: bool,
-}
-
-impl TolerantLog {
-    /// Physically repairs the log file the parse came from: truncates
-    /// away the crash-partial tail and guarantees the file ends with a
-    /// newline, so subsequent appends start on a fresh line instead of
-    /// concatenating onto the debris.
-    pub fn repair_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let f = std::fs::OpenOptions::new().write(true).open(path)?;
-        f.set_len(self.good_len as u64)?;
-        drop(f);
-        if self.good_len > 0 && !self.good_ends_with_newline {
-            let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
-            std::io::Write::write_all(&mut f, b"\n")?;
-        }
-        Ok(())
-    }
-}
-
-/// Parses a JSONL log, tolerating exactly one failure mode: a
-/// truncated or corrupt **final** line, the signature of a crash (or
-/// `kill -9`) mid-append. That tail is dropped and reported in
-/// [`TolerantLog::dropped_partial`]; corruption anywhere *before* the
-/// final line is a real integrity problem and stays a hard error.
-pub fn parse_jsonl_tolerant(text: &str) -> Result<TolerantLog, String> {
-    let mut log = TolerantLog::default();
-    let mut pos = 0usize;
-    let mut lineno = 0usize;
-    while pos < text.len() {
-        let end = match text[pos..].find('\n') {
-            Some(i) => pos + i + 1,
-            None => text.len(),
-        };
-        lineno += 1;
-        let line = text[pos..end].trim_end_matches('\n');
-        if !line.trim().is_empty() {
-            match serde::from_str(line) {
-                Ok(v) => {
-                    log.records.push(v);
-                    log.good_len = end;
-                    log.good_ends_with_newline = text.as_bytes()[end - 1] == b'\n';
-                }
-                Err(e) => {
-                    let tail_only = text[end..].lines().all(|l| l.trim().is_empty());
-                    if !tail_only {
-                        return Err(format!("line {lineno}: unparseable record: {e}"));
-                    }
-                    let mut snippet: String = line.chars().take(60).collect();
-                    if snippet.len() < line.len() {
-                        snippet.push('…');
-                    }
-                    log.dropped_partial = Some(snippet);
-                    return Ok(log);
-                }
-            }
-        }
-        pos = end;
-    }
-    Ok(log)
 }
 
 #[cfg(test)]
@@ -781,41 +691,5 @@ mod tests {
         let v = outcome_record("x", &plain);
         assert!(v.get("triage").is_none(), "triage fields only appear on supervised trials");
         assert_eq!(decode_outcome(&v).expect("decodes"), plain);
-    }
-
-    #[test]
-    fn tolerant_parse_accepts_clean_logs() {
-        let text = "{\"a\": 1}\n{\"b\": 2}\n";
-        let log = parse_jsonl_tolerant(text).expect("clean log parses");
-        assert_eq!(log.records.len(), 2);
-        assert!(log.dropped_partial.is_none());
-        assert_eq!(log.good_len, text.len());
-    }
-
-    #[test]
-    fn tolerant_parse_drops_a_truncated_tail() {
-        let good = "{\"a\": 1}\n{\"b\": 2}\n";
-        let text = format!("{good}{{\"c\": 3, \"tr");
-        let log = parse_jsonl_tolerant(&text).expect("truncated tail is tolerated");
-        assert_eq!(log.records.len(), 2);
-        let dropped = log.dropped_partial.expect("partial tail reported");
-        assert!(dropped.contains("\"c\""), "snippet names the dropped line: {dropped}");
-        assert_eq!(log.good_len, good.len(), "truncation point preserves every good record");
-    }
-
-    #[test]
-    fn tolerant_parse_rejects_mid_file_corruption() {
-        let text = "{\"a\": 1}\nnot json at all\n{\"b\": 2}\n";
-        let err = parse_jsonl_tolerant(text).expect_err("mid-file corruption is a hard error");
-        assert!(err.contains("line 2"), "error names the line: {err}");
-    }
-
-    #[test]
-    fn tolerant_parse_accepts_a_complete_final_line_without_newline() {
-        let text = "{\"a\": 1}\n{\"b\": 2}";
-        let log = parse_jsonl_tolerant(text).expect("parses");
-        assert_eq!(log.records.len(), 2);
-        assert!(log.dropped_partial.is_none());
-        assert_eq!(log.good_len, text.len());
     }
 }

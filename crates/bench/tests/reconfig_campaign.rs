@@ -1,7 +1,7 @@
 //! Campaign-level checks of the reconfig-window machinery: the
-//! faultsweep/flexserve trial path triages swap-window bitstream
-//! strikes with zero SDC, and sampled-boundary hot-swaps on the real
-//! paper kernels leave the architectural outcome bit-identical to the
+//! faultsweep trial path triages swap-window bitstream strikes with
+//! zero SDC, and sampled-boundary hot-swaps on the real paper kernels
+//! leave the architectural outcome bit-identical to the
 //! statically-configured run.
 
 use flexcore::ext::Extension;
@@ -14,11 +14,10 @@ use flexcore_bench::MAX_INSTRUCTIONS;
 use flexcore_workloads::Workload;
 
 /// The supervised reconfig campaign exactly as `faultsweep --reconfig
-/// --recover` and a `flexserve` reconfig job run it: even trials take
-/// one bitstream strike (a retry masks it), odd trials exhaust the
-/// retry budget and must come back as detected-recovered through the
-/// ladder's deterministic swap replay. Nothing may classify as SDC,
-/// DUE, or unclassified.
+/// --recover` runs it: even trials take one bitstream strike (a retry
+/// masks it), odd trials exhaust the retry budget and must come back
+/// as detected-recovered through the ladder's deterministic swap
+/// replay. Nothing may classify as SDC, DUE, or unclassified.
 #[test]
 fn reconfig_campaign_triages_strikes_and_exhaustions_cleanly() {
     let workload = Workload::bitcount();

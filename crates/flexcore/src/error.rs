@@ -70,9 +70,8 @@ impl std::fmt::Display for DeadlockSnapshot {
 
 /// Why a simulation could not run to completion.
 ///
-/// [`System::run`](crate::System::run) panics on these for backward
-/// compatibility; [`System::try_run`](crate::System::try_run) returns
-/// them so harnesses (and the `faultsweep` campaign) can keep going.
+/// [`System::try_run`](crate::System::try_run) returns these so
+/// harnesses (and the `faultsweep` campaign) can keep going.
 #[derive(Clone, Debug)]
 pub enum SimError {
     /// The system stopped making forward progress: no commit within the

@@ -865,25 +865,6 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
     }
 
     /// Runs until the program exits, a monitor trap is delivered, or
-    /// `max_instructions` commit. Returns the full result.
-    ///
-    /// Compatibility wrapper over [`System::try_run`]: panics on a
-    /// [`SimError`] (deadlock, cycle-budget exhaustion, lockstep
-    /// divergence). Harnesses that must survive wedged configurations —
-    /// fault-injection campaigns in particular — should call `try_run`
-    /// instead.
-    #[deprecated(
-        since = "0.4.0",
-        note = "panics on SimError; use System::try_run and handle the error"
-    )]
-    pub fn run(&mut self, max_instructions: u64) -> RunResult {
-        match self.try_run(max_instructions) {
-            Ok(result) => result,
-            Err(e) => panic!("simulation error: {e} (use System::try_run to handle SimError)"),
-        }
-    }
-
-    /// Runs until the program exits, a monitor trap is delivered, or
     /// `max_instructions` commit — or until the simulation itself
     /// fails: a forward-progress watchdog detects deadlock (no commit
     /// possible within `watchdog_cycles`, or the fabric can never

@@ -58,14 +58,6 @@ impl Log2Histogram {
         Self::default()
     }
 
-    /// Assembles a histogram from raw bucket counts (atomic-snapshot
-    /// path). The count is derived from the buckets so the
-    /// monotone-total invariant holds by construction.
-    pub(crate) fn from_raw(buckets: [u64; BUCKETS], sum: u64) -> Self {
-        let count = buckets.iter().fold(0u64, |a, &n| a.saturating_add(n));
-        Log2Histogram { buckets, count, sum }
-    }
-
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {

@@ -1,32 +1,21 @@
-//! `flexcore-telemetry` — host-time attribution and live health metrics
-//! for the FlexCore reproduction.
+//! `flexcore-telemetry` — host-time attribution for the FlexCore
+//! reproduction.
 //!
-//! ROADMAP items 1 and 2 (event-driven fabric simulation, predecoded
-//! hot-loop batching) are *performance* changes, and a performance
-//! change without a committed baseline is a guess. This crate is the
-//! instrument those PRs will be judged by. It answers two questions:
-//!
-//! 1. **Where does host wall-clock go?** — the [`PhaseClock`] trait
-//!    attributes time to named simulator [`Phase`]s (fetch/decode,
-//!    execute, fabric netlist eval, FIFO traffic, metadata-cache
-//!    access, checkpointing, journal write/fsync) with cheap
-//!    enter/exit scopes and log₂-bucketed latency histograms
-//!    ([`Log2Histogram`]). The profiler follows the same static-
-//!    dispatch idiom as `flexcore::obs::TraceSink`: the simulator is
-//!    generic over `P: PhaseClock`, and the default
-//!    [`NullPhaseClock`] has `ENABLED = false`, so every hook is a
-//!    branch on a compile-time constant the optimizer deletes — the
-//!    disabled path performs **no clock reads, no allocation, and no
-//!    stores**.
-//! 2. **Is the service healthy right now?** — the [`Registry`] holds
-//!    lock-free [`Counter`]s, [`Gauge`]s, and [`Histogram`]s (plain
-//!    relaxed atomics; a mutex guards registration only, never the
-//!    hot path) with text and vendored-serde JSON exposition, which
-//!    `flexserve` snapshots into an atomically-replaced `status.json`
-//!    heartbeat during campaigns.
+//! A performance change without a committed baseline is a guess; this
+//! crate is the instrument such changes are judged by. It answers one
+//! question: **where does host wall-clock go?** The [`PhaseClock`]
+//! trait attributes time to named simulator [`Phase`]s (fetch/decode,
+//! execute, fabric netlist eval, FIFO traffic, metadata-cache access,
+//! checkpointing, journal write/fsync) with cheap enter/exit scopes and
+//! log₂-bucketed latency histograms ([`Log2Histogram`]). The profiler
+//! follows the same static-dispatch idiom as `flexcore::obs::TraceSink`:
+//! the simulator is generic over `P: PhaseClock`, and the default
+//! [`NullPhaseClock`] has `ENABLED = false`, so every hook is a branch
+//! on a compile-time constant the optimizer deletes — the disabled path
+//! performs **no clock reads, no allocation, and no stores**.
 //!
 //! The [`RateMeter`] rounds this out with the rate + ETA arithmetic
-//! that `faultsweep`/`flexserve` progress lines print.
+//! that `faultsweep` progress lines print.
 //!
 //! # Overhead contract
 //!
@@ -58,12 +47,10 @@
 pub mod hist;
 pub mod phase;
 pub mod rate;
-pub mod registry;
 
 pub use hist::Log2Histogram;
 pub use phase::{NullPhaseClock, Phase, PhaseClock, PhaseProfiler, PhaseStats};
 pub use rate::RateMeter;
-pub use registry::{Counter, Gauge, Histogram, Registry};
 
 /// Alias spelling out what the null clock is for: the telemetry-off
 /// configuration every non-profiling entry point uses.

@@ -1,12 +1,10 @@
 //! Rate + ETA arithmetic for campaign progress lines.
 //!
-//! `faultsweep` and `flexserve` print a progress line per finished
-//! batch; this module turns (done, total, elapsed) into the
-//! `"12.3 trials/s  eta 0:41"` column they append. Formatting is kept
-//! here so both binaries render identically, and so the arithmetic is
-//! testable without a real clock: the meter reads a monotonic clock by
-//! default but every computation takes explicit elapsed seconds
-//! underneath.
+//! `faultsweep` prints a progress line per finished batch; this module
+//! turns (done, total, elapsed) into the `"12.3 trials/s  eta 0:41"`
+//! column it appends. The arithmetic lives here so it is testable
+//! without a real clock: the meter reads a monotonic clock by default
+//! but every computation takes explicit elapsed seconds underneath.
 
 use std::time::Instant;
 

@@ -116,22 +116,6 @@ fn wedged_fabric_is_a_deadlock_error_not_a_hang() {
 }
 
 #[test]
-#[should_panic(expected = "simulation error")]
-#[allow(deprecated)] // the deprecated wrapper's panic behavior is what's under test
-fn legacy_run_panics_on_deadlock_instead_of_hanging() {
-    let config =
-        SystemConfig::fabric_quarter_speed().with_fifo_depth(4).with_watchdog_cycles(5_000);
-    let mut sys = System::new(config, Sec::new());
-    sys.load_program(&alu_loop());
-    sys.arm_faults(FaultPlan::new(1).inject(
-        FaultTarget::FabricStuck,
-        FaultSchedule::AtCommit(5),
-        FaultModel::BitFlip { bits: 1 },
-    ));
-    let _ = sys.run(1_000_000);
-}
-
-#[test]
 fn cycle_budget_is_enforced() {
     let mut sys =
         System::new(SystemConfig::fabric_quarter_speed().with_cycle_budget(50), Sec::new());
