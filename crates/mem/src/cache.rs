@@ -185,6 +185,10 @@ pub struct Lookup {
 #[derive(Clone, Debug)]
 pub struct TimingCache {
     config: CacheConfig,
+    /// `log2(line_bytes)`: address bits within a line.
+    line_shift: u32,
+    /// `log2(sets)`: address bits selecting the set.
+    set_bits: u32,
     lines: Vec<Line>,
     stamp: u64,
     stats: CacheStats,
@@ -200,7 +204,14 @@ impl TimingCache {
     pub fn new(config: CacheConfig) -> TimingCache {
         config.validate();
         let n = (config.sets() * config.ways) as usize;
-        TimingCache { config, lines: vec![INVALID; n], stamp: 0, stats: CacheStats::default() }
+        TimingCache {
+            config,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_bits: config.sets().trailing_zeros(),
+            lines: vec![INVALID; n],
+            stamp: 0,
+            stats: CacheStats::default(),
+        }
     }
 
     /// The cache geometry.
@@ -213,9 +224,11 @@ impl TimingCache {
         self.stats
     }
 
+    /// Splits `addr` into set and tag with shifts (the geometry is
+    /// power-of-two, see [`CacheConfig::validate`]).
     fn set_and_tag(&self, addr: u32) -> (u32, u32) {
-        let line = addr / self.config.line_bytes;
-        (line % self.config.sets(), line / self.config.sets())
+        let line = addr >> self.line_shift;
+        (line & ((1 << self.set_bits) - 1), line >> self.set_bits)
     }
 
     fn set_slice(&mut self, set: u32) -> &mut [Line] {
@@ -231,8 +244,7 @@ impl TimingCache {
         self.stamp += 1;
         let stamp = self.stamp;
         let (set, tag) = self.set_and_tag(addr);
-        let line_bytes = self.config.line_bytes;
-        let sets = self.config.sets();
+        let (line_shift, set_bits) = (self.line_shift, self.set_bits);
         let policy = self.config.write_policy;
 
         let ways = self.set_slice(set);
@@ -271,8 +283,8 @@ impl TimingCache {
                 .iter_mut()
                 .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
                 .expect("at least one way");
-            let writeback_of =
-                (victim.valid && victim.dirty).then(|| (victim.tag * sets + set) * line_bytes);
+            let writeback_of = (victim.valid && victim.dirty)
+                .then(|| ((victim.tag << set_bits) | set) << line_shift);
             *victim = Line {
                 tag,
                 valid: true,

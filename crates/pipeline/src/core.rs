@@ -95,6 +95,23 @@ pub struct CoreSnapshot {
     pub commit_slot: u32,
 }
 
+/// Slots in [`Core`]'s decode memo, direct-mapped on `pc >> 2`: a
+/// hot loop of up to 4 KB of text decodes once.
+const MEMO_SLOTS: usize = 1024;
+
+/// A decode-memo entry: a fetched word at a PC and everything the
+/// commit path derives from the word alone.
+#[derive(Clone, Copy, Debug)]
+struct Decoded {
+    pc: u32,
+    word: u32,
+    inst: Instruction,
+    class: InstrClass,
+    src1: Option<Reg>,
+    src2: Option<Reg>,
+    dest: Option<Reg>,
+}
+
 /// The Leon3-like in-order core.
 ///
 /// See the [crate docs](crate) for the modeling approach and an
@@ -117,6 +134,11 @@ pub struct Core {
     /// Instructions committed since the last base-cycle charge (for
     /// `commit_width > 1`).
     commit_slot: u32,
+    /// Decoded instructions by PC. An entry is used only when its word
+    /// equals the word fetched this cycle, so stores over code, text
+    /// faults and checkpoint restores need no invalidation. Derived
+    /// state: not part of [`CoreSnapshot`].
+    memo: Box<[Option<Decoded>; MEMO_SLOTS]>,
 }
 
 impl Core {
@@ -140,6 +162,7 @@ impl Core {
             console: Vec::new(),
             exited: None,
             commit_slot: 0,
+            memo: Box::new([None; MEMO_SLOTS]),
         }
     }
 
@@ -330,8 +353,6 @@ impl Core {
             let done = bus.transfer(BusMaster::Core, self.cycle, self.config.icache.line_words());
             self.cycle = done;
         }
-        let word = mem.read_u32(pc);
-
         // Default control flow: slide the delay-slot window.
         let next_pc = self.npc;
         let mut next_npc = self.npc.wrapping_add(4);
@@ -347,27 +368,38 @@ impl Core {
             return StepResult::Annulled;
         }
 
-        let inst = match decode(word) {
-            Ok(i) => i,
-            Err(_) => return self.exit(ExitReason::IllegalInstruction { pc, word }),
+        let word = mem.read_u32(pc);
+        let slot = (pc >> 2) as usize % MEMO_SLOTS;
+        let d = match self.memo[slot] {
+            Some(d) if d.pc == pc && d.word == word => d,
+            _ => {
+                let Ok(inst) = decode(word) else {
+                    return self.exit(ExitReason::IllegalInstruction { pc, word });
+                };
+                let (src1, src2) = inst.source_regs();
+                let class = InstrClass::of(&inst);
+                let d = Decoded { pc, word, inst, class, src1, src2, dest: inst.dest_reg() };
+                self.memo[slot] = Some(d);
+                d
+            }
         };
+        let inst = d.inst;
 
-        let (src1, src2) = inst.source_regs();
         let mut packet = TracePacket {
             pc,
             inst_word: word,
             inst,
-            class: InstrClass::of(&inst),
+            class: d.class,
             addr: 0,
             result: 0,
-            srcv1: src1.map_or(0, |r| self.reg(r)),
+            srcv1: d.src1.map_or(0, |r| self.reg(r)),
             srcv2: 0,
             store_value: 0,
             cond: self.icc,
             branch_taken: false,
-            src1,
-            src2,
-            dest: inst.dest_reg(),
+            src1: d.src1,
+            src2: d.src2,
+            dest: d.dest,
             commit_cycle: 0,
         };
         clock.commit(Phase::FetchDecode, fetch_span);
