@@ -10,9 +10,9 @@
 //! back-pressure sweep is where the per-epoch occupancy/stall columns
 //! are most interesting.
 
-use flexcore::SystemConfig;
 use flexcore_bench::{
-    baseline_cycles, geomean, run_extension, run_extension_series, series_dir_from_args, ExtKind,
+    baseline_cycles, geomean, paper_config, run_extension, run_extension_series,
+    series_dir_from_args, ExtKind,
 };
 use flexcore_workloads::Workload;
 
@@ -41,11 +41,7 @@ fn main() {
     for &size in sizes {
         print!("{:<10}", size);
         for ext in ExtKind::ALL {
-            let cfg = match ext.paper_divisor() {
-                4 => SystemConfig::fabric_quarter_speed(),
-                _ => SystemConfig::fabric_half_speed(),
-            }
-            .with_fifo_depth(size);
+            let cfg = paper_config(ext).with_fifo_depth(size);
             let ratios: Vec<f64> = workloads
                 .iter()
                 .zip(&baselines)

@@ -14,16 +14,17 @@
 //!                   tainted-store findings plus per-class PC counts)
 //!   --emit-elision <dir>  write each workload's elision table to
 //!                   `<dir>/<workload>.elision.json` (implies --taint)
-//!   --verify-elision  run every selected workload under UMC, DIFT, and
-//!                   CFI twice — full and with the elision table — and
-//!                   fail on any divergence (implies --taint)
+//!   --verify-elision  run every selected workload under each elidable
+//!                   registry extension twice — full and with the
+//!                   elision table — and fail on any divergence
+//!                   (implies --taint)
 //!   --max <N>       instruction budget for --xcheck / --verify-elision
 //!                   runs (default 200M)
 //!   --quiet         print only errors and the per-target summary
 //!
 //! With no workload arguments, all six paper kernels are analyzed
-//! (sha gmac stringsearch fft basicmath bitcount) along with the seven
-//! extension netlists (umc dift bc sec mprot cfi nop).
+//! (sha gmac stringsearch fft basicmath bitcount). The netlist of every
+//! `swap::SWAPPABLE` extension is always linted.
 //! ```
 //!
 //! Exit codes: `0` clean, `1` at least one error-severity finding,
@@ -48,18 +49,16 @@
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
-use flexcore::ext::{Bc, Cfi, CfiTable, Dift, Extension, Mprot, Nop, Sec, Umc};
 use flexcore::{System, SystemConfig};
 use flexcore_analysis::{analyze_program, lint_netlist, AnalysisReport, Diagnostic, Severity};
-use flexcore_bench::elide::{build_elision_table, verify_elision, ELIDABLE_EXTENSIONS};
+use flexcore_bench::elide::{build_elision_table, verify_elision};
+use flexcore_bench::swap::{build_extension, elidable, LUT_K, SWAPPABLE};
+use flexcore_bench::ExtKind;
 use flexcore_fabric::{
     from_bitstream, map_to_luts, segment_bitstream, to_bitstream, verify_consistent, Netlist,
     PartialRegion, FRAME_BYTES,
 };
 use flexcore_workloads::Workload;
-
-/// LUT input count the netlist checks map against (Virtex-5, paper §5).
-const LUT_K: usize = 6;
 
 struct Options {
     workloads: Vec<String>,
@@ -186,21 +185,6 @@ fn check_workload(w: Workload, opts: &Options) -> Result<AnalysisReport, String>
     Ok(report)
 }
 
-fn extension_netlists() -> Vec<Netlist> {
-    vec![
-        Umc::new().netlist(),
-        Dift::new().netlist(),
-        Bc::new().netlist(),
-        Sec::new().netlist(),
-        Mprot::new().netlist(),
-        // The CFI datapath (CAM lookups + class decode) is independent
-        // of the edge table contents, so an empty table lints the same
-        // netlist every program-specific instance uses.
-        Cfi::new(CfiTable::new()).netlist(),
-        Nop::new().netlist(),
-    ]
-}
-
 /// Result of rehearsing one ordered swap pair through a fresh
 /// partial-reconfiguration region.
 struct SwapPairRow {
@@ -260,7 +244,8 @@ struct XcheckRow {
 /// the static proven-load set.
 fn xcheck_workload(w: Workload, report: &AnalysisReport, max: u64) -> Result<XcheckRow, String> {
     let program = w.program().map_err(|e| format!("{}: {e}", w.name()))?;
-    let mut sys = System::new(SystemConfig::fabric_half_speed(), Umc::new());
+    let umc = build_extension(ExtKind::Umc.key(), &program).expect("umc is registered");
+    let mut sys = System::new(SystemConfig::fabric_half_speed(), umc);
     sys.load_program(&program);
     let r = sys.try_run(max).map_err(|e| format!("{}: {e}", w.name()))?;
     let proven: BTreeSet<u32> = report.proven_loads.iter().map(|p| p.pc).collect();
@@ -298,8 +283,15 @@ fn run() -> Result<u8, String> {
         reports.push(report);
     }
 
+    // Every registry entry's datapath. CFI's (CAM lookups + class
+    // decode) does not depend on its edge table contents, so any
+    // kernel's program builds the netlist every instance uses.
+    let program = Workload::bitcount().program().map_err(|e| format!("bitcount: {e}"))?;
+    let netlists: Vec<Netlist> = SWAPPABLE
+        .into_iter()
+        .map(|name| build_extension(name, &program).expect("registry names build").netlist())
+        .collect();
     let mut netlist_values = Vec::new();
-    let netlists = extension_netlists();
     for netlist in &netlists {
         let diags = lint_netlist(netlist, LUT_K);
         print_findings(netlist.name(), &diags, opts.quiet);
@@ -376,6 +368,7 @@ fn run() -> Result<u8, String> {
 
     let mut divergences = 0usize;
     let mut taint_values = Vec::new();
+    let elidable = elidable();
     if opts.wants_elision() {
         if let Some(dir) = &opts.emit_elision {
             std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
@@ -413,7 +406,7 @@ fn run() -> Result<u8, String> {
             }
             let mut verify_values = Vec::new();
             if opts.verify_elision {
-                for ext in ELIDABLE_EXTENSIONS {
+                for &ext in &elidable {
                     let v = verify_elision(&program, ext, &table, opts.max)?;
                     match &v.divergence {
                         Some(d) => {
@@ -446,7 +439,7 @@ fn run() -> Result<u8, String> {
             println!(
                 "[verify-elision] {} workload(s) x {} extension(s), {} divergence(s)",
                 workloads.len(),
-                ELIDABLE_EXTENSIONS.len(),
+                elidable.len(),
                 divergences
             );
         }

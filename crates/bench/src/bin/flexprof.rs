@@ -1,20 +1,18 @@
 //! `flexprof` — phase-attributed host-time profiler for the simulator
 //! itself.
 //!
-//! Runs every workload under every monitoring extension (fabric at the
+//! Runs every workload under every paper extension (fabric at the
 //! paper's clock divisor) with the
 //! [`PhaseProfiler`](flexcore_telemetry::PhaseProfiler) attached and
-//! writes two artifacts that seed the repo's performance trajectory:
-//!
-//! * `BENCH_profile.json` — per-run host-time breakdown across the
-//!   phase taxonomy (fetch/decode, execute, fabric eval, FIFO
-//!   accounting, meta-cache, checkpoint, journal write/fsync), with
-//!   per-phase shares of attributed time plus totals across the sweep.
-//! * `BENCH_sim_throughput.json` — per-run simulated instructions and
-//!   cycles per host second, with the sweep geomean.
+//! writes `BENCH_profile.json`: the per-run host-time breakdown across
+//! the phase taxonomy (fetch/decode, execute, fabric eval, FIFO
+//! accounting, meta-cache, checkpoint, journal write/fsync), with
+//! per-phase shares of attributed time plus totals across the sweep.
+//! Profiled runs are not throughput evidence; the unprofiled, repeated
+//! `sim_mips` of the `perfbench` harness is.
 //!
 //! ```text
-//! flexprof [--profile FILE] [--throughput FILE] [--workloads a,b] [--quick]
+//! flexprof [--profile FILE] [--workloads a,b]
 //! flexprof check BASELINE CURRENT [--tolerance PCT]
 //! ```
 //!
@@ -28,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use flexcore_bench::{geomean, paper_config, run_extension_profiled, ExtKind};
+use flexcore_bench::{paper_config, run_extension_profiled, ExtKind};
 use flexcore_telemetry::{Phase, PhaseStats};
 use flexcore_workloads::Workload;
 use serde::Value;
@@ -61,7 +59,6 @@ struct ProfiledRun {
     cycles: u64,
     host_ns: u64,
     insns_per_sec: f64,
-    cycles_per_sec: f64,
     stats: PhaseStats,
 }
 
@@ -103,7 +100,6 @@ fn run_sweep(workloads: &[Workload]) -> Vec<ProfiledRun> {
                 cycles: r.cycles,
                 host_ns: r.host_ns,
                 insns_per_sec: r.sim_insns_per_sec(),
-                cycles_per_sec: r.sim_cycles_per_sec(),
                 stats,
             });
         }
@@ -151,37 +147,8 @@ fn profile_doc(runs: &[ProfiledRun]) -> Value {
         .build()
 }
 
-fn throughput_doc(runs: &[ProfiledRun]) -> Value {
-    let mut rows = Vec::new();
-    let mut rates = Vec::new();
-    for run in runs {
-        rows.push(
-            Value::object()
-                .field("workload", &run.workload)
-                .field("extension", &run.extension)
-                .field("instret", &run.instret)
-                .field("cycles", &run.cycles)
-                .field("host_ns", &run.host_ns)
-                .field("host_sim_insns_per_sec", &run.insns_per_sec)
-                .field("host_sim_cycles_per_sec", &run.cycles_per_sec)
-                .build(),
-        );
-        if run.insns_per_sec > 0.0 {
-            rates.push(run.insns_per_sec);
-        }
-    }
-    let gm = if rates.is_empty() { 0.0 } else { geomean(&rates) };
-    Value::object()
-        .field("bench", &"sim_throughput")
-        .raw("rows", Value::Array(rows))
-        .field("geomean_sim_insns_per_sec", &gm)
-        .build()
-}
-
 fn cmd_run() -> i32 {
-    let profile_path = arg_string("--profile").unwrap_or_else(|| "BENCH_profile.json".into());
-    let throughput_path =
-        arg_string("--throughput").unwrap_or_else(|| "BENCH_sim_throughput.json".into());
+    let path = arg_string("--profile").unwrap_or_else(|| "BENCH_profile.json".into());
     let all = Workload::all();
     let workloads: Vec<Workload> = match arg_string("--workloads") {
         Some(list) => list
@@ -200,18 +167,13 @@ fn cmd_run() -> i32 {
         workloads.len(),
         ExtKind::ALL.len()
     );
-    let runs = run_sweep(&workloads);
-    for (path, doc) in
-        [(&profile_path, profile_doc(&runs)), (&throughput_path, throughput_doc(&runs))]
-    {
-        let mut text = serde::to_string_pretty(&doc);
-        text.push('\n');
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("flexprof: {path}: {e}");
-            return 2;
-        }
-        println!("flexprof: wrote {path}");
+    let mut text = serde::to_string_pretty(&profile_doc(&run_sweep(&workloads)));
+    text.push('\n');
+    if let Err(e) = std::fs::write(&path, text) {
+        eprintln!("flexprof: {path}: {e}");
+        return 2;
     }
+    println!("flexprof: wrote {path}");
     0
 }
 
@@ -298,7 +260,7 @@ fn main() {
         },
         Some("--help") | Some("-h") => {
             eprintln!(
-                "usage: flexprof [--profile FILE] [--throughput FILE] [--workloads a,b]\n       \
+                "usage: flexprof [--profile FILE] [--workloads a,b]\n       \
                  flexprof check BASELINE CURRENT [--tolerance PCT]"
             );
             2

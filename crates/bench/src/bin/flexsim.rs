@@ -5,7 +5,8 @@
 //! flexsim [OPTIONS] <program.s | workload-name>
 //!
 //! OPTIONS:
-//!   --ext <umc|dift|bc|sec|mprot|cfi|none>  monitoring extension (default: none)
+//!   --ext <NAME|none>                    monitoring extension (default: none); NAME is
+//!                                        any entry of the `swap::SWAPPABLE` registry
 //!   --swap-at <COMMIT:ext[:policy]>      hot-swap the fabric bitstream to `ext` at the
 //!                                        given commit boundary (repeatable; policy is
 //!                                        reset|carry, default reset); CFI's edge table
@@ -73,7 +74,7 @@ use flexcore::obs::{ChromeRecorder, MetricsRecorder, Observer, TraceSink};
 use flexcore::recovery::{RecoveryPolicy, Supervisor};
 use flexcore::{RunOutcome, RunResult, SimError, System, SystemConfig};
 use flexcore_asm::{assemble, Program};
-use flexcore_bench::swap::{self, SwapPoint};
+use flexcore_bench::swap::{self, SwapPoint, SWAPPABLE};
 use flexcore_fabric::write_vcd;
 use flexcore_mem::{MainMemory, SystemBus};
 use flexcore_pipeline::{Core, CoreConfig, ExitReason, StepResult};
@@ -219,25 +220,33 @@ fn parse_args() -> Result<Options, String> {
     if opts.input.is_empty() {
         return Err("missing program file or workload name".into());
     }
+    if opts.ext != "none" && !SWAPPABLE.contains(&opts.ext.as_str()) {
+        return Err(format!("unknown extension `{}` (one of {})", opts.ext, SWAPPABLE.join(" ")));
+    }
+    let any = SWAPPABLE.join("|");
     if opts.ext == "none" && opts.wants_observability() {
-        return Err("--metrics/--trace/--flight-recorder/--vcd/--json observe the monitored \
-             commit path; pick an extension with --ext umc|dift|bc|sec|mprot"
-            .into());
+        return Err(format!(
+            "--metrics/--trace/--flight-recorder/--vcd/--json observe the monitored commit \
+             path; pick an extension with --ext {any}"
+        ));
     }
     if opts.ext == "none" && opts.wants_system() {
-        return Err("--checkpoint-every/--resume/--lockstep need the full system model; \
-             pick an extension with --ext umc|dift|bc|sec|mprot"
-            .into());
+        return Err(format!(
+            "--checkpoint-every/--resume/--lockstep need the full system model; pick an \
+             extension with --ext {any}"
+        ));
     }
     if opts.ext == "none" && opts.elide.is_some() {
-        return Err("--elide filters the monitored forward path; pick an extension with \
-             --ext umc|dift|cfi"
-            .into());
+        return Err(format!(
+            "--elide filters the monitored forward path; pick an extension with --ext {}",
+            swap::elidable().join("|")
+        ));
     }
     if opts.ext == "none" && !opts.swaps.is_empty() {
-        return Err("--swap-at reprograms the monitored fabric; pick a starting extension \
-             with --ext umc|dift|bc|sec|mprot|cfi"
-            .into());
+        return Err(format!(
+            "--swap-at reprograms the monitored fabric; pick a starting extension with \
+             --ext {any}"
+        ));
     }
     if opts.quit_after_checkpoint && opts.checkpoint_every.is_none() {
         return Err("--quit-after-checkpoint needs --checkpoint-every".into());
@@ -578,13 +587,14 @@ fn main() -> ExitCode {
                 eprintln!("error: {e}\n");
             }
             eprintln!(
-                "usage: flexsim [--ext umc|dift|bc|sec|mprot|cfi|none] [--clock 1x|0.5x|0.25x]\n\
+                "usage: flexsim [--ext {}|none] [--clock 1x|0.5x|0.25x]\n\
                  \x20              [--fifo N] [--max N] [--metrics FILE] [--epoch N]\n\
                  \x20              [--trace FILE] [--flight-recorder N] [--vcd FILE]\n\
                  \x20              [--checkpoint-every N] [--checkpoint-path FILE]\n\
                  \x20              [--quit-after-checkpoint] [--resume FILE] [--lockstep]\n\
                  \x20              [--recover] [--swap-at COMMIT:ext[:policy]] [--elide FILE]\n\
-                 \x20              [--json] [--commits] [--disasm] <program.s | workload>"
+                 \x20              [--json] [--commits] [--disasm] <program.s | workload>",
+                SWAPPABLE.join("|")
             );
             return ExitCode::from(2);
         }
@@ -600,15 +610,10 @@ fn main() -> ExitCode {
         print!("{}", program.listing());
         return ExitCode::SUCCESS;
     }
-    let code = match opts.ext.as_str() {
-        "none" => run_bare(&program, &opts),
-        name => match swap::build_extension(name, &program) {
-            Some(ext) => run_monitored(&program, &opts, ext),
-            None => {
-                eprintln!("unknown extension `{name}`");
-                2
-            }
-        },
+    // `parse_args` admitted only registry names and `none`, the bare core.
+    let code = match swap::build_extension(&opts.ext, &program) {
+        Some(ext) => run_monitored(&program, &opts, ext),
+        None => run_bare(&program, &opts),
     };
     ExitCode::from(code.clamp(0, 255) as u8)
 }

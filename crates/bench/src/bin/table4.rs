@@ -88,14 +88,8 @@ fn main() {
             }
         };
         print!("{:<14}", workload.name());
-        let prow = &paper::TABLE_IV[wi];
         for (ei, ext) in ExtKind::ALL.into_iter().enumerate() {
-            let paper_cells = match ext {
-                ExtKind::Umc => prow.umc,
-                ExtKind::Dift => prow.dift,
-                ExtKind::Bc => prow.bc,
-                ExtKind::Sec => prow.sec,
-            };
+            let paper_cells = paper::TABLE_IV[wi].cells(ext);
             let mut cells = String::new();
             for ci in 0..3 {
                 let report = &runs[(wi * ExtKind::ALL.len() + ei) * configs.len() + ci];
@@ -119,14 +113,8 @@ fn main() {
 
     println!("{}", "-".repeat(118));
     print!("{:<14}", "geomean");
-    let pg = &paper::TABLE_IV[6];
     for (ei, ext) in ExtKind::ALL.into_iter().enumerate() {
-        let paper_cells = match ext {
-            ExtKind::Umc => pg.umc,
-            ExtKind::Dift => pg.dift,
-            ExtKind::Bc => pg.bc,
-            ExtKind::Sec => pg.sec,
-        };
+        let paper_cells = paper::TABLE_IV[6].cells(ext);
         let mut cells = String::new();
         for ci in 0..3 {
             if ratios[ei][ci].is_empty() {
@@ -157,8 +145,8 @@ fn main() {
         println!("\nSoftware monitoring baselines (same core, instrumented; §V.C):");
         println!("{}", "-".repeat(84));
         print!("{:<14}", "Benchmark");
-        for m in ["UMC sw", "DIFT sw", "BC sw", "SEC sw"] {
-            print!("{m:>12}");
+        for ext in ExtKind::ALL {
+            print!("{:>12}", format!("{} sw", ext.name()));
         }
         println!();
         let monitors = [

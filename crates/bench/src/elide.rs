@@ -214,13 +214,10 @@ fn which(elide: bool) -> &'static str {
     }
 }
 
-/// The extensions whose checks the table can discharge, in
-/// presentation order — what `flexcheck --verify-elision` sweeps.
-pub const ELIDABLE_EXTENSIONS: [&str; 3] = ["umc", "dift", "cfi"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::swap::elidable;
     use flexcore_workloads::Workload;
 
     #[test]
@@ -241,7 +238,7 @@ mod tests {
     fn verify_is_clean_on_bitcount_for_every_elidable_extension() {
         let program = Workload::bitcount().program().expect("assembles");
         let (table, _) = build_elision_table(&program);
-        for ext in ELIDABLE_EXTENSIONS {
+        for ext in elidable() {
             let verdict = verify_elision(&program, ext, &table, 2_000_000).expect("runs complete");
             assert!(
                 verdict.is_clean(),

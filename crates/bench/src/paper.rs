@@ -2,6 +2,8 @@
 //! paper-vs-measured comparisons in the regeneration binaries and to
 //! assert reproduction *shapes* in the integration tests.
 
+use crate::ExtKind;
+
 /// One Table III row.
 #[derive(Clone, Copy, Debug)]
 pub struct AreaPowerRow {
@@ -132,6 +134,18 @@ pub struct PerfRow {
     pub bc: [f64; 3],
     /// SEC at 1X / 0.5X / 0.25X.
     pub sec: [f64; 3],
+}
+
+impl PerfRow {
+    /// The published 1X / 0.5X / 0.25X cells of `ext`'s column.
+    pub fn cells(&self, ext: ExtKind) -> [f64; 3] {
+        match ext {
+            ExtKind::Umc => self.umc,
+            ExtKind::Dift => self.dift,
+            ExtKind::Bc => self.bc,
+            ExtKind::Sec => self.sec,
+        }
+    }
 }
 
 /// Table IV, per benchmark, plus the geometric-mean row.

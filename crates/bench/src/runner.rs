@@ -2,19 +2,22 @@
 
 use std::path::{Path, PathBuf};
 
-use flexcore::ext::{Bc, Dift, Sec, Umc};
+use flexcore::ext::Extension;
 use flexcore::obs::{MetricsRecorder, NullSink, TraceSink};
 use flexcore::{RunResult, System, SystemConfig};
 use flexcore_mem::{MainMemory, SystemBus};
 use flexcore_pipeline::{Core, CoreConfig, ExitReason};
-use flexcore_telemetry::{PhaseProfiler, PhaseStats};
+use flexcore_telemetry::{NullPhaseClock, PhaseClock, PhaseProfiler, PhaseStats};
 use flexcore_workloads::Workload;
+
+use crate::swap::{build_extension, SWAPPABLE};
 
 /// Instruction budget per simulation (well above any workload's need;
 /// hitting it is treated as a failed run).
 pub const MAX_INSTRUCTIONS: u64 = 200_000_000;
 
-/// Which extension to instantiate.
+/// The four extensions of the paper's Table IV columns: a view of the
+/// first four [`SWAPPABLE`] registry entries, which are in column order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExtKind {
     /// Uninitialized memory check.
@@ -39,6 +42,12 @@ impl ExtKind {
             ExtKind::Bc => "BC",
             ExtKind::Sec => "SEC",
         }
+    }
+
+    /// Registry key: the name [`build_extension`] constructs this
+    /// extension under.
+    pub fn key(self) -> &'static str {
+        SWAPPABLE[self as usize]
     }
 
     /// The fabric clock divisor the paper uses for this extension
@@ -82,14 +91,19 @@ pub fn baseline_cycles(workload: &Workload) -> u64 {
     core.quiesced_at()
 }
 
-fn monitored<E: flexcore::Extension, S: TraceSink>(
+/// Runs `workload` under the registry-built `ext` with `sink` and
+/// `prof` attached, returning the result and the finished system (for
+/// its sink or profiler).
+fn monitored<S: TraceSink, P: PhaseClock>(
     workload: &Workload,
+    ext: ExtKind,
     config: SystemConfig,
-    ext: E,
     sink: S,
-) -> (RunResult, S) {
+    prof: P,
+) -> (RunResult, System<Box<dyn Extension>, S, P>) {
     let program = workload.program().expect("workload assembles");
-    let mut sys = System::with_sink(config, ext, sink);
+    let monitor = build_extension(ext.key(), &program).expect("paper extensions are registered");
+    let mut sys = System::with_profiler(config, monitor, sink, prof);
     sys.load_program(&program);
     let r = sys.try_run(MAX_INSTRUCTIONS).expect("simulation error");
     assert_eq!(
@@ -100,7 +114,7 @@ fn monitored<E: flexcore::Extension, S: TraceSink>(
         r.exit,
         r.monitor_trap
     );
-    (r, sys.into_sink())
+    (r, sys)
 }
 
 fn condense(r: &RunResult) -> RunSummary {
@@ -121,33 +135,7 @@ fn condense(r: &RunResult) -> RunSummary {
 /// spurious trap (either is a reproduction bug — the workloads are
 /// benign).
 pub fn run_extension(workload: &Workload, ext: ExtKind, config: SystemConfig) -> RunSummary {
-    let (r, NullSink) = match ext {
-        ExtKind::Umc => monitored(workload, config, Umc::new(), NullSink),
-        ExtKind::Dift => monitored(workload, config, Dift::new(), NullSink),
-        ExtKind::Bc => monitored(workload, config, Bc::new(), NullSink),
-        ExtKind::Sec => monitored(workload, config, Sec::new(), NullSink),
-    };
-    condense(&r)
-}
-
-fn monitored_profiled<E: flexcore::Extension>(
-    workload: &Workload,
-    config: SystemConfig,
-    ext: E,
-) -> (RunResult, PhaseStats) {
-    let program = workload.program().expect("workload assembles");
-    let mut sys = System::with_profiler(config, ext, NullSink, PhaseProfiler::new());
-    sys.load_program(&program);
-    let r = sys.try_run(MAX_INSTRUCTIONS).expect("simulation error");
-    assert_eq!(
-        r.exit,
-        ExitReason::Halt(0),
-        "{} under monitoring failed: {:?} / {:?}",
-        workload.name(),
-        r.exit,
-        r.monitor_trap
-    );
-    (r, sys.into_profiler().into_stats())
+    condense(&monitored(workload, ext, config, NullSink, NullPhaseClock).0)
 }
 
 /// Like [`run_extension`], but with the phase profiler attached:
@@ -158,12 +146,8 @@ pub fn run_extension_profiled(
     ext: ExtKind,
     config: SystemConfig,
 ) -> (RunResult, PhaseStats) {
-    match ext {
-        ExtKind::Umc => monitored_profiled(workload, config, Umc::new()),
-        ExtKind::Dift => monitored_profiled(workload, config, Dift::new()),
-        ExtKind::Bc => monitored_profiled(workload, config, Bc::new()),
-        ExtKind::Sec => monitored_profiled(workload, config, Sec::new()),
-    }
+    let (r, sys) = monitored(workload, ext, config, NullSink, PhaseProfiler::new());
+    (r, sys.into_profiler().into_stats())
 }
 
 /// The paper-faithful system configuration for an extension: fabric at
@@ -206,12 +190,8 @@ pub fn run_extension_series(
     stem: &str,
 ) -> RunSummary {
     let sampler = MetricsRecorder::new(MetricsRecorder::DEFAULT_EPOCH_CYCLES);
-    let (r, m) = match ext {
-        ExtKind::Umc => monitored(workload, config, Umc::new(), sampler),
-        ExtKind::Dift => monitored(workload, config, Dift::new(), sampler),
-        ExtKind::Bc => monitored(workload, config, Bc::new(), sampler),
-        ExtKind::Sec => monitored(workload, config, Sec::new(), sampler),
-    };
+    let (r, sys) = monitored(workload, ext, config, sampler, NullPhaseClock);
+    let m = sys.into_sink();
     if let Err(e) = m.check_against(&r) {
         panic!("{stem}: epoch series disagrees with the run result: {e}");
     }

@@ -1,13 +1,17 @@
-//! Hot-swap glue shared by the campaign machinery and the CLI tools:
-//! building boxed extensions by name (including CFI, whose edge table
-//! comes from the static `flexcore_analysis` CFG recovery), producing
-//! the bitstream a [`SwapRequest`] programs, and parsing the
+//! The extension registry and the hot-swap glue built on it: building
+//! boxed extensions by name (including CFI, whose edge table comes from
+//! the static `flexcore_analysis` CFG recovery), producing the
+//! bitstream a [`SwapRequest`] programs, and parsing the
 //! `--swap-at CYCLE:ext` syntax.
 //!
-//! Hot-swap runs use `System<Box<dyn Extension>>`: the incoming
-//! extension of a [`SwapRequest`] must have the same type as the
-//! outgoing one, and boxing is what lets UMC hand the fabric over to
-//! CFI mid-run.
+//! [`SWAPPABLE`] and [`build_extension`] are the only place a name maps
+//! to a constructed extension: the paper runners
+//! ([`ExtKind`](crate::ExtKind) is the Table IV view of the first four
+//! entries), the fault campaigns, and the CLI tools all build their
+//! monitor here. Every run is a `System<Box<dyn Extension>>`: the
+//! incoming extension of a [`SwapRequest`] must have the same type as
+//! the outgoing one, and boxing is what lets UMC hand the fabric over
+//! to CFI mid-run.
 
 use flexcore::ext::{Bc, Cfi, CfiTable, Dift, Extension, Mprot, Nop, Sec, Umc};
 use flexcore::obs::TraceSink;
@@ -21,7 +25,8 @@ use flexcore_fabric::{map_to_luts, to_bitstream};
 pub const LUT_K: usize = 6;
 
 /// The lowercase names [`build_extension`] accepts, in presentation
-/// order.
+/// order. The first four are the paper's Table IV columns, in column
+/// order ([`ExtKind::key`](crate::ExtKind::key) indexes this list).
 pub const SWAPPABLE: [&str; 7] = ["umc", "dift", "bc", "sec", "mprot", "cfi", "nop"];
 
 /// Builds the CFI edge table for `program` from the statically
@@ -55,6 +60,21 @@ pub fn build_extension(name: &str, program: &Program) -> Option<Box<dyn Extensio
         "nop" => Box::new(Nop::new()),
         _ => return None,
     })
+}
+
+/// The registry entries an [`ElisionTable`](flexcore::ElisionTable)
+/// can discharge checks for (a nonzero
+/// [`Extension::elision_class`]), in registry order.
+pub fn elidable() -> Vec<&'static str> {
+    // Elision classes do not depend on the program; CFI only needs one
+    // to build its edge table.
+    let program = flexcore_asm::assemble("start: ta 0").expect("one-instruction program assembles");
+    SWAPPABLE
+        .into_iter()
+        .filter(|name| {
+            build_extension(name, &program).expect("registry names build").elision_class() != 0
+        })
+        .collect()
 }
 
 /// The serialized bitstream that programs `ext`'s datapath: its netlist
@@ -123,6 +143,7 @@ pub fn schedule<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExtKind;
     use flexcore_asm::assemble;
 
     fn program() -> Program {
@@ -137,6 +158,21 @@ mod tests {
             assert!(!bitstream_for(ext.as_ref()).is_empty(), "{name} bitstream");
         }
         assert!(build_extension("sdram", &p).is_none());
+    }
+
+    #[test]
+    fn registry_is_the_single_source_of_extension_names() {
+        let p = program();
+        for k in ExtKind::ALL {
+            assert_eq!(k.key(), SWAPPABLE[k as usize]);
+            let ext = build_extension(k.key(), &p).expect("paper extensions are registered");
+            assert_eq!(ext.name(), k.name(), "{k:?}");
+        }
+        for name in SWAPPABLE {
+            let ext = build_extension(name, &p).expect(name);
+            assert_eq!(ext.name().to_lowercase(), name);
+        }
+        assert_eq!(elidable(), ["umc", "dift", "cfi"]);
     }
 
     #[test]

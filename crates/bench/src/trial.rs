@@ -16,18 +16,20 @@
 //!    JSONL trial-record shape that the
 //!    [`journal`](crate::journal) appends and reads back.
 
-use flexcore::ext::{Bc, Dift, ExtEnv, Sec, Umc};
+use flexcore::ext::ExtEnv;
 use flexcore::faults::{FaultModel, FaultPlan, FaultRng, FaultSchedule, FaultTarget};
 use flexcore::recovery::{FaultOutcome, RecoveryPolicy, Supervisor};
 use flexcore::{
     Cfgr, Extension, ExtensionDescriptor, ForwardPolicy, MonitorTrap, RunResult, SimError,
     SwapPolicy, System, SystemConfig,
 };
+use flexcore_asm::Program;
 use flexcore_fabric::{Netlist, NetlistBuilder};
 use flexcore_isa::Instruction;
 use flexcore_pipeline::TracePacket;
 use flexcore_workloads::Workload;
 
+use crate::swap::{build_extension, schedule, SwapPoint};
 use crate::{ExtKind, MAX_INSTRUCTIONS};
 
 /// Cycle budget per faulted run: generous (clean sha needs ~2M) but
@@ -336,9 +338,9 @@ pub fn profile_alu_commits(workload: &Workload) -> Vec<u64> {
 /// Panics if the clean run fails or traps (a reproduction bug).
 pub fn reference_run(workload: &Workload) -> RunResult {
     let program = workload.program().expect("workload assembles");
-    let mut sys = System::new(paper_config(ExtKind::Sec), Sec::new());
-    sys.load_program(&program);
-    let r = sys.try_run(MAX_INSTRUCTIONS).expect("clean reference run completes");
+    let r = paper_system(&program, ExtKind::Sec)
+        .try_run(MAX_INSTRUCTIONS)
+        .expect("clean reference run completes");
     assert!(r.monitor_trap.is_none(), "clean reference run must not trap");
     r
 }
@@ -354,11 +356,20 @@ pub fn reference_run(workload: &Workload) -> RunResult {
 /// Panics if the clean run fails or traps (a reproduction bug).
 pub fn swap_reference_run(workload: &Workload) -> RunResult {
     let program = workload.program().expect("workload assembles");
-    let mut sys = System::new(paper_config(ExtKind::Umc), Umc::new());
-    sys.load_program(&program);
-    let r = sys.try_run(MAX_INSTRUCTIONS).expect("clean swap reference run completes");
+    let r = paper_system(&program, ExtKind::Umc)
+        .try_run(MAX_INSTRUCTIONS)
+        .expect("clean swap reference run completes");
     assert!(r.monitor_trap.is_none(), "clean swap reference run must not trap");
     r
+}
+
+/// `program` loaded on a system monitored by the registry-built `ext`
+/// at its paper configuration.
+fn paper_system(program: &Program, ext: ExtKind) -> System<Box<dyn Extension>> {
+    let monitor = build_extension(ext.key(), program).expect("paper extensions are registered");
+    let mut sys = System::new(paper_config(ext), monitor);
+    sys.load_program(program);
+    sys
 }
 
 /// The reconfig-window campaign's system: the workload under UMC with
@@ -366,11 +377,9 @@ pub fn swap_reference_run(workload: &Workload) -> RunResult {
 /// recovered statically from the workload's own CFG).
 fn swapped_system(workload: &Workload, at_commit: u64) -> System<Box<dyn Extension>> {
     let program = workload.program().expect("workload assembles");
-    let umc = crate::swap::build_extension("umc", &program).expect("umc builds");
-    let mut sys = System::new(paper_config(ExtKind::Umc), umc);
-    sys.load_program(&program);
-    let point = crate::swap::SwapPoint { at_commit, to: "cfi".into(), policy: SwapPolicy::Reset };
-    crate::swap::schedule(&mut sys, &point, &program).expect("cfi is swappable");
+    let mut sys = paper_system(&program, ExtKind::Umc);
+    let point = SwapPoint { at_commit, to: "cfi".into(), policy: SwapPolicy::Reset };
+    schedule(&mut sys, &point, &program).expect("cfi is swappable");
     sys
 }
 
@@ -388,39 +397,34 @@ fn outcome_of(result: Result<RunResult, SimError>) -> TrialOutcome {
     }
 }
 
-/// One reconfig-window trial without the supervisor: the swap either
-/// absorbs its strike through retries or errors out, and the outcome
-/// is recorded as-is.
-fn run_swap_plain(
-    workload: &Workload,
-    at_commit: u64,
-    plan: &FaultPlan,
-    lockstep: bool,
+/// Arms `plan` on `sys` and runs it. A trial given a `clean` reference
+/// producer runs under the rollback-and-replay supervisor and is
+/// triaged against `reference`, or against `clean(workload)` when the
+/// caller cached none; without one it runs plain and the outcome is
+/// recorded as-is.
+fn execute(
+    mut sys: System<Box<dyn Extension>>,
+    plan: FaultPlan,
+    spec: &TrialSpec,
+    reference: Option<&RunResult>,
+    clean: Option<fn(&Workload) -> RunResult>,
 ) -> TrialOutcome {
-    let mut sys = swapped_system(workload, at_commit);
-    sys.arm_faults(plan.clone());
-    if lockstep {
+    sys.arm_faults(plan);
+    if spec.lockstep {
         sys.enable_lockstep();
     }
-    outcome_of(sys.try_run(MAX_INSTRUCTIONS))
-}
-
-/// One reconfig-window trial under the rollback-and-replay supervisor,
-/// triaged against the swap-free reference.
-fn run_swap_supervised(
-    workload: &Workload,
-    at_commit: u64,
-    plan: &FaultPlan,
-    lockstep: bool,
-    policy: RecoveryPolicy,
-    reference: &RunResult,
-) -> TrialOutcome {
-    let mut sys = swapped_system(workload, at_commit);
-    sys.arm_faults(plan.clone());
-    if lockstep {
-        sys.enable_lockstep();
-    }
-    let mut sup = Supervisor::new(sys, policy);
+    let Some(clean) = clean else {
+        return outcome_of(sys.try_run(MAX_INSTRUCTIONS));
+    };
+    let computed;
+    let reference = match reference {
+        Some(r) => r,
+        None => {
+            computed = clean(&spec.workload);
+            &computed
+        }
+    };
+    let mut sup = Supervisor::new(sys, spec.policy);
     let result = sup.run(MAX_INSTRUCTIONS);
     let report = sup.report();
     let triage = FaultOutcome::classify(report, &result, reference);
@@ -428,65 +432,6 @@ fn run_swap_supervised(
     o.triage = Some(triage);
     o.mttr = Some(report.mttr_cycles);
     o
-}
-
-fn run_one<E: Extension>(
-    workload: &Workload,
-    config: SystemConfig,
-    ext: E,
-    plan: &FaultPlan,
-    lockstep: bool,
-) -> TrialOutcome {
-    let program = workload.program().expect("workload assembles");
-    let mut sys = System::new(config, ext);
-    sys.load_program(&program);
-    sys.arm_faults(plan.clone());
-    if lockstep {
-        sys.enable_lockstep();
-    }
-    outcome_of(sys.try_run(MAX_INSTRUCTIONS))
-}
-
-/// One campaign-1 trial under the rollback-and-replay supervisor,
-/// triaged against a clean reference run of the same workload.
-fn run_one_supervised(
-    workload: &Workload,
-    config: SystemConfig,
-    plan: &FaultPlan,
-    lockstep: bool,
-    policy: RecoveryPolicy,
-    reference: &RunResult,
-) -> TrialOutcome {
-    let program = workload.program().expect("workload assembles");
-    let mut sys = System::new(config, Sec::new());
-    sys.load_program(&program);
-    sys.arm_faults(plan.clone());
-    if lockstep {
-        sys.enable_lockstep();
-    }
-    let mut sup = Supervisor::new(sys, policy);
-    let result = sup.run(MAX_INSTRUCTIONS);
-    let report = sup.report();
-    let triage = FaultOutcome::classify(report, &result, reference);
-    let mut o = outcome_of(result);
-    o.triage = Some(triage);
-    o.mttr = Some(report.mttr_cycles);
-    o
-}
-
-fn run_kind(
-    workload: &Workload,
-    ext: ExtKind,
-    config: SystemConfig,
-    plan: &FaultPlan,
-    lockstep: bool,
-) -> TrialOutcome {
-    match ext {
-        ExtKind::Umc => run_one(workload, config, Umc::new(), plan, lockstep),
-        ExtKind::Dift => run_one(workload, config, Dift::new(), plan, lockstep),
-        ExtKind::Bc => run_one(workload, config, Bc::new(), plan, lockstep),
-        ExtKind::Sec => run_one(workload, config, Sec::new(), plan, lockstep),
-    }
 }
 
 /// Executes one trial. Pure: equal specs produce bit-equal outcomes,
@@ -503,32 +448,10 @@ pub fn run_trial(spec: &TrialSpec, reference: Option<&RunResult>) -> TrialOutcom
                 FaultSchedule::AtCommit(*site),
                 FaultModel::Mask(1 << bit),
             );
-            if spec.recover {
-                let computed;
-                let r = match reference {
-                    Some(r) => r,
-                    None => {
-                        computed = reference_run(&spec.workload);
-                        &computed
-                    }
-                };
-                run_one_supervised(
-                    &spec.workload,
-                    paper_config(ExtKind::Sec),
-                    &plan,
-                    spec.lockstep,
-                    spec.policy,
-                    r,
-                )
-            } else {
-                run_kind(
-                    &spec.workload,
-                    ExtKind::Sec,
-                    paper_config(ExtKind::Sec),
-                    &plan,
-                    spec.lockstep,
-                )
-            }
+            let program = spec.workload.program().expect("workload assembles");
+            let sys = paper_system(&program, ExtKind::Sec);
+            let clean = spec.recover.then_some(reference_run as fn(&Workload) -> RunResult);
+            execute(sys, plan, spec, reference, clean)
         }
         TrialKind::RateSweep { ext, target, rate, plan_seed } => {
             let mut plan = FaultPlan::new(*plan_seed);
@@ -539,7 +462,8 @@ pub fn run_trial(spec: &TrialSpec, reference: Option<&RunResult>) -> TrialOutcom
                     FaultModel::BitFlip { bits: 1 },
                 );
             }
-            run_kind(&spec.workload, *ext, paper_config(*ext), &plan, spec.lockstep)
+            let program = spec.workload.program().expect("workload assembles");
+            execute(paper_system(&program, *ext), plan, spec, None, None)
         }
         TrialKind::SwapWindow { trial_seed, at_commit, exhaust } => {
             // `exhaust` corrupts *every* transfer attempt (the retry
@@ -554,26 +478,9 @@ pub fn run_trial(spec: &TrialSpec, reference: Option<&RunResult>) -> TrialOutcom
                 schedule,
                 FaultModel::BitFlip { bits: 1 },
             );
-            if spec.recover {
-                let computed;
-                let r = match reference {
-                    Some(r) => r,
-                    None => {
-                        computed = swap_reference_run(&spec.workload);
-                        &computed
-                    }
-                };
-                run_swap_supervised(
-                    &spec.workload,
-                    *at_commit,
-                    &plan,
-                    spec.lockstep,
-                    spec.policy,
-                    r,
-                )
-            } else {
-                run_swap_plain(&spec.workload, *at_commit, &plan, spec.lockstep)
-            }
+            let sys = swapped_system(&spec.workload, *at_commit);
+            let clean = spec.recover.then_some(swap_reference_run as fn(&Workload) -> RunResult);
+            execute(sys, plan, spec, reference, clean)
         }
     }
 }

@@ -14,8 +14,8 @@
 //!   elision table is bit-identical to the full run on every kernel,
 //!   and the taint pass discharges real DIFT work on most of them.
 
-use flexcore_bench::elide::{build_elision_table, verify_elision, ELIDABLE_EXTENSIONS};
-use flexcore_bench::swap::{build_extension, SWAPPABLE};
+use flexcore_bench::elide::{build_elision_table, verify_elision};
+use flexcore_bench::swap::{build_extension, elidable, SWAPPABLE};
 use flexcore_suite::analysis::{analyze_program, analyze_taint, lint_netlist, Rule, Severity};
 use flexcore_suite::asm::assemble;
 use flexcore_suite::flexcore::ext::Umc;
@@ -236,7 +236,7 @@ proptest! {
     #[test]
     fn elided_runs_are_bit_identical(idx in 0usize..6, ext_idx in 0usize..3) {
         let w = Workload::all()[idx];
-        let ext = ELIDABLE_EXTENSIONS[ext_idx];
+        let ext = elidable()[ext_idx];
         let program = w.program().unwrap();
         let (table, _) = build_elision_table(&program);
         let v = verify_elision(&program, ext, &table, 200_000_000).unwrap();
