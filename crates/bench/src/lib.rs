@@ -13,8 +13,8 @@
 //! | `fig5`   | Figure 5 (average performance vs. forward-FIFO size) |
 //! | `faultsweep` | §V soft-error story: SEC detection coverage and UMC/DIFT/BC false-trap rates under seeded fault injection |
 //!
-//! The library part hosts the shared runners so the binaries and the
-//! micro-benches stay thin.
+//! The library part hosts the shared runners so the binaries stay
+//! thin.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -22,7 +22,6 @@
 
 pub mod elide;
 pub mod journal;
-pub mod microbench;
 pub mod paper;
 mod runner;
 pub mod swap;

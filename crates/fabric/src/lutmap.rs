@@ -408,6 +408,9 @@ mod props {
         Xor(usize, usize),
         Mux(usize, usize, usize),
         Reg(usize),
+        Const(bool),
+        /// A flop whose data input is never connected: a self-loop.
+        Hold,
     }
 
     fn build(num_inputs: usize, ops: &[Op]) -> Netlist {
@@ -422,6 +425,8 @@ mod props {
                 Op::Xor(a, c) => b.xor(pick(a), pick(c)),
                 Op::Mux(s, a, c) => b.mux(pick(s), pick(a), pick(c)),
                 Op::Reg(d) => b.register(pick(d)),
+                Op::Const(v) => b.constant(v),
+                Op::Hold => b.dff(),
             };
             pool.push(n);
         }
@@ -440,7 +445,26 @@ mod props {
             (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Op::Xor(a, b)),
             (any::<usize>(), any::<usize>(), any::<usize>()).prop_map(|(s, a, b)| Op::Mux(s, a, b)),
             any::<usize>().prop_map(Op::Reg),
+            any::<bool>().prop_map(Op::Const),
+            Just(Op::Hold),
         ]
+    }
+
+    /// A flop state drawn from `seed`, so that hold flops start at
+    /// something other than zero.
+    fn seeded_state(n: &Netlist, seed: u64) -> Vec<u64> {
+        let mut x = seed;
+        (0..n.flops())
+            .map(|_| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z ^ (z >> 27)
+            })
+            .collect()
+    }
+
+    fn lane(words: &[u64], i: usize) -> Vec<bool> {
+        words.iter().map(|w| (w >> i) & 1 == 1).collect()
     }
 
     proptest! {
@@ -453,17 +477,41 @@ mod props {
             ops in prop::collection::vec(arb_op(), 1..120),
             stimulus in prop::collection::vec(any::<u8>(), 1..12),
             k in 2usize..7,
+            init in any::<u64>(),
         ) {
             let n = build(num_inputs, &ops);
             let m = map_to_luts(&n, k);
-            let mut s1 = n.initial_state();
-            let mut s2 = n.initial_state();
+            let mut s1 = lane(&seeded_state(&n, init), 0);
+            let mut s2 = s1.clone();
             for byte in stimulus {
                 let inputs: Vec<bool> = (0..num_inputs).map(|i| (byte >> (i % 8)) & 1 == 1).collect();
                 let o1 = n.eval(&inputs, &mut s1);
                 let o2 = m.eval(&n, &inputs, &mut s2);
                 prop_assert_eq!(&o1, &o2);
                 prop_assert_eq!(&s1, &s2);
+            }
+        }
+
+        /// Each of the 64 lanes of `eval_lanes` is the one-lane `eval`
+        /// of its own stimulus stream: outputs and state, every cycle.
+        #[test]
+        fn lanes_are_independent_streams(
+            num_inputs in 1usize..8,
+            ops in prop::collection::vec(arb_op(), 1..120),
+            stimulus in prop::collection::vec(prop::collection::vec(any::<u64>(), 8..9), 1..12),
+            init in any::<u64>(),
+        ) {
+            let n = build(num_inputs, &ops);
+            let mut words = seeded_state(&n, init);
+            let mut states: Vec<Vec<bool>> = (0..64).map(|i| lane(&words, i)).collect();
+            for cycle in &stimulus {
+                let inputs = &cycle[..num_inputs];
+                let outs = n.eval_lanes(inputs, &mut words);
+                for (i, state) in states.iter_mut().enumerate() {
+                    let o = n.eval(&lane(inputs, i), state);
+                    prop_assert_eq!(&o, &lane(&outs, i));
+                    prop_assert_eq!(&*state, &lane(&words, i));
+                }
             }
         }
 

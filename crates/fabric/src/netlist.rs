@@ -1,5 +1,6 @@
 //! Gate-level netlist IR, builder, and functional simulator.
 
+use std::cell::RefCell;
 use std::fmt;
 
 /// A signal in the netlist (index into the gate array).
@@ -109,6 +110,9 @@ pub struct Netlist {
     inputs: Vec<Net>,
     outputs: Vec<(String, Net)>,
     macros: Vec<MacroBlock>,
+    logic_gates: usize,
+    flops: usize,
+    program: Program,
 }
 
 impl Netlist {
@@ -140,15 +144,12 @@ impl Netlist {
     /// Number of combinational gates (excludes inputs, constants, and
     /// flops).
     pub fn logic_gates(&self) -> usize {
-        self.gates
-            .iter()
-            .filter(|g| !matches!(g, Gate::Input | Gate::Const(_) | Gate::Dff(_)))
-            .count()
+        self.logic_gates
     }
 
     /// Number of D flip-flops.
     pub fn flops(&self) -> usize {
-        self.gates.iter().filter(|g| matches!(g, Gate::Dff(_))).count()
+        self.flops
     }
 
     /// Evaluates the combinational logic for one clock cycle.
@@ -160,56 +161,213 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `input_values` or `state` have the wrong length.
+    #[expect(clippy::ptr_arg, reason = "public signature, kept for existing callers")]
     pub fn eval(&self, input_values: &[bool], state: &mut Vec<bool>) -> Vec<bool> {
-        assert_eq!(input_values.len(), self.inputs.len(), "input vector length");
-        assert_eq!(state.len(), self.flops(), "state vector length");
-        let mut values = vec![false; self.gates.len()];
-        let mut in_iter = input_values.iter();
-        let mut flop_iter = state.iter();
-        // First pass: seed inputs, constants, and current flop outputs.
-        for (i, gate) in self.gates.iter().enumerate() {
-            match gate {
-                Gate::Input => values[i] = *in_iter.next().expect("checked above"),
-                Gate::Const(v) => values[i] = *v,
-                Gate::Dff(_) => values[i] = *flop_iter.next().expect("checked above"),
-                _ => {}
-            }
-        }
-        // Combinational pass. Builder order is topological for
-        // combinational gates (they can only reference earlier nets;
-        // only DFF data inputs may point forward).
-        for (i, gate) in self.gates.iter().enumerate() {
-            let v = match *gate {
-                Gate::Input | Gate::Const(_) | Gate::Dff(_) => continue,
-                Gate::Not(a) => !values[a.index()],
-                Gate::And(a, b) => values[a.index()] && values[b.index()],
-                Gate::Or(a, b) => values[a.index()] || values[b.index()],
-                Gate::Xor(a, b) => values[a.index()] ^ values[b.index()],
-                Gate::Mux { sel, a, b } => {
-                    if values[sel.index()] {
-                        values[b.index()]
-                    } else {
-                        values[a.index()]
+        self.step(input_values, state, u64::from, |w| w & 1 == 1)
+    }
+
+    /// Evaluates 64 independent stimulus streams for one clock cycle:
+    /// bit `i` of every word belongs to stream `i`.
+    ///
+    /// `inputs` holds one word per [`Netlist::inputs`] entry and
+    /// `state` one word per flop; `state` is updated to the next state.
+    /// Returns one word per [`Netlist::outputs`] entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` or `state` have the wrong length.
+    pub fn eval_lanes(&self, inputs: &[u64], state: &mut [u64]) -> Vec<u64> {
+        self.step(inputs, state, |w| w, |w| w)
+    }
+
+    /// The one evaluator behind [`Netlist::eval`] and
+    /// [`Netlist::eval_lanes`]: fills the slot array from the inputs
+    /// and the current state, runs the compiled ops, then latches the
+    /// flops and reads the outputs.
+    fn step<T: Copy>(
+        &self,
+        inputs: &[T],
+        state: &mut [T],
+        lane: impl Fn(T) -> u64,
+        unlane: impl Fn(u64) -> T,
+    ) -> Vec<T> {
+        assert_eq!(inputs.len(), self.inputs.len(), "input vector length");
+        assert_eq!(state.len(), self.flops, "state vector length");
+        let p = &self.program;
+        SLOTS.with_borrow_mut(|slots| {
+            slots.clear();
+            slots.extend([0, !0]);
+            slots.extend(inputs.iter().map(|&v| lane(v)));
+            slots.extend(state.iter().map(|&v| lane(v)));
+            for op in &p.ops {
+                let s = |n: u32| slots[n as usize];
+                let v = match *op {
+                    Op::Not(a) => !s(a),
+                    Op::And(a, b) => s(a) & s(b),
+                    Op::Or(a, b) => s(a) | s(b),
+                    Op::Xor(a, b) => s(a) ^ s(b),
+                    Op::Mux(sel, a, b) => {
+                        let m = s(sel);
+                        (m & s(b)) | (!m & s(a))
                     }
-                }
-            };
-            values[i] = v;
-        }
-        // Clock edge: capture flop next-states.
-        let mut next = Vec::with_capacity(state.len());
-        for (i, gate) in self.gates.iter().enumerate() {
-            if let Gate::Dff(d) = gate {
-                let _ = i;
-                next.push(values[d.index()]);
+                };
+                slots.push(v);
             }
-        }
-        *state = next;
-        self.outputs.iter().map(|(_, n)| values[n.index()]).collect()
+            for (q, &d) in state.iter_mut().zip(&p.next_state) {
+                *q = unlane(slots[d as usize]);
+            }
+            p.outputs.iter().map(|&o| unlane(slots[o as usize])).collect()
+        })
     }
 
     /// Fresh all-zero flop state for [`Netlist::eval`].
     pub fn initial_state(&self) -> Vec<bool> {
-        vec![false; self.flops()]
+        vec![false; self.flops]
+    }
+}
+
+thread_local! {
+    /// The slot array [`Netlist::step`] evaluates into, reused across
+    /// calls so that a cycle allocates only its output vector.
+    static SLOTS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Slot 0 is all-zeros and slot 1 all-ones.
+const ZERO: u32 = 0;
+const ONE: u32 = 1;
+
+/// One compiled gate over slot indices. Op `i` of a [`Program`] writes
+/// the slot after the inputs, the flops and ops `0..i`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Op {
+    Not(u32),
+    And(u32, u32),
+    Or(u32, u32),
+    Xor(u32, u32),
+    /// `sel ? b : a`, like [`Gate::Mux`].
+    Mux(u32, u32, u32),
+}
+
+impl Op {
+    /// The slots this op reads, padded by repeating one.
+    fn operands(self) -> [u32; 3] {
+        match self {
+            Op::Not(a) => [a; 3],
+            Op::And(a, b) | Op::Or(a, b) | Op::Xor(a, b) => [a, b, b],
+            Op::Mux(sel, a, b) => [sel, a, b],
+        }
+    }
+
+    fn map(self, f: impl Fn(u32) -> u32) -> Op {
+        match self {
+            Op::Not(a) => Op::Not(f(a)),
+            Op::And(a, b) => Op::And(f(a), f(b)),
+            Op::Or(a, b) => Op::Or(f(a), f(b)),
+            Op::Xor(a, b) => Op::Xor(f(a), f(b)),
+            Op::Mux(sel, a, b) => Op::Mux(f(sel), f(a), f(b)),
+        }
+    }
+
+    /// Constant folding: `Ok(signal)` when the op reduces to an existing
+    /// signal or a constant, else the (possibly simpler) op to keep.
+    fn fold(self) -> Result<u32, Op> {
+        match self {
+            Op::Not(ZERO) => Ok(ONE),
+            Op::Not(ONE) => Ok(ZERO),
+            Op::And(ZERO, _) | Op::And(_, ZERO) => Ok(ZERO),
+            Op::And(ONE, x) | Op::And(x, ONE) => Ok(x),
+            Op::Or(ONE, _) | Op::Or(_, ONE) => Ok(ONE),
+            Op::Or(ZERO, x) | Op::Or(x, ZERO) => Ok(x),
+            Op::Xor(ZERO, x) | Op::Xor(x, ZERO) => Ok(x),
+            Op::Xor(ONE, x) | Op::Xor(x, ONE) => Op::Not(x).fold(),
+            Op::Mux(ZERO, a, _) => Ok(a),
+            Op::Mux(ONE, _, b) => Ok(b),
+            Op::Mux(_, a, b) if a == b => Ok(a),
+            Op::Mux(sel, ZERO, ONE) => Ok(sel),
+            Op::Mux(sel, ONE, ZERO) => Err(Op::Not(sel)),
+            Op::Mux(sel, ZERO, b) => Op::And(sel, b).fold(),
+            Op::Mux(sel, a, ONE) => Op::Or(sel, a).fold(),
+            op => Err(op),
+        }
+    }
+}
+
+/// A netlist compiled for evaluation: slot 0 is all-zeros, slot 1
+/// all-ones, then one slot per input, one per flop (both in creation
+/// order), then one per op.
+#[derive(Clone, Debug)]
+struct Program {
+    ops: Vec<Op>,
+    /// The slot each flop latches, in flop order.
+    next_state: Vec<u32>,
+    /// The slot of each primary output.
+    outputs: Vec<u32>,
+}
+
+impl Program {
+    /// Folds constants, drops gates that reach neither an output nor a
+    /// flop's next state, and numbers the surviving gates in creation
+    /// order, which is topological (a combinational gate only reads
+    /// earlier nets).
+    fn compile(gates: &[Gate], outputs: &[(String, Net)]) -> Program {
+        // Pass 1, in creation order: each net becomes a signal, ZERO,
+        // ONE or `net + 2`, after folding its gate's operands.
+        let mut signal = Vec::with_capacity(gates.len());
+        let mut kept: Vec<Option<Op>> = vec![None; gates.len()];
+        for (i, gate) in gates.iter().enumerate() {
+            let own = i as u32 + 2;
+            let s = |n: Net| signal[n.index()];
+            let op = match *gate {
+                Gate::Input | Gate::Dff(_) => Ok(own),
+                Gate::Const(v) => Ok(u32::from(v)),
+                Gate::Not(a) => Op::Not(s(a)).fold(),
+                Gate::And(a, b) => Op::And(s(a), s(b)).fold(),
+                Gate::Or(a, b) => Op::Or(s(a), s(b)).fold(),
+                Gate::Xor(a, b) => Op::Xor(s(a), s(b)).fold(),
+                Gate::Mux { sel, a, b } => Op::Mux(s(sel), s(a), s(b)).fold(),
+            };
+            signal.push(op.unwrap_or_else(|op| {
+                kept[i] = Some(op);
+                own
+            }));
+        }
+        let next_state: Vec<u32> = gates
+            .iter()
+            .filter_map(|g| match *g {
+                Gate::Dff(d) => Some(signal[d.index()]),
+                _ => None,
+            })
+            .collect();
+        let outputs: Vec<u32> = outputs.iter().map(|(_, n)| signal[n.index()]).collect();
+
+        // Pass 2, in reverse: keep the ops an output or a flop reads.
+        let mut live = vec![false; gates.len() + 2];
+        for &s in next_state.iter().chain(&outputs) {
+            live[s as usize] = true;
+        }
+        for i in (0..gates.len()).rev() {
+            if let (true, Some(op)) = (live[i + 2], kept[i]) {
+                for s in op.operands() {
+                    live[s as usize] = true;
+                }
+            }
+        }
+
+        // Pass 3: number the slots and rewrite every reference.
+        let mut slot = vec![u32::MAX; gates.len() + 2];
+        (slot[0], slot[1]) = (ZERO, ONE);
+        let inputs = gates.iter().enumerate().filter(|(_, g)| matches!(g, Gate::Input));
+        let flops = gates.iter().enumerate().filter(|(_, g)| matches!(g, Gate::Dff(_)));
+        let ops = (0..gates.len()).filter(|&i| live[i + 2] && kept[i].is_some());
+        for (next, i) in (2..).zip(inputs.chain(flops).map(|(i, _)| i).chain(ops.clone())) {
+            slot[i + 2] = next;
+        }
+        let at = |s: u32| slot[s as usize];
+        Program {
+            ops: ops.map(|i| kept[i].expect("filtered").map(at)).collect(),
+            next_state: next_state.into_iter().map(at).collect(),
+            outputs: outputs.into_iter().map(at).collect(),
+        }
     }
 }
 
@@ -521,14 +679,22 @@ impl NetlistBuilder {
         cur
     }
 
-    /// Finishes the netlist.
+    /// Finishes the netlist and compiles it for [`Netlist::eval`] and
+    /// [`Netlist::eval_lanes`].
     pub fn finish(self) -> Netlist {
+        let count = |f: fn(&Gate) -> bool| self.gates.iter().filter(|g| f(g)).count();
+        let flops = count(|g| matches!(g, Gate::Dff(_)));
+        let logic_gates = count(|g| !matches!(g, Gate::Input | Gate::Const(_) | Gate::Dff(_)));
+        let program = Program::compile(&self.gates, &self.outputs);
         Netlist {
             name: self.name,
             gates: self.gates,
             inputs: self.inputs,
             outputs: self.outputs,
             macros: self.macros,
+            logic_gates,
+            flops,
+            program,
         }
     }
 }

@@ -3,7 +3,7 @@
 //! the full §III.F flow — synthesize, map, serialize to a bitstream,
 //! reload — is lossless for every extension.
 
-use flexcore::ext::{Bc, Dift, Extension, Mprot, Sec, Umc};
+use flexcore::ext::{Bc, Cfi, CfiTable, Dift, Extension, Mprot, Sec, Umc};
 use flexcore_fabric::{from_bitstream, map_to_luts, to_bitstream, Netlist};
 
 fn all_netlists() -> Vec<Netlist> {
@@ -13,7 +13,17 @@ fn all_netlists() -> Vec<Netlist> {
         Bc::new().netlist(),
         Sec::new().netlist(),
         Mprot::new().netlist(),
+        Cfi::new(cfi_table()).netlist(),
     ]
+}
+
+/// A CFI table with one entry of each kind.
+fn cfi_table() -> CfiTable {
+    let mut table = CfiTable::new();
+    table.allow_branch(0x1000, 0x1040);
+    table.allow_call(0x2000);
+    table.allow_return(0x1008);
+    table
 }
 
 /// Deterministic input patterns: a cheap xorshift stream.
@@ -33,9 +43,11 @@ fn stimulus(seed: u32, n: usize) -> Vec<bool> {
 fn mapped_networks_match_their_netlists() {
     for netlist in all_netlists() {
         let mapping = map_to_luts(&netlist, 6);
-        let mut s1 = netlist.initial_state();
-        let mut s2 = netlist.initial_state();
-        for round in 0..12u32 {
+        // Start from an arbitrary state and run long enough for every
+        // pipeline register to carry values between cycles.
+        let mut s1 = stimulus(0x5eed, netlist.flops());
+        let mut s2 = s1.clone();
+        for round in 0..64u32 {
             let inputs =
                 stimulus(0x1234_5678 ^ round.wrapping_mul(0x9e37_79b9), netlist.inputs().len());
             let o1 = netlist.eval(&inputs, &mut s1);
