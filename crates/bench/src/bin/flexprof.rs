@@ -5,9 +5,11 @@
 //! paper's clock divisor) with the
 //! [`PhaseProfiler`](flexcore_telemetry::PhaseProfiler) attached and
 //! writes `BENCH_profile.json`: the per-run host-time breakdown across
-//! the phase taxonomy (fetch/decode, execute, fabric eval, FIFO
-//! accounting, meta-cache, checkpoint, journal write/fsync), with
-//! per-phase shares of attributed time plus totals across the sweep.
+//! the three phases (`core`: fetch, decode, execute and the run loop;
+//! `fifo`: the forwarding filter and FIFO; `fabric_eval`: the extension
+//! and its meta-data cache accesses), sampled and scaled to whole-run
+//! totals, with per-phase shares of attributed time plus totals across
+//! the sweep.
 //! Profiled runs are not throughput evidence; the unprofiled, repeated
 //! `sim_mips` of the `perfbench` harness is.
 //!
@@ -20,11 +22,13 @@
 //! attributed time), not absolute nanoseconds: wall-clock shifts with
 //! the machine, but the *shape* of where simulation time goes should
 //! not. A phase whose share moved more than the tolerance (default 20
-//! points) is a regression; exit code 1. Absolute throughput is
-//! reported but never gated — CI machines differ too much for that to
-//! be a stable signal.
+//! points) is a regression; exit code 1. Phases are compared over the
+//! union of both documents' phase names, a missing phase counting as
+//! share 0, so a phase that appears only in the current profile is
+//! gated too. Absolute throughput is reported but never gated — CI
+//! machines differ too much for that to be a stable signal.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use flexcore_bench::{paper_config, run_extension_profiled, ExtKind};
 use flexcore_telemetry::{Phase, PhaseStats};
@@ -223,7 +227,8 @@ fn cmd_check(baseline_path: &str, current_path: &str) -> i32 {
             regressions += 1;
             continue;
         };
-        for (phase, base) in base_shares {
+        for phase in base_shares.keys().chain(cur_shares.keys()).collect::<BTreeSet<_>>() {
+            let base = base_shares.get(phase).copied().unwrap_or(0.0);
             let cur = cur_shares.get(phase).copied().unwrap_or(0.0);
             compared += 1;
             let delta_points = (cur - base).abs() * 100.0;

@@ -7,7 +7,7 @@ use flexcore::obs::{MetricsRecorder, NullSink, TraceSink};
 use flexcore::{RunResult, System, SystemConfig};
 use flexcore_mem::{MainMemory, SystemBus};
 use flexcore_pipeline::{Core, CoreConfig, ExitReason};
-use flexcore_telemetry::{NullPhaseClock, PhaseClock, PhaseProfiler, PhaseStats};
+use flexcore_telemetry::{PhaseProfiler, PhaseStats};
 use flexcore_workloads::Workload;
 
 use crate::swap::{build_extension, SWAPPABLE};
@@ -91,19 +91,18 @@ pub fn baseline_cycles(workload: &Workload) -> u64 {
     core.quiesced_at()
 }
 
-/// Runs `workload` under the registry-built `ext` with `sink` and
-/// `prof` attached, returning the result and the finished system (for
-/// its sink or profiler).
-fn monitored<S: TraceSink, P: PhaseClock>(
+/// Runs `workload` under the registry-built `ext` with `sink`
+/// attached, returning the result and the finished system (for its
+/// sink).
+fn monitored<S: TraceSink>(
     workload: &Workload,
     ext: ExtKind,
     config: SystemConfig,
     sink: S,
-    prof: P,
-) -> (RunResult, System<Box<dyn Extension>, S, P>) {
+) -> (RunResult, System<Box<dyn Extension>, S>) {
     let program = workload.program().expect("workload assembles");
     let monitor = build_extension(ext.key(), &program).expect("paper extensions are registered");
-    let mut sys = System::with_profiler(config, monitor, sink, prof);
+    let mut sys = System::with_sink(config, monitor, sink);
     sys.load_program(&program);
     let r = sys.try_run(MAX_INSTRUCTIONS).expect("simulation error");
     assert_eq!(
@@ -135,7 +134,7 @@ fn condense(r: &RunResult) -> RunSummary {
 /// spurious trap (either is a reproduction bug — the workloads are
 /// benign).
 pub fn run_extension(workload: &Workload, ext: ExtKind, config: SystemConfig) -> RunSummary {
-    condense(&monitored(workload, ext, config, NullSink, NullPhaseClock).0)
+    condense(&monitored(workload, ext, config, NullSink).0)
 }
 
 /// Like [`run_extension`], but with the phase profiler attached:
@@ -146,8 +145,8 @@ pub fn run_extension_profiled(
     ext: ExtKind,
     config: SystemConfig,
 ) -> (RunResult, PhaseStats) {
-    let (r, sys) = monitored(workload, ext, config, NullSink, PhaseProfiler::new());
-    (r, sys.into_profiler().into_stats())
+    let (r, sys) = monitored(workload, ext, config, PhaseProfiler::new());
+    (r, sys.into_sink().into_stats())
 }
 
 /// The paper-faithful system configuration for an extension: fabric at
@@ -190,7 +189,7 @@ pub fn run_extension_series(
     stem: &str,
 ) -> RunSummary {
     let sampler = MetricsRecorder::new(MetricsRecorder::DEFAULT_EPOCH_CYCLES);
-    let (r, sys) = monitored(workload, ext, config, sampler, NullPhaseClock);
+    let (r, sys) = monitored(workload, ext, config, sampler);
     let m = sys.into_sink();
     if let Err(e) = m.check_against(&r) {
         panic!("{stem}: epoch series disagrees with the run result: {e}");

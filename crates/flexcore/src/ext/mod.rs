@@ -27,7 +27,6 @@ use std::fmt;
 use flexcore_fabric::Netlist;
 use flexcore_mem::{BusMaster, MainMemory, MetaDataCache, SystemBus};
 use flexcore_pipeline::TracePacket;
-use flexcore_telemetry::{Phase, PhaseStats};
 
 use crate::interface::Cfgr;
 use crate::ShadowRegFile;
@@ -93,10 +92,6 @@ pub struct ExtEnv<'a> {
     rmw_writes: bool,
     meta_reads: u64,
     meta_writes: u64,
-    /// Host-time profiler stats lent by the system for the duration of
-    /// one packet; meta-cache access time is charged to
-    /// [`Phase::MetaCache`]. `None` (the default) costs nothing.
-    prof: Option<&'a mut PhaseStats>,
 }
 
 impl<'a> ExtEnv<'a> {
@@ -133,34 +128,6 @@ impl<'a> ExtEnv<'a> {
             rmw_writes: false,
             meta_reads: 0,
             meta_writes: 0,
-            prof: None,
-        }
-    }
-
-    /// Lends phase-profiler stats to this environment: every
-    /// [`read_meta`](ExtEnv::read_meta) /
-    /// [`write_meta`](ExtEnv::write_meta) records its host wall-clock
-    /// under [`Phase::MetaCache`]. Used by the system's profiled step
-    /// loop; without it the environment performs no clock reads.
-    pub fn attach_profiler(&mut self, stats: &'a mut PhaseStats) {
-        self.prof = Some(stats);
-    }
-
-    /// Opens a meta-cache span (a clock read only when profiling).
-    #[inline]
-    fn meta_span(&self) -> Option<std::time::Instant> {
-        if self.prof.is_some() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Closes a span opened by [`ExtEnv::meta_span`].
-    #[inline]
-    fn meta_span_end(&mut self, started: Option<std::time::Instant>) {
-        if let (Some(t), Some(stats)) = (started, self.prof.as_deref_mut()) {
-            stats.record(Phase::MetaCache, t.elapsed().as_nanos() as u64);
         }
     }
 
@@ -184,11 +151,9 @@ impl<'a> ExtEnv<'a> {
     /// per access even on a hit; misses additionally go over the shared
     /// bus. Both extend [`ready_at`](ExtEnv::ready_at).
     pub fn read_meta(&mut self, addr: u32) -> u32 {
-        let span = self.meta_span();
         let r = self.meta.read_word(addr, self.mem, self.bus, BusMaster::Fabric, self.ready_at);
         self.ready_at = (self.ready_at + self.period).max(r.ready_at);
         self.meta_reads += 1;
-        self.meta_span_end(span);
         r.value
     }
 
@@ -197,7 +162,6 @@ impl<'a> ExtEnv<'a> {
     /// one fabric cycle plus any miss handling — or a read-modify-write
     /// pair when the mask hardware is ablated away.
     pub fn write_meta(&mut self, addr: u32, data: u32, bitmask: u32) {
-        let span = self.meta_span();
         if self.rmw_writes && bitmask != u32::MAX {
             // No write-enable mask in hardware: read the word first.
             let r = self.meta.read_word(addr, self.mem, self.bus, BusMaster::Fabric, self.ready_at);
@@ -215,7 +179,6 @@ impl<'a> ExtEnv<'a> {
         );
         self.ready_at = (self.ready_at + self.period).max(w.ready_at);
         self.meta_writes += 1;
-        self.meta_span_end(span);
     }
 
     /// Core-clock cycle at which processing began.

@@ -20,10 +20,15 @@
 //! hot loop — and every hook is guarded by the associated constant
 //! [`TraceSink::ENABLED`], so with the default [`NullSink`] the
 //! compiler removes both the event construction and the call: the
-//! disabled path costs nothing measurable (see the `sim_throughput`
-//! bench).
+//! disabled path costs nothing measurable (perfbench's
+//! `flexcore.obs.sink_overhead_x` reports what a recording sink costs).
 //!
-//! Four sinks are provided:
+//! The sink is the simulator's only instrumentation hook, host-time
+//! profiling included: [`PhaseProfiler`](flexcore_telemetry::PhaseProfiler)
+//! implements [`TraceSink`] here, charging the host time between events
+//! to the phase each event closes.
+//!
+//! Four recording sinks are provided:
 //!
 //! * [`MetricsRecorder`] — buckets events into fixed-width cycle
 //!   epochs, yielding time series of CPI, FIFO occupancy (min / mean /

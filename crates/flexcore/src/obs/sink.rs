@@ -1,7 +1,8 @@
-//! The [`TraceSink`] trait, the zero-cost [`NullSink`], and the
-//! [`Observer`] composite.
+//! The [`TraceSink`] trait, the zero-cost [`NullSink`], the
+//! [`Observer`] composite, and the host-time [`PhaseProfiler`] sink.
 
 use flexcore_pipeline::TracePacket;
+use flexcore_telemetry::{Phase, PhaseProfiler};
 
 use crate::obs::{ChromeRecorder, FlightEntry, FlightRecorder, MetricsRecorder, TraceEvent};
 
@@ -93,6 +94,42 @@ impl TraceSink for PacketTap {
     fn forward_packet(&mut self, pkt: &TracePacket) {
         if self.packets.len() < self.cap {
             self.packets.push(*pkt);
+        }
+    }
+}
+
+/// Host-time phase profiling through the same hook as every other sink:
+/// each event closes the interval since the previous one and charges it
+/// to the phase that event finishes (see the `flexcore_telemetry`
+/// crate docs for the sampling).
+impl TraceSink for PhaseProfiler {
+    #[inline(always)]
+    fn event(&mut self, ev: TraceEvent) {
+        match ev {
+            // Fetch, decode, execute and the run loop up to the commit.
+            TraceEvent::Commit { .. } => self.commit(),
+            // The forwarding filter, elision, drops, enqueue and stalls.
+            TraceEvent::Forward { .. }
+            | TraceEvent::Drop { .. }
+            | TraceEvent::CheckElided { .. }
+            | TraceEvent::FifoEnqueue { .. }
+            | TraceEvent::CommitStall { .. } => self.boundary(Phase::Fifo),
+            // The extension call with its meta-data cache accesses, and
+            // the fabric's own reconfiguration: bitstream transfers and
+            // the hot-swap drain.
+            TraceEvent::FabricSpan { .. }
+            | TraceEvent::MetaMiss { .. }
+            | TraceEvent::BusGrant { .. }
+            | TraceEvent::Trap { .. }
+            | TraceEvent::BitstreamRetry { .. }
+            | TraceEvent::SwapComplete { .. } => self.boundary(Phase::FabricEval),
+            // Emitted from the run loop or the fault injector before the
+            // commit they precede, or by the recovery supervisor between
+            // run segments: core time.
+            TraceEvent::FaultInjected { .. }
+            | TraceEvent::SwapBegin { .. }
+            | TraceEvent::Recovery { .. }
+            | TraceEvent::DegradedEnter { .. } => self.boundary(Phase::Core),
         }
     }
 }

@@ -4,7 +4,7 @@ use flexcore_asm::Program;
 use flexcore_fabric::{LutMapping, PartialRegion};
 use flexcore_mem::{CacheConfig, MainMemory, MetaDataCache, SystemBus};
 use flexcore_pipeline::{Core, CoreConfig, ExitReason, StepResult, TracePacket};
-use flexcore_telemetry::{NullPhaseClock, Phase, PhaseClock};
+use flexcore_telemetry::PhaseProfiler;
 
 use crate::checkpoint::{self, RestoreError, Snapshot, SNAPSHOT_FORMAT};
 use crate::error::{DeadlockSnapshot, SimError};
@@ -241,17 +241,14 @@ impl SystemConfig {
 /// [`crate::obs`]). It defaults to [`NullSink`], which compiles every
 /// hook point away; [`System::with_sink`] installs a recording sink.
 ///
-/// The third type parameter is the host-time phase clock (see
-/// [`flexcore_telemetry`]). It defaults to [`NullPhaseClock`], which
-/// likewise compiles every profiling hook away;
-/// [`System::with_profiler`] installs a live
-/// [`PhaseProfiler`](flexcore_telemetry::PhaseProfiler) that
-/// attributes host wall-clock to simulator phases (the `flexprof`
-/// entry point).
+/// The sink is the system's one instrumentation hook: host-time
+/// profiling is a sink too ([`PhaseProfiler`], whose sampled phase
+/// timing `flexprof` reports), so the core and the extension
+/// environment read no clock of their own.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
-pub struct System<E: Extension, S: TraceSink = NullSink, P: PhaseClock = NullPhaseClock> {
+pub struct System<E: Extension, S: TraceSink = NullSink> {
     config: SystemConfig,
     core: Core,
     mem: MainMemory,
@@ -317,7 +314,6 @@ pub struct System<E: Extension, S: TraceSink = NullSink, P: PhaseClock = NullPha
     /// excluded from [`RunResult`] equality.
     host_ns: u64,
     sink: S,
-    prof: P,
 }
 
 impl<E: Extension> System<E> {
@@ -328,19 +324,24 @@ impl<E: Extension> System<E> {
     }
 }
 
-impl<E: Extension, S: TraceSink> System<E, S> {
-    /// Builds a system around `ext` with `sink` receiving every
-    /// instrumentation event (see [`crate::obs`]). The phase clock
-    /// stays off ([`NullPhaseClock`]).
-    pub fn with_sink(config: SystemConfig, ext: E, sink: S) -> System<E, S> {
-        System::with_profiler(config, ext, sink, NullPhaseClock)
+impl<E: Extension> System<E, PhaseProfiler> {
+    /// Builds a system around `ext` with the phase profiler `prof` as
+    /// its sink. The trace-sink argument is only ever [`NullSink`]:
+    /// a system has one sink. This is the form perfbench calls.
+    pub fn with_profiler(
+        config: SystemConfig,
+        ext: E,
+        _sink: NullSink,
+        prof: PhaseProfiler,
+    ) -> System<E, PhaseProfiler> {
+        System::with_sink(config, ext, prof)
     }
 }
 
-impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
-    /// Builds a system around `ext` with `sink` receiving trace events
-    /// and `prof` attributing host wall-clock to simulator phases.
-    pub fn with_profiler(config: SystemConfig, ext: E, sink: S, prof: P) -> System<E, S, P> {
+impl<E: Extension, S: TraceSink> System<E, S> {
+    /// Builds a system around `ext` with `sink` receiving every
+    /// instrumentation event (see [`crate::obs`]).
+    pub fn with_sink(config: SystemConfig, ext: E, sink: S) -> System<E, S> {
         let cfgr = ext.cfgr();
         System {
             config,
@@ -371,7 +372,6 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
             elision: None,
             host_ns: 0,
             sink,
-            prof,
         }
     }
 
@@ -401,18 +401,6 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
     /// recorded) — the usual way to extract metrics after a run.
     pub fn into_sink(self) -> S {
         self.sink
-    }
-
-    /// The installed phase clock (e.g. to read
-    /// [`PhaseClock::stats`] after a profiled run).
-    pub fn profiler(&self) -> &P {
-        &self.prof
-    }
-
-    /// Consumes the system, returning the phase clock and whatever it
-    /// attributed.
-    pub fn into_profiler(self) -> P {
-        self.prof
     }
 
     #[inline]
@@ -542,15 +530,6 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
             return (self.fabric_free_at, None);
         }
         let start = self.align_up(enq.max(self.fabric_free_at));
-        // Host-time attribution: the whole extension call is one
-        // FabricEval span, minus whatever the ExtEnv charges to
-        // MetaCache inside it — the two phases never double-book.
-        let fab_span = self.prof.begin();
-        let meta_ns0 = if P::ENABLED {
-            self.prof.stats().map_or(0, |s| s.total_ns(Phase::MetaCache))
-        } else {
-            0
-        };
         // Meta-cache and bus activity attributable to this packet is
         // derived from statistics deltas around the extension call, so
         // the mem crate needs no sink plumbing of its own.
@@ -577,28 +556,12 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
             // The fabric must decode the raw instruction word itself.
             env.charge_fabric_cycle();
         }
-        if P::ENABLED {
-            if let Some(stats) = self.prof.stats_mut() {
-                env.attach_profiler(stats);
-            }
-        }
         let (ret, trap) = match self.ext.process(pkt, &mut env) {
             Ok(ret) => (ret, None),
             Err(t) => (None, Some(t)),
         };
         let ready = env.ready_at();
         let (meta_reads, meta_writes) = env.meta_ops();
-        if P::ENABLED {
-            if let Some(t) = fab_span {
-                let elapsed = t.elapsed().as_nanos() as u64;
-                let meta_ns = self
-                    .prof
-                    .stats()
-                    .map_or(0, |s| s.total_ns(Phase::MetaCache))
-                    .saturating_sub(meta_ns0);
-                self.prof.record(Phase::FabricEval, elapsed.saturating_sub(meta_ns));
-            }
-        }
         let finish = self.align_up(ready).max(start + self.grid());
         self.fabric_free_at = finish;
         if S::ENABLED {
@@ -752,14 +715,6 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
             policy = ForwardPolicy::WaitForAck;
         }
         let now = pkt.commit_cycle;
-        // Host-time attribution: the forwarding-policy bookkeeping and
-        // FIFO traffic below is one Fifo span, minus whatever the
-        // nested `process_on_fabric` call attributes to other phases.
-        // Early-return paths (drops, wedge detection) lose their span —
-        // best-effort, and those paths are off the profiled hot loop.
-        let fifo_span = self.prof.begin();
-        let nested_ns0 =
-            if P::ENABLED { self.prof.stats().map_or(0, |s| s.grand_total_ns()) } else { 0 };
         match policy {
             ForwardPolicy::Ignore => {}
             ForwardPolicy::IfNotFull => {
@@ -832,14 +787,6 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
                         self.pending_trap = Some((0, at_violation));
                     }
                 }
-            }
-        }
-        if P::ENABLED {
-            if let Some(t) = fifo_span {
-                let elapsed = t.elapsed().as_nanos() as u64;
-                let nested =
-                    self.prof.stats().map_or(0, |s| s.grand_total_ns()).saturating_sub(nested_ns0);
-                self.prof.record(Phase::Fifo, elapsed.saturating_sub(nested));
             }
         }
     }
@@ -973,7 +920,7 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
             if self.core.stats().instret >= max_instructions {
                 self.core.halt(ExitReason::InstructionLimit);
             }
-            match self.core.step_phased(&mut self.mem, &mut self.bus, &mut self.prof) {
+            match self.core.step(&mut self.mem, &mut self.bus) {
                 StepResult::Committed(pkt) => {
                     last_commit_cycle = self.core.cycle();
                     self.on_commit(pkt);
@@ -1173,21 +1120,6 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
     /// [`System::try_run_until`] returns
     /// [`RunOutcome::Paused`](crate::RunOutcome::Paused).
     pub fn snapshot(&self) -> Snapshot {
-        self.capture_snapshot()
-    }
-
-    /// [`System::snapshot`] with the capture time charged to
-    /// [`Phase::Checkpoint`] on the installed phase clock (free with
-    /// the default [`NullPhaseClock`]). Checkpointing harnesses that
-    /// profile should call this instead of `snapshot`.
-    pub fn snapshot_profiled(&mut self) -> Snapshot {
-        let span = self.prof.begin();
-        let snap = self.capture_snapshot();
-        self.prof.commit(Phase::Checkpoint, span);
-        snap
-    }
-
-    fn capture_snapshot(&self) -> Snapshot {
         Snapshot {
             format: SNAPSHOT_FORMAT,
             ext_name: self.ext.name().to_string(),

@@ -3,7 +3,6 @@
 use flexcore_asm::Program;
 use flexcore_isa::{decode, IccFlags, InstrClass, Instruction, Opcode, Operand2, Reg};
 use flexcore_mem::{BusMaster, CacheStats, MainMemory, StoreBuffer, SystemBus, TimingCache};
-use flexcore_telemetry::{NullPhaseClock, Phase, PhaseClock};
 
 use crate::alu::alu;
 use crate::{CoreConfig, CoreStats, TracePacket, CONSOLE_ADDR};
@@ -323,28 +322,9 @@ impl Core {
     /// Executes one instruction: fetch, decode, execute, charge timing,
     /// and produce the commit-stage trace packet.
     pub fn step(&mut self, mem: &mut MainMemory, bus: &mut SystemBus) -> StepResult {
-        self.step_phased(mem, bus, &mut NullPhaseClock)
-    }
-
-    /// [`Core::step`] with host-time phase attribution: the fetch
-    /// (icache/bus/annul) through decode window is charged to
-    /// [`Phase::FetchDecode`] and functional execution plus commit
-    /// timing to [`Phase::Execute`]. With the default
-    /// [`NullPhaseClock`] (`ENABLED = false`) both spans fold away and
-    /// this is exactly `step`. Terminal exits (illegal instruction,
-    /// halt, misalignment) drop the in-flight span — they occur at
-    /// most once per run, which is below the profiler's resolution
-    /// anyway.
-    pub fn step_phased<C: PhaseClock>(
-        &mut self,
-        mem: &mut MainMemory,
-        bus: &mut SystemBus,
-        clock: &mut C,
-    ) -> StepResult {
         if let Some(reason) = self.exited {
             return StepResult::Exited(reason);
         }
-        let fetch_span = clock.begin();
         let pc = self.pc;
 
         // Instruction fetch.
@@ -364,7 +344,6 @@ impl Core {
             self.stats.annulled += 1;
             self.pc = next_pc;
             self.npc = next_npc;
-            clock.commit(Phase::FetchDecode, fetch_span);
             return StepResult::Annulled;
         }
 
@@ -402,9 +381,7 @@ impl Core {
             dest: d.dest,
             commit_cycle: 0,
         };
-        clock.commit(Phase::FetchDecode, fetch_span);
 
-        let exec_span = clock.begin();
         match inst {
             Instruction::Alu { op, rd, rs1, op2 } => {
                 let a = self.reg(rs1);
@@ -622,7 +599,6 @@ impl Core {
 
         self.pc = next_pc;
         self.npc = next_npc;
-        clock.commit(Phase::Execute, exec_span);
         StepResult::Committed(packet)
     }
 

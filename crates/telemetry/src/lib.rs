@@ -1,43 +1,39 @@
 //! `flexcore-telemetry` — host-time attribution for the FlexCore
 //! reproduction.
 //!
-//! A performance change without a committed baseline is a guess; this
-//! crate is the instrument such changes are judged by. It answers one
-//! question: **where does host wall-clock go?** The [`PhaseClock`]
-//! trait attributes time to named simulator [`Phase`]s (fetch/decode,
-//! execute, fabric netlist eval, FIFO traffic, metadata-cache access,
-//! checkpointing, journal write/fsync) with cheap enter/exit scopes and
-//! log₂-bucketed latency histograms ([`Log2Histogram`]). The profiler
-//! follows the same static-dispatch idiom as `flexcore::obs::TraceSink`:
-//! the simulator is generic over `P: PhaseClock`, and the default
-//! [`NullPhaseClock`] has `ENABLED = false`, so every hook is a branch
-//! on a compile-time constant the optimizer deletes — the disabled path
-//! performs **no clock reads, no allocation, and no stores**.
+//! It answers one question: **where does host wall-clock go?**
+//! [`PhaseProfiler`] attributes time to three simulator [`Phase`]s
+//! (`core`, `fifo`, `fabric_eval`) with log₂-bucketed latency
+//! histograms ([`Log2Histogram`]). It reads the clock only at the
+//! simulator's trace-event boundaries and only inside sampled
+//! commit-to-commit windows, then scales the samples to whole-run
+//! totals. It plugs into the simulator's one instrumentation hook:
+//! `flexcore::obs` implements `TraceSink` for it and maps each trace
+//! event to the phase it closes, so unprofiled runs carry no profiling
+//! code at all.
 //!
 //! The [`RateMeter`] rounds this out with the rate + ETA arithmetic
 //! that `faultsweep` progress lines print.
 //!
 //! # Overhead contract
 //!
-//! With [`NullPhaseClock`] (the default everywhere), instrumentation
-//! must cost nothing measurable: the type is a ZST, `ENABLED` is
-//! `false`, and every `begin`/`commit` pair folds to a no-op. The
-//! `sim_throughput` bench rows and the `telemetry_guard` integration
-//! test hold this line. With [`PhaseProfiler`], the budget is two
-//! monotonic clock reads per instrumented span — acceptable for
-//! profiling runs, which is why `flexprof` is a separate entry point
-//! rather than an always-on default.
+//! A profiled run should cost a few percent more than an unprofiled
+//! one: perfbench's `telemetry.profiler_overhead_x` probe measures it,
+//! and the `telemetry_guard` integration test (with `FLEXPROF_GUARD=1`)
+//! fails above 1.25×, which a clock read per commit would exceed.
 //!
 //! # Example
 //!
 //! ```
-//! use flexcore_telemetry::{Phase, PhaseClock, PhaseProfiler};
+//! use flexcore_telemetry::{Phase, PhaseProfiler};
 //!
-//! let mut prof = PhaseProfiler::default();
-//! let t = prof.begin();
-//! // ... simulate something ...
-//! prof.commit(Phase::Execute, t);
-//! assert_eq!(prof.stats().unwrap().count(Phase::Execute), 1);
+//! let mut prof = PhaseProfiler::new();
+//! for _ in 0..1_000 {
+//!     prof.commit();
+//!     prof.boundary(Phase::Fifo);
+//! }
+//! let stats = prof.stats();
+//! assert_eq!(stats.count(Phase::Core), prof.windows());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,9 +45,5 @@ pub mod phase;
 pub mod rate;
 
 pub use hist::Log2Histogram;
-pub use phase::{NullPhaseClock, Phase, PhaseClock, PhaseProfiler, PhaseStats};
+pub use phase::{Phase, PhaseProfiler, PhaseStats};
 pub use rate::RateMeter;
-
-/// Alias spelling out what the null clock is for: the telemetry-off
-/// configuration every non-profiling entry point uses.
-pub type NullTelemetry = NullPhaseClock;

@@ -16,8 +16,8 @@
 //! * [`flexcore`] — the FlexCore architecture itself (interface,
 //!   extensions, full system)
 //! * [`workloads`] — MiBench-like assembly kernels
-//! * [`telemetry`] — zero-cost-when-disabled phase profiler and log₂
-//!   histograms
+//! * [`telemetry`] — sampled host-time phase profiler (a trace sink)
+//!   and log₂ histograms
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
