@@ -77,7 +77,7 @@ use flexcore_asm::{assemble, Program};
 use flexcore_bench::swap::{self, SwapPoint, SWAPPABLE};
 use flexcore_fabric::write_vcd;
 use flexcore_mem::{MainMemory, SystemBus};
-use flexcore_pipeline::{Core, CoreConfig, ExitReason, StepResult};
+use flexcore_pipeline::{Core, CoreConfig, ExitReason, Stepped, TracePacket};
 use flexcore_workloads::Workload;
 
 /// How many forwarded packets feed the `--vcd` waveform. One packet is
@@ -551,9 +551,10 @@ fn run_bare(program: &Program, opts: &Options) -> i32 {
     let mut bus = SystemBus::default();
     let mut core = Core::new(CoreConfig::leon3());
     core.load_program(program, &mut mem);
+    let mut pkt = TracePacket::EMPTY;
     let exit = loop {
-        match core.step(&mut mem, &mut bus) {
-            StepResult::Committed(pkt) => {
+        match core.step_into(&mut mem, &mut bus, &mut pkt) {
+            Stepped::Committed => {
                 if opts.commits {
                     println!("{:>10}  {:#010x}  {}", pkt.commit_cycle, pkt.pc, pkt.inst);
                 }
@@ -561,8 +562,8 @@ fn run_bare(program: &Program, opts: &Options) -> i32 {
                     core.halt(ExitReason::InstructionLimit);
                 }
             }
-            StepResult::Annulled => {}
-            StepResult::Exited(e) => break e,
+            Stepped::Annulled => {}
+            Stepped::Exited(e) => break e,
         }
     };
     println!(

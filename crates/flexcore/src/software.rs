@@ -19,7 +19,7 @@
 use flexcore_asm::Program;
 use flexcore_isa::{InstrClass, NUM_INSTR_CLASSES};
 use flexcore_mem::{MainMemory, SystemBus};
-use flexcore_pipeline::{Core, CoreConfig, ExitReason, StepResult};
+use flexcore_pipeline::{Core, CoreConfig, ExitReason, Stepped, TracePacket};
 
 use crate::ext::{bit_tag_location, byte_tag_location};
 
@@ -151,20 +151,21 @@ pub fn run_software_monitored(
     let mut bus = SystemBus::default();
     let mut core = Core::new(CoreConfig::leon3());
     core.load_program(program, &mut mem);
+    let mut pkt = TracePacket::EMPTY;
     loop {
         if core.stats().instret >= max_instructions {
             core.halt(ExitReason::InstructionLimit);
         }
-        match core.step(&mut mem, &mut bus) {
-            StepResult::Annulled => {}
-            StepResult::Exited(exit) => {
+        match core.step_into(&mut mem, &mut bus, &mut pkt) {
+            Stepped::Annulled => {}
+            Stepped::Exited(exit) => {
                 return SoftwareRunResult {
                     exit,
                     cycles: core.quiesced_at(),
                     instret: core.stats().instret,
                 };
             }
-            StepResult::Committed(pkt) => {
+            Stepped::Committed => {
                 let extra = monitor.extra_instr[pkt.class.index()];
                 if extra > 0 {
                     // Instrumentation instructions: charge their

@@ -3,7 +3,7 @@
 use flexcore_asm::Program;
 use flexcore_fabric::{LutMapping, PartialRegion};
 use flexcore_mem::{CacheConfig, MainMemory, MetaDataCache, SystemBus};
-use flexcore_pipeline::{Core, CoreConfig, ExitReason, StepResult, TracePacket};
+use flexcore_pipeline::{Core, CoreConfig, ExitReason, Stepped, TracePacket};
 use flexcore_telemetry::PhaseProfiler;
 
 use crate::checkpoint::{self, RestoreError, Snapshot, SNAPSHOT_FORMAT};
@@ -250,6 +250,9 @@ impl SystemConfig {
 #[derive(Debug)]
 pub struct System<E: Extension, S: TraceSink = NullSink> {
     config: SystemConfig,
+    /// `config.implementation.divisor()`: core cycles per fabric cycle,
+    /// the grid every fabric event aligns to.
+    grid: u64,
     core: Core,
     mem: MainMemory,
     bus: SystemBus,
@@ -308,6 +311,15 @@ pub struct System<E: Extension, S: TraceSink = NullSink> {
     /// Construction-time configuration like the CFGR, not snapshot
     /// state: a restored run must be built with the same table.
     elision: Option<crate::elide::ElisionTable>,
+    /// `(base, bytes)` of the program image [`System::load_program`]
+    /// loaded, with `base` rounded down to a word.
+    text: (u32, u32),
+    /// The installed elision table as one mask per text word, indexed
+    /// by `(pc - text.0) >> 2` — what the commit path reads. Empty when
+    /// no table is installed; rebuilt by whichever of
+    /// [`System::load_program`] and [`System::set_elision`] runs last,
+    /// and never larger than the text.
+    elision_masks: Vec<u8>,
     /// Host wall-clock nanoseconds spent inside the run loop so far,
     /// accumulated across `try_run`/`try_run_until` segments. Not part
     /// of a [`Snapshot`] (host time is not architectural state) and
@@ -345,6 +357,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         let cfgr = ext.cfgr();
         System {
             config,
+            grid: config.implementation.divisor(),
             core: Core::new(config.core),
             mem: MainMemory::new(),
             bus: SystemBus::default(),
@@ -370,6 +383,8 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             reconfig: ReconfigController::new(),
             region: PartialRegion::new(),
             elision: None,
+            text: (0, 0),
+            elision_masks: Vec::new(),
             host_ns: 0,
             sink,
         }
@@ -383,8 +398,41 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     /// [`check_elidable`](Extension::check_elidable) — are never
     /// enqueued toward the fabric. Each skip is counted in
     /// [`ResilienceStats::elided_checks`](crate::ResilienceStats::elided_checks).
+    ///
+    /// Only PCs inside the loaded program image take effect: the
+    /// commit path reads a dense per-word copy of the table over the
+    /// image, so entries elsewhere (or unaligned) elide nothing.
     pub fn set_elision(&mut self, table: crate::elide::ElisionTable) {
         self.elision = Some(table);
+        self.build_elision_masks();
+    }
+
+    /// Rebuilds `elision_masks` from the installed table over `text`.
+    fn build_elision_masks(&mut self) {
+        self.elision_masks.clear();
+        let Some(table) = &self.elision else {
+            return;
+        };
+        let (base, len) = self.text;
+        self.elision_masks.resize(len.div_ceil(4) as usize, 0);
+        for (pc, mask) in table.entries() {
+            let off = pc.wrapping_sub(base);
+            if let Some(slot) = self.elision_masks.get_mut((off >> 2) as usize) {
+                if off & 3 == 0 {
+                    *slot = mask;
+                }
+            }
+        }
+    }
+
+    /// The installed elision mask at `pc` (0 outside the text, at an
+    /// unaligned PC, or with no table installed).
+    fn elision_mask(&self, pc: u32) -> u8 {
+        let off = pc.wrapping_sub(self.text.0);
+        if off & 3 != 0 {
+            return 0;
+        }
+        self.elision_masks.get((off >> 2) as usize).copied().unwrap_or(0)
     }
 
     /// The installed elision table, if any.
@@ -446,6 +494,9 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     /// simulated cycles or bus bandwidth.
     pub fn load_program(&mut self, program: &Program) {
         self.core.load_program(program, &mut self.mem);
+        let base = program.base() & !3;
+        self.text = (base, program.base() - base + program.len() as u32);
+        self.build_elision_masks();
         let mut scratch_bus = SystemBus::default();
         let mut env =
             ExtEnv::new(&mut self.meta, &mut self.mem, &mut scratch_bus, &mut self.shadow, 0);
@@ -497,12 +548,8 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         }
     }
 
-    fn grid(&self) -> u64 {
-        self.config.implementation.divisor()
-    }
-
     fn align_up(&self, t: u64) -> u64 {
-        t.next_multiple_of(self.grid())
+        t.next_multiple_of(self.grid)
     }
 
     /// Captures diagnostic state for a deadlock report.
@@ -540,14 +587,13 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         } else {
             (0, 0, 0)
         };
-        let period = self.grid();
         let mut env = ExtEnv::with_period(
             &mut self.meta,
             &mut self.mem,
             &mut self.bus,
             &mut self.shadow,
             start,
-            period,
+            self.grid,
         );
         if !self.config.masked_meta_writes {
             env.force_read_modify_write();
@@ -562,7 +608,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         };
         let ready = env.ready_at();
         let (meta_reads, meta_writes) = env.meta_ops();
-        let finish = self.align_up(ready).max(start + self.grid());
+        let finish = self.align_up(ready).max(start + self.grid);
         self.fabric_free_at = finish;
         if S::ENABLED {
             self.sink.event(TraceEvent::FabricSpan {
@@ -592,7 +638,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             // then (§III.C — none of the prototype extensions need a
             // precise restart).
             if self.monitor_trap.is_none() {
-                let assert_at = finish + self.grid() * u64::from(self.ext.pipeline_stages());
+                let assert_at = finish + self.grid * u64::from(self.ext.pipeline_stages());
                 let trap_ev = TraceEvent::Trap {
                     cycle: assert_at,
                     pc: t.pc,
@@ -650,12 +696,12 @@ impl<E: Extension, S: TraceSink> System<E, S> {
 
     /// Handles one committed instruction: fault injection, the
     /// forwarding filter, the FIFO, and the fabric.
-    fn on_commit(&mut self, mut pkt: TracePacket) {
+    fn on_commit(&mut self, pkt: &mut TracePacket) {
         self.forward.committed += 1;
         if let Some(inj) = &mut self.faults {
             let actions = inj.poll_commit(self.forward.committed, pkt.commit_cycle);
             for action in actions {
-                self.apply_fault(action, &mut pkt);
+                self.apply_fault(action, pkt);
             }
         }
         if S::ENABLED {
@@ -667,14 +713,13 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 instret: self.forward.committed,
                 class: pkt.class,
             });
-            self.sink.commit_packet(&pkt);
+            self.sink.commit_packet(pkt);
         }
         if let Some(checker) = &mut self.lockstep {
             // Golden-model comparison happens after fault injection so
             // an architectural-state strike is caught at the very
             // commit it lands on.
-            if let Err(mut report) = checker.check_commit(&pkt, &self.core, self.forward.committed)
-            {
+            if let Err(mut report) = checker.check_commit(pkt, &self.core, self.forward.committed) {
                 report.flight = self.sink.flight_log();
                 self.diverged = Some(report);
                 return;
@@ -693,21 +738,19 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         if !policy.forwards() {
             return;
         }
-        if let Some(table) = &self.elision {
-            // Statically discharged check: the analysis proved this
-            // PC's packet cannot change the extension's observable
-            // behavior, and the extension re-validates per packet
-            // (defense in depth against a stale table). Skip the FIFO
-            // and the fabric entirely.
-            if table.mask(pkt.pc) & self.ext.elision_class() != 0 && self.ext.check_elidable(&pkt) {
-                self.resilience.elided_checks += 1;
-                self.emit(TraceEvent::CheckElided {
-                    cycle: pkt.commit_cycle,
-                    pc: pkt.pc,
-                    class: pkt.class,
-                });
-                return;
-            }
+        // Statically discharged check: the analysis proved this PC's
+        // packet cannot change the extension's observable behavior, and
+        // the extension re-validates per packet (defense in depth
+        // against a stale table). Skip the FIFO and the fabric entirely.
+        let mask = self.elision_mask(pkt.pc);
+        if mask != 0 && mask & self.ext.elision_class() != 0 && self.ext.check_elidable(pkt) {
+            self.resilience.elided_checks += 1;
+            self.emit(TraceEvent::CheckElided {
+                cycle: pkt.commit_cycle,
+                pc: pkt.pc,
+                class: pkt.class,
+            });
+            return;
         }
         if self.config.precise_exceptions {
             // No decoupling: every forwarded instruction must be
@@ -723,8 +766,8 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                     self.emit(TraceEvent::Drop { cycle: now, class: pkt.class, overflow: false });
                     return;
                 }
-                self.record_forward(&pkt);
-                let (start, _) = self.process_on_fabric(&pkt, now);
+                self.record_forward(pkt);
+                let (start, _) = self.process_on_fabric(pkt, now);
                 self.fifo.push(now, start);
                 self.emit_enqueue(now, start);
             }
@@ -759,14 +802,14 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 } else {
                     now
                 };
-                self.record_forward(&pkt);
-                let (start, _) = self.process_on_fabric(&pkt, enq);
+                self.record_forward(pkt);
+                let (start, _) = self.process_on_fabric(pkt, enq);
                 self.fifo.push(enq, start);
                 self.emit_enqueue(enq, start);
             }
             ForwardPolicy::WaitForAck => {
-                self.record_forward(&pkt);
-                let (start, ret) = self.process_on_fabric(&pkt, now);
+                self.record_forward(pkt);
+                let (start, ret) = self.process_on_fabric(pkt, now);
                 let ack = self.fabric_free_at.max(start);
                 self.core.stall_until(ack);
                 self.emit(TraceEvent::CommitStall { cycle: now, until: ack });
@@ -868,6 +911,11 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         pause_at: Option<u64>,
     ) -> Result<RunOutcome, SimError> {
         let mut last_commit_cycle = self.core.cycle();
+        // The commit-stage packet buffer: `step_into` overwrites it on
+        // every commit and the forward path reads it by reference. It
+        // lives here, not in `self`, so that borrowing it alongside
+        // `&mut self` needs no copy.
+        let mut pkt = TracePacket::EMPTY;
         loop {
             if let Some(report) = self.diverged.take() {
                 return Err(SimError::Divergence(report));
@@ -920,13 +968,13 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             if self.core.stats().instret >= max_instructions {
                 self.core.halt(ExitReason::InstructionLimit);
             }
-            match self.core.step(&mut self.mem, &mut self.bus) {
-                StepResult::Committed(pkt) => {
+            match self.core.step_into(&mut self.mem, &mut self.bus, &mut pkt) {
+                Stepped::Committed => {
                     last_commit_cycle = self.core.cycle();
-                    self.on_commit(pkt);
+                    self.on_commit(&mut pkt);
                 }
-                StepResult::Annulled => {}
-                StepResult::Exited(exit) => {
+                Stepped::Annulled => {}
+                Stepped::Exited(exit) => {
                     let cycle = self.core.cycle();
                     if self.fabric_stuck && self.fifo.occupancy(cycle) > 0 {
                         // The core waits for EMPTY before completing;
@@ -1059,7 +1107,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         // failed transfer attempt re-shifting the whole stream
         // (retry-with-backoff), on top of the drain.
         let retries = self.resilience.bitstream_retries - retries0;
-        let shift = (frames.len() as u64) * self.grid() * (1 + retries);
+        let shift = (frames.len() as u64) * self.grid * (1 + retries);
         let reconfig_done = self.align_up(drain_done.saturating_add(shift));
         self.core.stall_until(reconfig_done);
         self.fabric_free_at = reconfig_done;
@@ -1413,5 +1461,79 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             flight: self.sink.flight_log(),
             host_ns: self.host_ns,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::elide::{ElisionTable, ELIDE_CFI, ELIDE_DIFT, ELIDE_UMC};
+    use crate::ext::Umc;
+    use flexcore_asm::assemble;
+
+    fn loads_program() -> Program {
+        assemble(
+            "start: mov 100, %o0
+                    set buf, %o2
+            loop:   ld [%o2], %o1
+                    subcc %o0, 1, %o0
+                    bne loop
+                    nop
+                    ta 0
+                    .align 4
+            buf:    .word 7",
+        )
+        .unwrap()
+    }
+
+    fn umc_system(program: &Program, table: Option<ElisionTable>) -> System<Umc> {
+        let mut sys = System::new(SystemConfig::fabric_half_speed(), Umc::new());
+        sys.load_program(program);
+        if let Some(t) = table {
+            sys.set_elision(t);
+        }
+        sys
+    }
+
+    #[test]
+    fn elision_masks_cover_only_the_text() {
+        let program = loads_program();
+        let base = program.base();
+        let load_pc = program.symbol("loop").unwrap();
+        let all = ELIDE_UMC | ELIDE_DIFT | ELIDE_CFI;
+        // Entries a hand-edited `--elide` file could carry: the top of
+        // the address space, an unaligned PC in the text, and a PC
+        // below it. Sized from the table, the mask would span 4 GB.
+        let mut bogus = ElisionTable::new();
+        bogus.set(0xffff_fffc, all);
+        bogus.set(load_pc + 2, all);
+        bogus.set(base.wrapping_sub(4), all);
+
+        let mut sys = umc_system(&program, Some(bogus.clone()));
+        assert_eq!(sys.elision_masks.len(), program.len().div_ceil(4));
+        assert!(sys.elision_masks.iter().all(|&m| m == 0));
+        for pc in [0xffff_fffc, load_pc + 2, base.wrapping_sub(4)] {
+            assert_eq!(sys.elision_mask(pc), 0, "pc {pc:#x}");
+        }
+        assert_eq!(sys.elision(), Some(&bogus), "the installed table is kept as given");
+        let elided = sys.try_run(1_000_000).unwrap();
+        assert_eq!(elided.resilience.elided_checks, 0);
+        let full = umc_system(&program, None).try_run(1_000_000).unwrap();
+        assert_eq!(elided, full);
+
+        // The same entries next to a real one: only the real one counts,
+        // whether the table is installed before or after the load.
+        let mut table = bogus;
+        table.set(load_pc, ELIDE_UMC);
+        let sys = umc_system(&program, Some(table.clone()));
+        assert_eq!(sys.elision_mask(load_pc), ELIDE_UMC);
+        let mut late = System::new(SystemConfig::fabric_half_speed(), Umc::new());
+        late.set_elision(table);
+        assert!(late.elision_masks.is_empty(), "no text loaded yet");
+        late.load_program(&program);
+        assert_eq!(late.elision_masks, sys.elision_masks);
+        let r = late.try_run(1_000_000).unwrap();
+        assert_eq!(r.resilience.elided_checks, 100);
+        assert_eq!(r.exit, ExitReason::Halt(0));
     }
 }

@@ -172,6 +172,10 @@ pub struct Lookup {
     pub refill: bool,
     /// Base address of a dirty victim that must be written back first.
     pub writeback_of: Option<u32>,
+    /// The line slot (`set * ways + way`) holding the address after a
+    /// hit or an allocation; on an allocation it is the victim's slot.
+    /// Meaningless when the access neither hit nor allocated.
+    pub slot: usize,
 }
 
 /// A set-associative, LRU, tag-only cache.
@@ -231,10 +235,10 @@ impl TimingCache {
         (line & ((1 << self.set_bits) - 1), line >> self.set_bits)
     }
 
-    fn set_slice(&mut self, set: u32) -> &mut [Line] {
-        let w = self.config.ways as usize;
-        let base = set as usize * w;
-        &mut self.lines[base..base + w]
+    /// Base address of the line resident in `slot` with `tag`.
+    fn line_base(&self, slot: usize, tag: u32) -> u32 {
+        let set = slot as u32 / self.config.ways;
+        ((tag << self.set_bits) | set) << self.line_shift
     }
 
     /// Looks up `addr` for a read (`is_write = false`) or write, updates
@@ -244,25 +248,22 @@ impl TimingCache {
         self.stamp += 1;
         let stamp = self.stamp;
         let (set, tag) = self.set_and_tag(addr);
-        let (line_shift, set_bits) = (self.line_shift, self.set_bits);
         let policy = self.config.write_policy;
+        let first = set as usize * self.config.ways as usize;
+        let ways = &mut self.lines[first..first + self.config.ways as usize];
 
-        let ways = self.set_slice(set);
-        let mut hit = false;
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(way) = ways.iter().position(|l| l.valid && l.tag == tag) {
+            let line = &mut ways[way];
             line.lru = stamp;
             if is_write && policy == WritePolicy::WriteBackAllocate {
                 line.dirty = true;
             }
-            hit = true;
-        }
-        if hit {
             if is_write {
                 self.stats.write_hits += 1;
             } else {
                 self.stats.read_hits += 1;
             }
-            return Lookup { hit: true, refill: false, writeback_of: None };
+            return Lookup { hit: true, refill: false, writeback_of: None, slot: first + way };
         }
 
         // Miss.
@@ -273,30 +274,28 @@ impl TimingCache {
         }
         let allocate = !is_write || policy == WritePolicy::WriteBackAllocate;
         if !allocate {
-            return Lookup { hit: false, refill: false, writeback_of: None };
+            return Lookup { hit: false, refill: false, writeback_of: None, slot: first };
         }
 
         // Choose a victim: an invalid way if any, else LRU.
-        let writeback_of = {
-            let ways = self.set_slice(set);
-            let victim = ways
-                .iter_mut()
-                .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
-                .expect("at least one way");
-            let writeback_of = (victim.valid && victim.dirty)
-                .then(|| ((victim.tag << set_bits) | set) << line_shift);
-            *victim = Line {
-                tag,
-                valid: true,
-                dirty: is_write && policy == WritePolicy::WriteBackAllocate,
-                lru: stamp,
-            };
-            writeback_of
+        let (way, victim) = ways
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
+            .map(|(way, l)| (way, *l))
+            .expect("at least one way");
+        let slot = first + way;
+        let writeback_of = (victim.valid && victim.dirty).then(|| self.line_base(slot, victim.tag));
+        self.lines[slot] = Line {
+            tag,
+            valid: true,
+            dirty: is_write && policy == WritePolicy::WriteBackAllocate,
+            lru: stamp,
         };
         if writeback_of.is_some() {
             self.stats.writebacks += 1;
         }
-        Lookup { hit: false, refill: true, writeback_of }
+        Lookup { hit: false, refill: true, writeback_of, slot }
     }
 
     /// Captures the complete replacement state (tags, valid/dirty bits,
@@ -333,12 +332,26 @@ impl TimingCache {
         self.stats = snap.stats;
     }
 
-    /// Whether `addr` is currently resident (no state change).
-    pub fn probe(&self, addr: u32) -> bool {
+    /// The line slot (`set * ways + way`) holding `addr`, if resident
+    /// (no state change).
+    pub fn slot_of(&self, addr: u32) -> Option<usize> {
         let (set, tag) = self.set_and_tag(addr);
         let w = self.config.ways as usize;
-        let base = set as usize * w;
-        self.lines[base..base + w].iter().any(|l| l.valid && l.tag == tag)
+        let first = set as usize * w;
+        self.lines[first..first + w]
+            .iter()
+            .position(|l| l.valid && l.tag == tag)
+            .map(|way| first + way)
+    }
+
+    /// `(slot, line base address)` of every resident line, in slot
+    /// order.
+    pub fn resident(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.lines
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.valid)
+            .map(|(slot, l)| (slot, self.line_base(slot, l.tag)))
     }
 
     /// Invalidates the whole cache (does not write back dirty lines —
@@ -375,7 +388,7 @@ mod tests {
         let mut c = tiny(1, WritePolicy::WriteThroughNoAllocate);
         let l = c.access(0x100, true);
         assert!(!l.hit && !l.refill);
-        assert!(!c.probe(0x100));
+        assert!(c.slot_of(0x100).is_none());
         // A read then allocates, and a subsequent write hits.
         c.access(0x100, false);
         assert!(c.access(0x100, true).hit);
@@ -412,18 +425,18 @@ mod tests {
         c.access(0x080, false);
         c.access(0x000, false); // touch 0x000 again
         c.access(0x100, false); // should evict 0x080
-        assert!(c.probe(0x000));
-        assert!(!c.probe(0x080));
-        assert!(c.probe(0x100));
+        assert!(c.slot_of(0x000).is_some());
+        assert!(c.slot_of(0x080).is_none());
+        assert!(c.slot_of(0x100).is_some());
     }
 
     #[test]
     fn invalidate_all_empties_cache() {
         let mut c = tiny(2, WritePolicy::WriteBackAllocate);
         c.access(0x40, false);
-        assert!(c.probe(0x40));
+        assert!(c.slot_of(0x40).is_some());
         c.invalidate_all();
-        assert!(!c.probe(0x40));
+        assert!(c.slot_of(0x40).is_none());
     }
 
     #[test]
@@ -523,6 +536,9 @@ mod props {
                 let (ref_hit, ref_wb) = reference.access(addr, is_write);
                 prop_assert_eq!(lookup.hit, ref_hit, "access {} addr {:#x}", i, addr);
                 prop_assert_eq!(lookup.writeback_of, ref_wb, "access {} addr {:#x}", i, addr);
+                if lookup.hit || lookup.refill {
+                    prop_assert_eq!(dut.slot_of(addr), Some(lookup.slot), "access {}", i);
+                }
             }
         }
     }

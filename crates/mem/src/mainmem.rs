@@ -161,9 +161,28 @@ impl MainMemory {
         }
     }
 
+    /// Fills `out` with the bytes starting at `addr`, one page at a
+    /// time (the read-side counterpart of [`MainMemory::load`]).
+    pub fn read_into(&self, addr: u32, out: &mut [u8]) {
+        let (mut addr, mut rest) = (addr, out);
+        while !rest.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let n = rest.len().min(PAGE_SIZE - off);
+            let (head, tail) = rest.split_at_mut(n);
+            match self.page(addr) {
+                Some(page) => head.copy_from_slice(&page[off..off + n]),
+                None => head.fill(0),
+            }
+            addr = addr.wrapping_add(n as u32);
+            rest = tail;
+        }
+    }
+
     /// Reads `len` bytes starting at `addr` into a fresh vector.
     pub fn dump(&self, addr: u32, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr.wrapping_add(i as u32))).collect()
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out);
+        out
     }
 
     /// Number of 4-KB pages that have been touched.

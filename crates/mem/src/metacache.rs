@@ -1,7 +1,5 @@
 //! The meta-data cache: data-carrying, write-back, bit-maskable.
 
-use std::collections::HashMap;
-
 use crate::{BusMaster, CacheConfig, CacheStats, MainMemory, SystemBus, TimingCache, WritePolicy};
 
 /// Result of one meta-data cache access.
@@ -47,8 +45,11 @@ pub struct MetaCacheSnapshot {
 #[derive(Clone, Debug)]
 pub struct MetaDataCache {
     tags: TimingCache,
-    /// Resident line data, keyed by line base address.
-    data: HashMap<u32, Vec<u8>>,
+    /// Line data, one `line_bytes` block per tag-array slot
+    /// (`set * ways + way`). A block means something only while its
+    /// slot's tag is valid; a refill overwrites the victim's block in
+    /// place.
+    data: Vec<u8>,
     line_bytes: u32,
 }
 
@@ -66,8 +67,10 @@ impl MetaDataCache {
             WritePolicy::WriteBackAllocate,
             "the meta-data cache must be write-back/write-allocate"
         );
-        let line_bytes = config.line_bytes;
-        MetaDataCache { tags: TimingCache::new(config), data: HashMap::new(), line_bytes }
+        let tags = TimingCache::new(config);
+        // One `line_bytes` block per slot: `sets * ways * line_bytes`.
+        let data = vec![0; config.size_bytes as usize];
+        MetaDataCache { tags, data, line_bytes: config.line_bytes }
     }
 
     /// Accumulated hit/miss statistics.
@@ -80,47 +83,48 @@ impl MetaDataCache {
         self.tags.config()
     }
 
-    fn line_base(&self, addr: u32) -> u32 {
-        addr & !(self.line_bytes - 1)
+    /// Byte range of `slot`'s line in `data`.
+    fn line_range(&self, slot: usize) -> std::ops::Range<usize> {
+        let n = self.line_bytes as usize;
+        slot * n..slot * n + n
     }
 
-    /// Services a miss: writes back the victim (if dirty) and refills
-    /// the requested line. Returns the completion cycle.
-    fn service(
+    /// Byte offset in `data` of the aligned word `addr` in `slot`.
+    fn word_at(&self, slot: usize, addr: u32) -> usize {
+        slot * self.line_bytes as usize + (addr & (self.line_bytes - 1)) as usize
+    }
+
+    fn read_be(&self, at: usize) -> u32 {
+        u32::from_be_bytes([self.data[at], self.data[at + 1], self.data[at + 2], self.data[at + 3]])
+    }
+
+    /// Looks `addr` up in the tags and, on a miss, writes back the
+    /// victim (if dirty) and refills the line into the victim's slot.
+    /// Returns the slot, whether the access hit, and the completion
+    /// cycle.
+    fn access(
         &mut self,
-        lookup: crate::Lookup,
         addr: u32,
+        is_write: bool,
         mem: &mut MainMemory,
         bus: &mut SystemBus,
         master: BusMaster,
         now: u64,
-    ) -> u64 {
+    ) -> (usize, bool, u64) {
+        let lookup = self.tags.access(addr, is_write);
+        if lookup.hit {
+            return (lookup.slot, true, now);
+        }
         let words = self.tags.config().line_words();
+        let range = self.line_range(lookup.slot);
         let mut t = now;
         if let Some(victim_base) = lookup.writeback_of {
-            let line =
-                self.data.remove(&victim_base).expect("dirty victim must have resident data");
-            mem.load(victim_base, &line);
+            mem.load(victim_base, &self.data[range.clone()]);
             t = bus.transfer(master, t, words);
         }
-        if lookup.refill {
-            let base = self.line_base(addr);
-            // A previous clean eviction of this set may have left the
-            // victim's stale data entry if the victim was clean; remove
-            // lazily on insert collision is unnecessary because clean
-            // victims are removed below in `evict_clean`.
-            let line = mem.dump(base, self.line_bytes as usize);
-            self.data.insert(base, line);
-            t = bus.transfer(master, t, words);
-        }
-        t
-    }
-
-    /// Drops data for lines the tag array no longer holds. Clean
-    /// evictions don't report a write-back, so we garbage-collect here.
-    fn evict_clean(&mut self) {
-        let tags = &self.tags;
-        self.data.retain(|&base, _| tags.probe(base));
+        mem.read_into(addr & !(self.line_bytes - 1), &mut self.data[range]);
+        t = bus.transfer(master, t, words);
+        (lookup.slot, false, t)
     }
 
     /// Reads the aligned 32-bit word containing `addr`.
@@ -137,19 +141,9 @@ impl MetaDataCache {
         now: u64,
     ) -> MetaAccess {
         let addr = addr & !3;
-        let lookup = self.tags.access(addr, false);
-        let ready_at = if lookup.hit {
-            now
-        } else {
-            let t = self.service(lookup, addr, mem, bus, master, now);
-            self.evict_clean();
-            t
-        };
-        let base = self.line_base(addr);
-        let line = self.data.get(&base).expect("resident line has data");
-        let off = (addr - base) as usize;
-        let value = u32::from_be_bytes([line[off], line[off + 1], line[off + 2], line[off + 3]]);
-        MetaAccess { value, hit: lookup.hit, ready_at }
+        let (slot, hit, ready_at) = self.access(addr, false, mem, bus, master, now);
+        let value = self.read_be(self.word_at(slot, addr));
+        MetaAccess { value, hit, ready_at }
     }
 
     /// Writes `data` into the aligned word containing `addr`, but only
@@ -167,21 +161,11 @@ impl MetaDataCache {
         now: u64,
     ) -> MetaAccess {
         let addr = addr & !3;
-        let lookup = self.tags.access(addr, true);
-        let ready_at = if lookup.hit {
-            now
-        } else {
-            let t = self.service(lookup, addr, mem, bus, master, now);
-            self.evict_clean();
-            t
-        };
-        let base = self.line_base(addr);
-        let line = self.data.get_mut(&base).expect("resident line has data");
-        let off = (addr - base) as usize;
-        let old = u32::from_be_bytes([line[off], line[off + 1], line[off + 2], line[off + 3]]);
-        let merged = (old & !bitmask) | (data & bitmask);
-        line[off..off + 4].copy_from_slice(&merged.to_be_bytes());
-        MetaAccess { value: merged, hit: lookup.hit, ready_at }
+        let (slot, hit, ready_at) = self.access(addr, true, mem, bus, master, now);
+        let at = self.word_at(slot, addr);
+        let merged = (self.read_be(at) & !bitmask) | (data & bitmask);
+        self.data[at..at + 4].copy_from_slice(&merged.to_be_bytes());
+        MetaAccess { value: merged, hit, ready_at }
     }
 
     /// Flips the bits selected by `mask` in the aligned word containing
@@ -191,21 +175,23 @@ impl MetaDataCache {
     /// absorbs the strike (returns `false`).
     pub fn poison(&mut self, addr: u32, mask: u32) -> bool {
         let addr = addr & !3;
-        let base = self.line_base(addr);
-        let Some(line) = self.data.get_mut(&base) else {
+        let Some(slot) = self.tags.slot_of(addr) else {
             return false;
         };
-        let off = (addr - base) as usize;
-        let old = u32::from_be_bytes([line[off], line[off + 1], line[off + 2], line[off + 3]]);
-        line[off..off + 4].copy_from_slice(&(old ^ mask).to_be_bytes());
+        let at = self.word_at(slot, addr);
+        let flipped = self.read_be(at) ^ mask;
+        self.data[at..at + 4].copy_from_slice(&flipped.to_be_bytes());
         true
     }
 
     /// Captures the complete cache state (tag array plus resident line
     /// data, sorted by line base) for checkpointing.
     pub fn snapshot(&self) -> MetaCacheSnapshot {
-        let mut lines: Vec<(u32, Vec<u8>)> =
-            self.data.iter().map(|(&base, line)| (base, line.clone())).collect();
+        let mut lines: Vec<(u32, Vec<u8>)> = self
+            .tags
+            .resident()
+            .map(|(slot, base)| (base, self.data[self.line_range(slot)].to_vec()))
+            .collect();
         lines.sort_unstable_by_key(|&(base, _)| base);
         MetaCacheSnapshot { tags: self.tags.snapshot(), lines }
     }
@@ -214,13 +200,16 @@ impl MetaDataCache {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot does not match this cache's geometry.
+    /// Panics if the snapshot does not match this cache's geometry, or
+    /// carries data for a line its tag array does not hold.
     pub fn restore(&mut self, snap: &MetaCacheSnapshot) {
         self.tags.restore(&snap.tags);
-        self.data.clear();
+        self.data.fill(0);
         for (base, line) in &snap.lines {
             assert_eq!(line.len(), self.line_bytes as usize, "meta line size mismatch");
-            self.data.insert(*base, line.clone());
+            let slot = self.tags.slot_of(*base).expect("meta line resident in the tag snapshot");
+            let range = self.line_range(slot);
+            self.data[range].copy_from_slice(line);
         }
     }
 
@@ -229,8 +218,8 @@ impl MetaDataCache {
     /// Used at simulation end so that final meta-data state can be
     /// inspected in [`MainMemory`]; performs no bus timing.
     pub fn flush(&mut self, mem: &mut MainMemory) {
-        for (base, line) in self.data.drain() {
-            mem.load(base, &line);
+        for (slot, base) in self.tags.resident() {
+            mem.load(base, &self.data[self.line_range(slot)]);
         }
         self.tags.invalidate_all();
     }
@@ -328,52 +317,143 @@ mod props {
     use super::*;
     use proptest::prelude::*;
 
-    /// Random interleavings of masked writes and reads through the cache
-    /// must be indistinguishable from a flat reference memory.
-    #[test]
-    fn cache_is_transparent_wrt_reference_model() {
-        // Implemented as a proptest below; this empty test documents
-        // the property name in plain `cargo test` listings.
+    const LINE: u32 = 32;
+    /// Small and 2-way so that evictions are frequent: 8 sets.
+    const CFG: CacheConfig = CacheConfig {
+        size_bytes: 512,
+        line_bytes: LINE,
+        ways: 2,
+        write_policy: WritePolicy::WriteBackAllocate,
+    };
+    const SETS: u32 = CFG.size_bytes / (LINE * CFG.ways);
+
+    /// A resident reference line: base, dirty bit, words.
+    type RefLine = (u32, bool, [u32; (LINE / 4) as usize]);
+
+    /// An independent data-carrying LRU model over a flat word memory:
+    /// per set, resident lines most-recent first.
+    struct RefMeta {
+        mem: std::collections::HashMap<u32, u32>,
+        sets: Vec<Vec<RefLine>>,
+    }
+
+    impl RefMeta {
+        fn new() -> RefMeta {
+            RefMeta { mem: Default::default(), sets: vec![Vec::new(); SETS as usize] }
+        }
+
+        fn write_back(&mut self, (base, _, words): RefLine) {
+            for (i, w) in words.into_iter().enumerate() {
+                self.mem.insert(base + 4 * i as u32, w);
+            }
+        }
+
+        /// The resident line holding `addr`, filled on a miss; returns
+        /// whether it hit. The line moves to the MRU position.
+        fn touch(&mut self, addr: u32, is_write: bool) -> (bool, &mut RefLine) {
+            let base = addr & !(LINE - 1);
+            let set = ((addr / LINE) % SETS) as usize;
+            let hit = match self.sets[set].iter().position(|l| l.0 == base) {
+                Some(pos) => {
+                    let line = self.sets[set].remove(pos);
+                    self.sets[set].insert(0, line);
+                    true
+                }
+                None => {
+                    if self.sets[set].len() == CFG.ways as usize {
+                        let victim = self.sets[set].pop().expect("full set");
+                        if victim.1 {
+                            self.write_back(victim);
+                        }
+                    }
+                    let words = std::array::from_fn(|i| {
+                        self.mem.get(&(base + 4 * i as u32)).copied().unwrap_or(0)
+                    });
+                    self.sets[set].insert(0, (base, false, words));
+                    false
+                }
+            };
+            let line = &mut self.sets[set][0];
+            line.1 |= is_write;
+            (hit, line)
+        }
+
+        fn resident(&mut self, addr: u32) -> Option<&mut RefLine> {
+            let base = addr & !(LINE - 1);
+            self.sets.iter_mut().flatten().find(|l| l.0 == base)
+        }
+
+        fn flush(&mut self) {
+            for set in std::mem::take(&mut self.sets) {
+                set.into_iter().for_each(|l| self.write_back(l));
+            }
+            self.sets = vec![Vec::new(); SETS as usize];
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Random sequences of reads, masked writes, poison strikes,
+        /// snapshot → restore into a fresh cache, and flushes behave
+        /// exactly like the reference model: same values, same hits,
+        /// and the same memory image after every flush.
         #[test]
-        fn masked_writes_match_flat_reference(
+        fn cache_is_transparent_wrt_reference_model(
             ops in prop::collection::vec(
-                (0u32..0x2000, any::<u32>(), any::<u32>(), any::<bool>()),
-                1..200
+                (0u8..10, 0u32..0x2000, any::<u32>(), any::<u32>()),
+                1..300
             )
         ) {
-            let mut cache = MetaDataCache::new(CacheConfig {
-                size_bytes: 512, // small: force lots of evictions
-                line_bytes: 32,
-                ways: 2,
-                write_policy: WritePolicy::WriteBackAllocate,
-            });
+            let mut cache = MetaDataCache::new(CFG);
+            let mut reference = RefMeta::new();
             let mut mem = MainMemory::new();
             let mut bus = SystemBus::default();
-            let mut reference: std::collections::HashMap<u32, u32> = Default::default();
-
-            for (addr, data, mask, is_write) in ops {
-                let word_addr = addr & !3;
-                if is_write {
-                    let r = cache.write_masked(addr, data, mask, &mut mem, &mut bus, BusMaster::Fabric, 0);
-                    let old = reference.get(&word_addr).copied().unwrap_or(0);
-                    let merged = (old & !mask) | (data & mask);
-                    reference.insert(word_addr, merged);
-                    prop_assert_eq!(r.value, merged);
-                } else {
-                    let r = cache.read_word(addr, &mut mem, &mut bus, BusMaster::Fabric, 0);
-                    let expect = reference.get(&word_addr).copied().unwrap_or(0);
-                    prop_assert_eq!(r.value, expect);
+            for (kind, addr, data, mask) in ops {
+                let word = ((addr & (LINE - 1)) / 4) as usize;
+                match kind {
+                    0..=3 => {
+                        let r = cache.write_masked(addr, data, mask, &mut mem, &mut bus, BusMaster::Fabric, 0);
+                        let (hit, line) = reference.touch(addr, true);
+                        line.2[word] = (line.2[word] & !mask) | (data & mask);
+                        prop_assert_eq!((r.value, r.hit), (line.2[word], hit), "write {:#x}", addr);
+                    }
+                    4..=6 => {
+                        let r = cache.read_word(addr, &mut mem, &mut bus, BusMaster::Fabric, 0);
+                        let (hit, line) = reference.touch(addr, false);
+                        prop_assert_eq!((r.value, r.hit), (line.2[word], hit), "read {:#x}", addr);
+                    }
+                    7 => {
+                        let resident = match reference.resident(addr) {
+                            Some(line) => {
+                                line.2[word] ^= mask;
+                                true
+                            }
+                            None => false,
+                        };
+                        prop_assert_eq!(cache.poison(addr, mask), resident, "poison {:#x}", addr);
+                    }
+                    8 => {
+                        let snap = cache.snapshot();
+                        prop_assert!(snap.lines.windows(2).all(|w| w[0].0 < w[1].0));
+                        let mut fresh = MetaDataCache::new(CFG);
+                        fresh.restore(&snap);
+                        prop_assert_eq!(&fresh.snapshot(), &snap);
+                        cache = fresh;
+                    }
+                    _ => {
+                        cache.flush(&mut mem);
+                        reference.flush();
+                        for (&a, &v) in &reference.mem {
+                            prop_assert_eq!(mem.read_u32(a), v, "flushed word {:#x}", a);
+                        }
+                    }
                 }
             }
-
-            // After a flush, main memory agrees with the reference.
             cache.flush(&mut mem);
-            for (addr, val) in reference {
-                prop_assert_eq!(mem.read_u32(addr), val);
+            reference.flush();
+            for a in (0..0x2000).step_by(4) {
+                let expect = reference.mem.get(&a).copied().unwrap_or(0);
+                prop_assert_eq!(mem.read_u32(a), expect, "final word {:#x}", a);
             }
         }
     }

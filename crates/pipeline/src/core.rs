@@ -43,6 +43,19 @@ pub enum ExitReason {
     },
 }
 
+/// Outcome of a single [`Core::step_into`]: the packet itself lands in
+/// the caller's buffer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Stepped {
+    /// An instruction committed; the buffer holds its trace packet.
+    Committed,
+    /// The delay-slot instruction was annulled (consumes a cycle,
+    /// commits nothing, forwards nothing). The buffer is unspecified.
+    Annulled,
+    /// Execution stopped. The buffer is unspecified.
+    Exited(ExitReason),
+}
+
 /// Outcome of a single [`Core::step`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StepResult {
@@ -314,16 +327,39 @@ impl Core {
         }
     }
 
-    fn exit(&mut self, reason: ExitReason) -> StepResult {
+    fn exit(&mut self, reason: ExitReason) -> Stepped {
         self.exited = Some(reason);
-        StepResult::Exited(reason)
+        Stepped::Exited(reason)
     }
 
     /// Executes one instruction: fetch, decode, execute, charge timing,
     /// and produce the commit-stage trace packet.
+    ///
+    /// A wrapper over [`Core::step_into`] that returns the packet by
+    /// value. Loops that step every commit should own one packet and
+    /// call `step_into`: the by-value return is a wide copy per commit.
+    #[inline]
     pub fn step(&mut self, mem: &mut MainMemory, bus: &mut SystemBus) -> StepResult {
+        let mut packet = TracePacket::EMPTY;
+        match self.step_into(mem, bus, &mut packet) {
+            Stepped::Committed => StepResult::Committed(packet),
+            Stepped::Annulled => StepResult::Annulled,
+            Stepped::Exited(reason) => StepResult::Exited(reason),
+        }
+    }
+
+    /// Executes one instruction like [`Core::step`], writing the
+    /// commit-stage trace packet into `packet`. On
+    /// [`Stepped::Committed`] every field of `packet` has been
+    /// overwritten; otherwise its contents are unspecified.
+    pub fn step_into(
+        &mut self,
+        mem: &mut MainMemory,
+        bus: &mut SystemBus,
+        packet: &mut TracePacket,
+    ) -> Stepped {
         if let Some(reason) = self.exited {
-            return StepResult::Exited(reason);
+            return Stepped::Exited(reason);
         }
         let pc = self.pc;
 
@@ -344,7 +380,7 @@ impl Core {
             self.stats.annulled += 1;
             self.pc = next_pc;
             self.npc = next_npc;
-            return StepResult::Annulled;
+            return Stepped::Annulled;
         }
 
         let word = mem.read_u32(pc);
@@ -364,7 +400,7 @@ impl Core {
         };
         let inst = d.inst;
 
-        let mut packet = TracePacket {
+        *packet = TracePacket {
             pc,
             inst_word: word,
             inst,
@@ -599,7 +635,7 @@ impl Core {
 
         self.pc = next_pc;
         self.npc = next_npc;
-        StepResult::Committed(packet)
+        Stepped::Committed
     }
 
     /// Performs one extra data access on behalf of instrumentation
@@ -638,12 +674,13 @@ impl Core {
         bus: &mut SystemBus,
         max_instructions: u64,
     ) -> ExitReason {
+        let mut packet = TracePacket::EMPTY;
         loop {
             if self.stats.instret >= max_instructions {
                 self.exited = Some(ExitReason::InstructionLimit);
                 return ExitReason::InstructionLimit;
             }
-            if let StepResult::Exited(reason) = self.step(mem, bus) {
+            if let Stepped::Exited(reason) = self.step_into(mem, bus, &mut packet) {
                 return reason;
             }
         }

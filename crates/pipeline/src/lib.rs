@@ -67,7 +67,7 @@ mod stats;
 mod trace;
 
 pub use config::CoreConfig;
-pub use core::{Core, CoreSnapshot, ExitReason, StepResult};
+pub use core::{Core, CoreSnapshot, ExitReason, StepResult, Stepped};
 pub use stats::CoreStats;
 pub use trace::TracePacket;
 

@@ -50,6 +50,27 @@ pub struct TracePacket {
 }
 
 impl TracePacket {
+    /// A committed `nop` at PC 0 with every value field zero: the
+    /// initial contents of a packet buffer handed to
+    /// [`Core::step_into`](crate::Core::step_into).
+    pub const EMPTY: TracePacket = TracePacket {
+        pc: 0,
+        inst_word: 0x0100_0000,
+        inst: Instruction::Sethi { rd: Reg::G0, imm22: 0 },
+        class: InstrClass::Sethi,
+        addr: 0,
+        result: 0,
+        srcv1: 0,
+        srcv2: 0,
+        store_value: 0,
+        cond: IccFlags { n: false, z: false, v: false, c: false },
+        branch_taken: false,
+        src1: None,
+        src2: None,
+        dest: None,
+        commit_cycle: 0,
+    };
+
     /// Total payload width in bits of the hardware FIFO entry this
     /// packet models (Table II: PC 32 + INST 32 + ADDR 32 + RES 32 +
     /// SRCV1 32 + SRCV2 32 + COND 4 + BRANCH 1 + OPCODE 5 + DECODE 32 +

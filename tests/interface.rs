@@ -1,14 +1,16 @@
 //! Integration tests of the core–fabric interface semantics, using a
 //! purpose-built test extension: forwarding policies (ignore / drop /
-//! stall / ack), BFIFO return values, clock-domain alignment, and the
-//! end-of-run EMPTY discipline.
+//! stall / ack), BFIFO return values, clock-domain alignment, the
+//! end-of-run EMPTY discipline, and the commit-stage packet hand-off.
 
 use flexcore_suite::asm::assemble;
 use flexcore_suite::fabric::{Netlist, NetlistBuilder};
 use flexcore_suite::flexcore::ext::{ExtEnv, Extension, ExtensionDescriptor, MonitorTrap};
 use flexcore_suite::flexcore::{Cfgr, ForwardPolicy, System, SystemConfig};
-use flexcore_suite::isa::InstrClass;
-use flexcore_suite::pipeline::{ExitReason, TracePacket};
+use flexcore_suite::isa::{IccFlags, InstrClass, Instruction, Opcode, Operand2, Reg};
+use flexcore_suite::mem::{MainMemory, SystemBus};
+use flexcore_suite::pipeline::{Core, CoreConfig, ExitReason, StepResult, Stepped, TracePacket};
+use flexcore_suite::workloads::Workload;
 
 /// A configurable probe extension: counts what it sees, can be made
 /// arbitrarily slow, answers reads with a constant.
@@ -196,4 +198,68 @@ fn fabric_clock_alignment_quantizes_processing() {
     // 64 `or`s plus the initial `mov` (also a logic op).
     assert_eq!(seen, 65);
     assert!(r.cycles >= 65 * 4, "{} cycles for 65 packets at 0.25X", r.cycles);
+}
+
+/// A packet with every field non-zero and unlike anything a workload
+/// commits, so a field `step_into` fails to rewrite shows up.
+fn junk_packet() -> TracePacket {
+    TracePacket {
+        pc: 0xdead_beef,
+        inst_word: 0xffff_ffff,
+        inst: Instruction::Alu {
+            op: Opcode::Xnor,
+            rd: Reg::L3,
+            rs1: Reg::L4,
+            op2: Operand2::Imm(-7),
+        },
+        class: InstrClass::Cpop2,
+        addr: 0xa5a5_a5a5,
+        result: 0x5a5a_5a5a,
+        srcv1: 0x1357_9bdf,
+        srcv2: 0x2468_ace0,
+        store_value: 0x0bad_f00d,
+        cond: IccFlags { n: true, z: true, v: true, c: true },
+        branch_taken: true,
+        src1: Some(Reg::L1),
+        src2: Some(Reg::L2),
+        dest: Some(Reg::L5),
+        commit_cycle: u64::MAX,
+    }
+}
+
+#[test]
+fn step_into_matches_step_on_every_workload() {
+    for w in Workload::all() {
+        let program = w.program().unwrap();
+        let (mut mem_a, mut bus_a, mut core_a) =
+            (MainMemory::new(), SystemBus::default(), Core::new(CoreConfig::leon3()));
+        let (mut mem_b, mut bus_b, mut core_b) =
+            (MainMemory::new(), SystemBus::default(), Core::new(CoreConfig::leon3()));
+        core_a.load_program(&program, &mut mem_a);
+        core_b.load_program(&program, &mut mem_b);
+        let mut commits = 0u64;
+        loop {
+            // Junk before every call: each commit must rewrite every
+            // field, so nothing leaks from an earlier one.
+            let mut buf = junk_packet();
+            let a = core_a.step(&mut mem_a, &mut bus_a);
+            let b = core_b.step_into(&mut mem_b, &mut bus_b, &mut buf);
+            match (a, b) {
+                (StepResult::Committed(pkt), Stepped::Committed) => {
+                    commits += 1;
+                    assert_eq!(pkt, buf, "{} commit {commits}", w.name());
+                }
+                (StepResult::Annulled, Stepped::Annulled) => {}
+                (StepResult::Exited(ea), Stepped::Exited(eb)) => {
+                    assert_eq!(ea, eb, "{}", w.name());
+                    assert_eq!(ea, ExitReason::Halt(0), "{}", w.name());
+                    break;
+                }
+                (a, b) => panic!("{}: step gave {a:?}, step_into gave {b:?}", w.name()),
+            }
+        }
+        assert!(commits > 1000, "{}: only {commits} commits", w.name());
+        assert_eq!(core_a.stats(), core_b.stats(), "{}", w.name());
+        assert_eq!(core_a.quiesced_at(), core_b.quiesced_at(), "{}", w.name());
+    }
 }
