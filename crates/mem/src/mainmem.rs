@@ -59,6 +59,7 @@ impl MainMemory {
     }
 
     /// Arena slot of the page holding `addr`, if resident.
+    #[inline]
     fn slot(&self, addr: u32) -> Option<usize> {
         let leaf = *self.dir.get((addr >> LEAF_SHIFT) as usize)?;
         if leaf == 0 {
@@ -68,6 +69,7 @@ impl MainMemory {
         (slot != 0).then(|| slot as usize - 1)
     }
 
+    #[inline]
     fn page(&self, addr: u32) -> Option<&[u8; PAGE_SIZE]> {
         self.slot(addr).map(|s| &self.pages[s])
     }
@@ -218,9 +220,23 @@ impl MainMemory {
 
     /// The raw bytes of a resident page, or `None` if the page has
     /// never been touched (and therefore reads as zero).
+    #[inline]
     pub fn page_bytes(&self, index: u32) -> Option<&[u8]> {
         let addr = index.checked_mul(PAGE_SIZE as u32)?;
         self.page(addr).map(|p| &p[..])
+    }
+
+    /// The raw bytes of page `index`, made resident first if it was
+    /// never touched (like any write).
+    ///
+    /// # Panics
+    ///
+    /// If `index` is not below `2^20` (the page would lie past the top
+    /// of the 32-bit address space).
+    #[inline]
+    pub fn page_bytes_mut(&mut self, index: u32) -> &mut [u8] {
+        let addr = index.checked_mul(PAGE_SIZE as u32).expect("page index below 2^20");
+        &mut self.page_mut(addr)[..]
     }
 }
 
@@ -261,6 +277,15 @@ mod tests {
         let data: Vec<u8> = (0..=255).collect();
         m.load(0x1000, &data);
         assert_eq!(m.dump(0x1000, 256), data);
+    }
+
+    #[test]
+    fn page_bytes_mut_makes_the_page_resident() {
+        let mut m = MainMemory::new();
+        m.page_bytes_mut(3)[5] = 0xab;
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(m.read_u8(3 << PAGE_SHIFT | 5), 0xab);
+        assert_eq!(m.page_bytes(3).map(<[u8]>::len), Some(PAGE_SIZE));
     }
 
     #[test]

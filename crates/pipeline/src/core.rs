@@ -204,6 +204,13 @@ impl Core {
         }
     }
 
+    /// The full register file, `%g0` first. Slot 0 is not
+    /// architectural state ([`Core::reg`] reads `%g0` as zero), so
+    /// whole-file comparisons use `regs()[1..]`.
+    pub fn regs(&self) -> &[u32; 32] {
+        &self.regs
+    }
+
     /// Current condition codes.
     pub fn icc(&self) -> IccFlags {
         self.icc

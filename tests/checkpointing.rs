@@ -192,13 +192,62 @@ fn injected_result_fault_diverges_under_lockstep() {
             assert_eq!(report.reason, "register file diverged (first at r8)", "{report}");
             let m = report.reg_mismatches.first().expect("a register mismatch is recorded");
             assert_eq!(m.dut ^ m.golden, 1 << 3, "exactly the injected bit differs");
-            assert!(!report.dut_recent.is_empty(), "recent DUT commits are included");
-            assert!(!report.golden_recent.is_empty(), "recent golden commits are included");
-            assert_eq!(
-                report.dut_recent.last().map(|c| c.index),
-                Some(40),
-                "the divergent commit is the newest ring entry"
-            );
+            // Commit 40 is past the 16-entry window, so both rings have
+            // wrapped and hold commits 25..=40, oldest first.
+            let indices: Vec<u64> = report.dut_recent.iter().map(|c| c.index).collect();
+            assert_eq!(indices, (25..=40).collect::<Vec<_>>(), "DUT ring after wraparound");
+            // The strike touched registers only: both models fetched
+            // the same instructions at the same PCs.
+            assert_eq!(report.golden_recent, report.dut_recent, "golden ring mirrors the DUT's");
+        }
+        other => panic!("expected a divergence, got {other:?}"),
+    }
+}
+
+/// Stores a data word at 0x8000, idles in a loop, then loads it back:
+/// the `ld` is commit 22 and writes `%o2` (r10).
+fn load_after_idle_source() -> &'static str {
+    "start:  set 0x8000, %o0
+            set 0x12345678, %o1
+            st %o1, [%o0]
+            mov 5, %o3
+    loop:   subcc %o3, 1, %o3
+            bne loop
+            nop
+            ld [%o0], %o2
+            ta 0"
+}
+
+/// A data-memory strike is invisible until a load observes it: the
+/// golden model keeps its own memory image, so the flipped word
+/// surfaces as a register mismatch at the observing load, not at the
+/// commit the strike landed on.
+#[test]
+fn data_memory_strike_diverges_at_the_observing_load() {
+    let program = flexcore_suite::asm::assemble(load_after_idle_source()).expect("assembles");
+    let system = || {
+        let mut sys = System::new(SystemConfig::fabric_half_speed(), Umc::new());
+        sys.load_program(&program);
+        sys.enable_lockstep();
+        sys
+    };
+    let clean = system().try_run(MAX_INSTRUCTIONS).expect("no divergence without a strike");
+    assert_eq!(clean.exit, ExitReason::Halt(0));
+
+    let mut sys = system();
+    // Commit 6 (`mov 5, %o3`) is after the store and long before the load.
+    sys.arm_faults(FaultPlan::new(7).inject(
+        FaultTarget::Memory { base: 0x8000, len: 4 },
+        FaultSchedule::AtCommit(6),
+        FaultModel::BitFlip { bits: 1 },
+    ));
+    match sys.try_run(MAX_INSTRUCTIONS) {
+        Err(SimError::Divergence(report)) => {
+            assert_eq!(report.commit_index, 22, "caught at the observing load: {report}");
+            assert_eq!(report.reason, "register file diverged (first at r10)", "{report}");
+            let m = report.reg_mismatches.first().expect("a register mismatch is recorded");
+            assert_eq!(m.golden, 0x1234_5678, "the golden model loads the stored word");
+            assert_eq!((m.dut ^ m.golden).count_ones(), 1, "exactly one struck bit differs");
         }
         other => panic!("expected a divergence, got {other:?}"),
     }
