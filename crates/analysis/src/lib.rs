@@ -6,7 +6,7 @@
 //! simulated, in two passes:
 //!
 //! * [`analyze_program`] — recovers a delay-slot-aware CFG from an
-//!   assembled [`Program`](flexcore_asm::Program) and runs
+//!   assembled [`Program`] and runs
 //!   must-initialize, constant-propagation, liveness, and
 //!   register-window dataflow over it. Its headline diagnostic,
 //!   [`Rule::UninitRead`], is the static counterpart of the UMC
@@ -54,7 +54,7 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
-    /// Findings at [`Severity::Error`](diag::Severity::Error).
+    /// Findings at [`Severity::Error`].
     pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(|d| d.is_error())
     }

@@ -107,9 +107,10 @@ fn or_exit<T>(r: Result<T, JournalError>) -> T {
     })
 }
 
-/// [`run_panic_tolerant`] with a resume cache: trials already in the
-/// progress log come back instantly; fresh trials run and are
-/// recorded. Reports keep submission order either way.
+/// [`run_panic_tolerant`](flexcore_bench::run_panic_tolerant) with a
+/// resume cache: trials already in the progress log come back
+/// instantly; fresh trials run and are recorded. Reports keep
+/// submission order either way.
 fn run_with_progress(
     jobs: Vec<TrialSpec>,
     reference: Option<&flexcore::RunResult>,

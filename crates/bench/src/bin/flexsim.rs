@@ -161,6 +161,9 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or("--fifo needs a value")?
                     .parse()
                     .map_err(|e| format!("--fifo: {e}"))?;
+                if opts.fifo == 0 {
+                    return Err("--fifo must be > 0".into());
+                }
             }
             "--max" => {
                 opts.max = args

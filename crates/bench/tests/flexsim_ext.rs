@@ -1,7 +1,8 @@
 //! `flexsim --ext` accepts exactly the extension registry plus `none`:
 //! an unknown name is a usage error that lists every registered
 //! extension, and the usage text is built from the registry, so the
-//! two cannot drift apart.
+//! two cannot drift apart. `--fifo` rejects a zero depth and accepts
+//! any larger one without allocating it up front.
 
 use std::process::Output;
 
@@ -43,4 +44,18 @@ fn usage_lists_exactly_the_registry_plus_none() {
     let mut expected = SWAPPABLE.to_vec();
     expected.push("none");
     assert_eq!(listed, expected);
+}
+
+#[test]
+fn zero_fifo_depth_is_a_usage_error() {
+    let run = flexsim(&["sha", "--ext", "umc", "--fifo", "0"]);
+    assert_eq!(run.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("--fifo"), "{stderr}");
+}
+
+#[test]
+fn huge_fifo_depth_runs_without_preallocating_it() {
+    let run = flexsim(&["bitcount", "--ext", "umc", "--fifo", "18446744073709551615"]);
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
 }

@@ -34,8 +34,6 @@ pub mod ops {
 #[derive(Clone, Debug, Default)]
 pub struct Bc {
     checks: u64,
-    bypassed: bool,
-    suppressed: u64,
 }
 
 impl Bc {
@@ -139,31 +137,11 @@ impl Extension for Bc {
         5
     }
 
-    fn bypass(&mut self) {
-        self.bypassed = true;
-    }
-
-    fn rearm(&mut self) {
-        self.bypassed = false;
-    }
-
-    fn bypassed(&self) -> bool {
-        self.bypassed
-    }
-
-    fn suppressed_checks(&self) -> u64 {
-        self.suppressed
-    }
-
     fn process(
         &mut self,
         pkt: &TracePacket,
         env: &mut ExtEnv<'_>,
     ) -> Result<Option<u32>, MonitorTrap> {
-        if self.bypassed {
-            self.suppressed += 1;
-            return Ok(None);
-        }
         match pkt.inst {
             Instruction::Alu { rd, rs1, op2, .. } => {
                 // Pointer-color propagation: colors add (mod 16), so

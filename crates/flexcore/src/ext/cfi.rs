@@ -75,8 +75,6 @@ impl CfiTable {
 pub struct Cfi {
     table: CfiTable,
     edges_checked: u64,
-    bypassed: bool,
-    suppressed: u64,
 }
 
 impl Cfi {
@@ -147,22 +145,6 @@ impl Extension for Cfi {
         }
     }
 
-    fn bypass(&mut self) {
-        self.bypassed = true;
-    }
-
-    fn rearm(&mut self) {
-        self.bypassed = false;
-    }
-
-    fn bypassed(&self) -> bool {
-        self.bypassed
-    }
-
-    fn suppressed_checks(&self) -> u64 {
-        self.suppressed
-    }
-
     fn elision_class(&self) -> u8 {
         crate::elide::ELIDE_CFI
     }
@@ -174,9 +156,6 @@ impl Extension for Cfi {
         // targets — if the edge is recorded, `process` provably passes
         // and skipping it only skips the counter bump. Indirect jumps
         // and returns have dynamic targets the table cannot vouch for.
-        if self.bypassed {
-            return false;
-        }
         match pkt.inst {
             Instruction::Branch { cond, disp22, .. } => {
                 cond == Cond::N
@@ -197,10 +176,6 @@ impl Extension for Cfi {
         pkt: &TracePacket,
         _env: &mut ExtEnv<'_>,
     ) -> Result<Option<u32>, MonitorTrap> {
-        if self.bypassed {
-            self.suppressed += 1;
-            return Ok(None);
-        }
         match pkt.inst {
             Instruction::Branch { cond, disp22, .. } => {
                 // `bn` never transfers; everything else has a static
@@ -361,18 +336,6 @@ mod tests {
             packet(Instruction::alu(flexcore_isa::Opcode::Add, Reg::G1, Reg::G2, Operand2::Imm(1)));
         assert!(cfi.process(&alu, &mut env).is_ok());
         assert_eq!(cfi.edges_checked(), 0);
-    }
-
-    #[test]
-    fn bypass_suppresses_and_rearm_restores_checks() {
-        let mut cfi = Cfi::new(CfiTable::new());
-        let (mut meta, mut mem, mut bus, mut shadow) = env_parts();
-        let mut env = ExtEnv::new(&mut meta, &mut mem, &mut bus, &mut shadow, 0);
-        cfi.bypass();
-        assert!(cfi.process(&call_packet(0x1000, 0x400), &mut env).is_ok());
-        assert_eq!(cfi.suppressed_checks(), 1);
-        cfi.rearm();
-        assert!(cfi.process(&call_packet(0x1000, 0x400), &mut env).is_err());
     }
 
     #[test]

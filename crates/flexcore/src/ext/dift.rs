@@ -54,21 +54,13 @@ pub struct Dift {
     policy: u32,
     granularity: TagGranularity,
     checks: u64,
-    bypassed: bool,
-    suppressed: u64,
 }
 
 impl Dift {
     /// Creates the extension with the default policy (check indirect
     /// jumps) and per-word tags, as in the paper's prototype.
     pub fn new() -> Dift {
-        Dift {
-            policy: POLICY_CHECK_JUMPS,
-            granularity: TagGranularity::PerWord,
-            checks: 0,
-            bypassed: false,
-            suppressed: 0,
-        }
+        Dift { policy: POLICY_CHECK_JUMPS, granularity: TagGranularity::PerWord, checks: 0 }
     }
 
     /// Creates the byte-granular variant of footnote 2.
@@ -218,22 +210,6 @@ impl Extension for Dift {
         4
     }
 
-    fn bypass(&mut self) {
-        self.bypassed = true;
-    }
-
-    fn rearm(&mut self) {
-        self.bypassed = false;
-    }
-
-    fn bypassed(&self) -> bool {
-        self.bypassed
-    }
-
-    fn suppressed_checks(&self) -> u64 {
-        self.suppressed
-    }
-
     fn elision_class(&self) -> u8 {
         crate::elide::ELIDE_DIFT
     }
@@ -245,8 +221,7 @@ impl Extension for Dift {
         // ran, the byte-granular variant, a software-visible `cpop`
         // packet, or an atomic swap (whose tag exchange the static
         // analysis never marks) — forfeits elision for this packet.
-        !self.bypassed
-            && self.policy == POLICY_CHECK_JUMPS
+        self.policy == POLICY_CHECK_JUMPS
             && self.granularity == TagGranularity::PerWord
             && pkt.class != InstrClass::Cpop1
             && pkt.class != InstrClass::Cpop2
@@ -258,10 +233,6 @@ impl Extension for Dift {
         pkt: &TracePacket,
         env: &mut ExtEnv<'_>,
     ) -> Result<Option<u32>, MonitorTrap> {
-        if self.bypassed {
-            self.suppressed += 1;
-            return Ok(None);
-        }
         match pkt.inst {
             Instruction::Alu { rd, rs1, op2, .. } => {
                 // Destination taint = OR of the source taints

@@ -203,6 +203,11 @@ impl<'a> ExtEnv<'a> {
 /// The trait captures the co-processing model of §II: meta-data,
 /// transparent per-instruction operations, and software-visible
 /// operations (`cpop` instructions and the trap).
+///
+/// An extension sees only the packets the system forwards to it. The
+/// system alone decides which commits those are: the CFGR filter,
+/// elision, and degraded mode (recovery rung 3), in which the system
+/// stops forwarding and the extension is not told.
 pub trait Extension {
     /// Short name (used in reports).
     fn name(&self) -> &'static str;
@@ -260,27 +265,6 @@ pub trait Extension {
     /// mismatched vector indicates a foreign checkpoint and may be
     /// ignored or partially applied. Default: nothing.
     fn restore_state(&mut self, _state: &[u64]) {}
-
-    /// Puts the extension into degraded (bypassed) mode: every
-    /// subsequent packet is acknowledged without being checked, and
-    /// [`suppressed_checks`](Extension::suppressed_checks) counts what
-    /// was skipped. The recovery supervisor calls this when the
-    /// escalation ladder gives up on monitored re-execution; the
-    /// default is a no-op for extensions without a bypass path.
-    fn bypass(&mut self) {}
-
-    /// Leaves degraded mode and resumes checking. Default: no-op.
-    fn rearm(&mut self) {}
-
-    /// Whether the extension is currently bypassed. Default: `false`.
-    fn bypassed(&self) -> bool {
-        false
-    }
-
-    /// Number of checks skipped while bypassed. Default: `0`.
-    fn suppressed_checks(&self) -> u64 {
-        0
-    }
 
     /// Which [`ElisionTable`](crate::ElisionTable) bit covers this
     /// extension's checks (`ELIDE_UMC`, `ELIDE_DIFT`, `ELIDE_CFI`, …).
@@ -360,18 +344,6 @@ impl<T: Extension + ?Sized> Extension for Box<T> {
     }
     fn restore_state(&mut self, state: &[u64]) {
         (**self).restore_state(state)
-    }
-    fn bypass(&mut self) {
-        (**self).bypass()
-    }
-    fn rearm(&mut self) {
-        (**self).rearm()
-    }
-    fn bypassed(&self) -> bool {
-        (**self).bypassed()
-    }
-    fn suppressed_checks(&self) -> u64 {
-        (**self).suppressed_checks()
     }
     fn elision_class(&self) -> u8 {
         (**self).elision_class()

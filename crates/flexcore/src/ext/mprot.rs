@@ -70,8 +70,6 @@ const DEFAULT_PERM: Perm = Perm::ReadWrite;
 #[derive(Clone, Debug, Default)]
 pub struct Mprot {
     checks: u64,
-    bypassed: bool,
-    suppressed: u64,
 }
 
 impl Mprot {
@@ -143,31 +141,11 @@ impl Extension for Mprot {
         3
     }
 
-    fn bypass(&mut self) {
-        self.bypassed = true;
-    }
-
-    fn rearm(&mut self) {
-        self.bypassed = false;
-    }
-
-    fn bypassed(&self) -> bool {
-        self.bypassed
-    }
-
-    fn suppressed_checks(&self) -> u64 {
-        self.suppressed
-    }
-
     fn process(
         &mut self,
         pkt: &TracePacket,
         env: &mut ExtEnv<'_>,
     ) -> Result<Option<u32>, MonitorTrap> {
-        if self.bypassed {
-            self.suppressed += 1;
-            return Ok(None);
-        }
         match pkt.class {
             c if c.is_load() || c.is_store() || c == InstrClass::Swap => {
                 if !Mprot::monitored(pkt.addr) {

@@ -16,8 +16,6 @@ use crate::interface::{Cfgr, ForwardPolicy};
 pub struct Sec {
     checked: u64,
     residue_checked: u64,
-    bypassed: bool,
-    suppressed: u64,
 }
 
 impl Sec {
@@ -90,31 +88,11 @@ impl Extension for Sec {
         6
     }
 
-    fn bypass(&mut self) {
-        self.bypassed = true;
-    }
-
-    fn rearm(&mut self) {
-        self.bypassed = false;
-    }
-
-    fn bypassed(&self) -> bool {
-        self.bypassed
-    }
-
-    fn suppressed_checks(&self) -> u64 {
-        self.suppressed
-    }
-
     fn process(
         &mut self,
         pkt: &TracePacket,
         env: &mut ExtEnv<'_>,
     ) -> Result<Option<u32>, MonitorTrap> {
-        if self.bypassed {
-            self.suppressed += 1;
-            return Ok(None);
-        }
         let _ = &env; // SEC keeps no meta-data (Table I).
         let Instruction::Alu { op, .. } = pkt.inst else {
             return Ok(None);

@@ -40,8 +40,6 @@ pub enum UmcGranularity {
 pub struct Umc {
     granularity: UmcGranularity,
     traps_checked: u64,
-    bypassed: bool,
-    suppressed: u64,
 }
 
 impl Umc {
@@ -165,22 +163,6 @@ impl Extension for Umc {
         3
     }
 
-    fn bypass(&mut self) {
-        self.bypassed = true;
-    }
-
-    fn rearm(&mut self) {
-        self.bypassed = false;
-    }
-
-    fn bypassed(&self) -> bool {
-        self.bypassed
-    }
-
-    fn suppressed_checks(&self) -> u64 {
-        self.suppressed
-    }
-
     fn elision_class(&self) -> u8 {
         crate::elide::ELIDE_UMC
     }
@@ -191,7 +173,7 @@ impl Extension for Umc {
         // cover), and `cpop`s are software-visible. A proven load's
         // only observable effect is the trap verdict the analysis
         // already discharged (`traps_checked` legitimately differs).
-        !self.bypassed && pkt.class.is_load() && pkt.class != InstrClass::Swap
+        pkt.class.is_load() && pkt.class != InstrClass::Swap
     }
 
     fn process(
@@ -199,10 +181,6 @@ impl Extension for Umc {
         pkt: &TracePacket,
         env: &mut ExtEnv<'_>,
     ) -> Result<Option<u32>, MonitorTrap> {
-        if self.bypassed {
-            self.suppressed += 1;
-            return Ok(None);
-        }
         let bytes = match pkt.inst {
             flexcore_isa::Instruction::Mem { op, .. } => op.access_bytes().unwrap_or(4),
             _ => 4,
@@ -459,22 +437,6 @@ mod tests {
         assert!(umc.process(&mem_packet(Opcode::Ldub, 0x2048), &mut env).is_ok());
         assert!(umc.process(&mem_packet(Opcode::Ldub, 0x2002), &mut env).is_err());
         assert!(umc.process(&mem_packet(Opcode::Ldub, 0x2049), &mut env).is_err());
-    }
-
-    #[test]
-    fn bypassed_extension_suppresses_checks_until_rearmed() {
-        let (mut meta, mut mem, mut bus, mut shadow) = env_parts();
-        let mut umc = Umc::new();
-        let mut env = ExtEnv::new(&mut meta, &mut mem, &mut bus, &mut shadow, 0);
-        umc.bypass();
-        assert!(umc.bypassed());
-        // A load that would trap is waved through and counted.
-        assert!(umc.process(&mem_packet(Opcode::Ld, 0x3000), &mut env).is_ok());
-        assert_eq!(umc.suppressed_checks(), 1);
-        umc.rearm();
-        assert!(!umc.bypassed());
-        assert!(umc.process(&mem_packet(Opcode::Ld, 0x3000), &mut env).is_err());
-        assert_eq!(umc.suppressed_checks(), 1);
     }
 
     #[test]

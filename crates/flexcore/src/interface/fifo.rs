@@ -54,7 +54,7 @@ impl ForwardFifo {
         assert!(depth > 0, "FIFO needs at least one entry");
         ForwardFifo {
             depth,
-            dequeues: VecDeque::with_capacity(depth),
+            dequeues: VecDeque::with_capacity(depth.min(4096)),
             stall_cycles: 0,
             peak_occupancy: 0,
         }

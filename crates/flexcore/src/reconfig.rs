@@ -145,8 +145,8 @@ pub(crate) struct SwapSlot<E> {
 ///
 /// The controller itself is pure bookkeeping — the actual quiesce /
 /// drain / program / rearm sequence lives in
-/// [`System`](crate::System), which consults
-/// [`due`](ReconfigController::due) at the top of the run loop.
+/// [`System`](crate::System), which asks the controller which swap is
+/// due at the top of the run loop.
 #[derive(Clone, Debug, Default)]
 pub struct ReconfigController<E> {
     slots: Vec<SwapSlot<E>>,

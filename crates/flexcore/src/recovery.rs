@@ -18,7 +18,7 @@
 //!    [`System::load_bitstream`], clearing any latent fabric
 //!    configuration damage, then replay from the initial state.
 //! 3. **Degraded mode** — give up on monitoring but not on the program:
-//!    restore the initial state, bypass the extension
+//!    restore the initial state, stop forwarding to the extension
 //!    ([`System::enter_degraded`]), and run to completion while counting
 //!    unmonitored commits and suppressed checks.
 //! 4. **Abort** — surface the original failure in a structured

@@ -1136,7 +1136,6 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                     }
                 }
             }
-            incoming.rearm();
             let outgoing = std::mem::replace(&mut self.ext, incoming);
             let from = outgoing.name();
             slot.retired = Some(outgoing);
@@ -1373,11 +1372,12 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         self.monitor_trap.is_some() || self.pending_trap.is_some()
     }
 
-    /// Enters degraded mode: the extension is bypassed
-    /// ([`Extension::bypass`]) and from the next commit on, nothing is
-    /// forwarded — commits are counted in
-    /// [`ResilienceStats::unmonitored_commits`] and would-have-been
-    /// forwards in [`ResilienceStats::suppressed_checks`].
+    /// Enters degraded mode: from the next commit on, nothing is
+    /// forwarded and the extension is never called again — commits are
+    /// counted in [`ResilienceStats::unmonitored_commits`] and
+    /// would-have-been forwards in
+    /// [`ResilienceStats::suppressed_checks`]. The extension is not
+    /// told; it simply sees no more packets.
     ///
     /// Rung 3 of the recovery supervisor's escalation ladder; degraded
     /// mode is one-way (the supervisor never restores past it).
@@ -1386,7 +1386,6 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             return;
         }
         self.degraded = true;
-        self.ext.bypass();
         let cycle = self.core.cycle();
         self.degraded_entry = Some((cycle, self.forward.committed));
         self.emit(TraceEvent::DegradedEnter { cycle });

@@ -133,7 +133,7 @@ pub mod strategy {
     ///
     /// Object-safe: `generate` takes the concrete [`TestRng`], so
     /// heterogeneous strategies can be unified behind
-    /// `Box<dyn Strategy<Value = T>>` (see [`prop_oneof!`]).
+    /// `Box<dyn Strategy<Value = T>>` (see [`prop_oneof!`](crate::prop_oneof!)).
     pub trait Strategy {
         /// The type of value this strategy produces.
         type Value;
@@ -197,7 +197,7 @@ pub mod strategy {
         }
     }
 
-    /// Weighted union over same-`Value` strategies ([`prop_oneof!`]).
+    /// Weighted union over same-`Value` strategies ([`prop_oneof!`](crate::prop_oneof!)).
     pub struct Union<T> {
         arms: Vec<(u32, BoxedStrategy<T>)>,
         total: u64,

@@ -3,11 +3,10 @@
 //!
 //! It answers one question: **where does host wall-clock go?**
 //! [`PhaseProfiler`] attributes time to three simulator [`Phase`]s
-//! (`core`, `fifo`, `fabric_eval`) with log₂-bucketed latency
-//! histograms ([`Log2Histogram`]). It reads the clock only at the
-//! simulator's trace-event boundaries and only inside sampled
-//! commit-to-commit windows, then scales the samples to whole-run
-//! totals. It plugs into the simulator's one instrumentation hook:
+//! (`core`, `fifo`, `fabric_eval`) as span counts and nanosecond
+//! totals. It reads the clock only at the simulator's trace-event
+//! boundaries and only inside sampled commit-to-commit windows, then
+//! scales the samples to whole-run totals. It plugs into the simulator's one instrumentation hook:
 //! `flexcore::obs` implements `TraceSink` for it and maps each trace
 //! event to the phase it closes, so unprofiled runs carry no profiling
 //! code at all.
@@ -40,10 +39,8 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 #![warn(missing_docs)]
 
-pub mod hist;
 pub mod phase;
 pub mod rate;
 
-pub use hist::Log2Histogram;
 pub use phase::{Phase, PhaseProfiler, PhaseStats};
 pub use rate::RateMeter;

@@ -20,10 +20,6 @@
 
 use std::time::Instant;
 
-use serde::{Serialize, Value};
-
-use crate::hist::Log2Histogram;
-
 /// Mean commit spacing between sample windows.
 pub const SAMPLE_EVERY: u64 = 64;
 
@@ -66,13 +62,12 @@ impl Phase {
     }
 }
 
-/// Per-phase host-time accounting: span count, total nanoseconds, and
-/// a log₂ latency histogram per phase.
+/// Per-phase host-time accounting: span count and total nanoseconds
+/// per phase.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     counts: [u64; Phase::COUNT],
     total_ns: [u64; Phase::COUNT],
-    hists: [Log2Histogram; Phase::COUNT],
 }
 
 impl PhaseStats {
@@ -87,7 +82,6 @@ impl PhaseStats {
         let i = phase.index();
         self.counts[i] = self.counts[i].saturating_add(1);
         self.total_ns[i] = self.total_ns[i].saturating_add(ns);
-        self.hists[i].record(ns);
     }
 
     /// Spans recorded against `phase`.
@@ -98,11 +92,6 @@ impl PhaseStats {
     /// Total nanoseconds attributed to `phase`.
     pub fn total_ns(&self, phase: Phase) -> u64 {
         self.total_ns[phase.index()]
-    }
-
-    /// The latency histogram for `phase`.
-    pub fn hist(&self, phase: Phase) -> &Log2Histogram {
-        &self.hists[phase.index()]
     }
 
     /// Total nanoseconds attributed across all phases.
@@ -116,28 +105,7 @@ impl PhaseStats {
             let i = p.index();
             self.counts[i] = self.counts[i].saturating_add(other.counts[i]);
             self.total_ns[i] = self.total_ns[i].saturating_add(other.total_ns[i]);
-            self.hists[i].merge(&other.hists[i]);
         }
-    }
-}
-
-impl Serialize for PhaseStats {
-    fn to_value(&self) -> Value {
-        let mut obj = Value::object();
-        for p in Phase::all() {
-            if self.count(p) == 0 {
-                continue;
-            }
-            obj = obj.raw(
-                p.name(),
-                Value::object()
-                    .field("count", &self.count(p))
-                    .field("total_ns", &self.total_ns(p))
-                    .field("hist", self.hist(p))
-                    .build(),
-            );
-        }
-        obj.build()
     }
 }
 
@@ -270,8 +238,8 @@ impl PhaseProfiler {
         self.windows
     }
 
-    /// Whole-run estimates: span counts and histograms as sampled,
-    /// nanosecond totals scaled by commits ÷ windows.
+    /// Whole-run estimates: span counts as sampled, nanosecond totals
+    /// scaled by commits ÷ windows.
     pub fn stats(&self) -> PhaseStats {
         let commits = self.commits - self.countdown;
         let mut out = self.sampled.clone();
@@ -327,7 +295,6 @@ mod tests {
         // The window still open after the last commit saw one more
         // fifo boundary than it closed.
         assert!(stats.count(Phase::Fifo) - windows <= 1);
-        assert_eq!(stats.hist(Phase::Core).count(), windows);
         // Outside a window a boundary reads no clock and records nothing.
         let mut idle = PhaseProfiler::new();
         idle.boundary(Phase::FabricEval);
@@ -356,17 +323,5 @@ mod tests {
         assert_eq!(a.total_ns(Phase::Core), 40);
         assert_eq!(a.count(Phase::Fifo), 1);
         assert_eq!(a.grand_total_ns(), 45);
-    }
-
-    #[test]
-    fn serialize_emits_only_touched_phases() {
-        let mut s = PhaseStats::new();
-        s.record(Phase::FabricEval, 128);
-        let v = s.to_value();
-        assert!(v.get("fabric_eval").is_some());
-        assert!(v.get("core").is_none());
-        let fe = v.get("fabric_eval").unwrap();
-        assert_eq!(fe.get("count").and_then(Value::as_u64), Some(1));
-        assert_eq!(fe.get("total_ns").and_then(Value::as_u64), Some(128));
     }
 }

@@ -17,7 +17,6 @@
 //!   extensions, full system)
 //! * [`workloads`] — MiBench-like assembly kernels
 //! * [`telemetry`] — sampled host-time phase profiler (a trace sink)
-//!   and log₂ histograms
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]

@@ -9,8 +9,7 @@
 //!   clean architectural result once it is not.
 //! * **Packet conservation** (property test) — a swap at *any*
 //!   boundary never silently drops a forward-FIFO packet: every
-//!   forwarded packet is either processed by an extension or counted
-//!   in the suppressed-checks accounting.
+//!   forwarded packet is processed by an extension.
 //! * **Swap-window faults** — a corrupted bitstream transfer inside
 //!   the swap window is absorbed by the retry machinery; retry
 //!   exhaustion escalates through the recovery ladder, which replays
@@ -185,8 +184,6 @@ fn sec_to_umc_swap_matches_static_verdicts_at_every_boundary() {
 #[derive(Clone, Debug, Default)]
 struct CountEveryPacket {
     processed: u64,
-    suppressed: u64,
-    bypassed: bool,
 }
 
 impl Extension for CountEveryPacket {
@@ -209,30 +206,13 @@ impl Extension for CountEveryPacket {
     }
 
     fn snapshot_state(&self) -> Vec<u64> {
-        vec![self.processed, self.suppressed]
+        vec![self.processed]
     }
 
     fn restore_state(&mut self, state: &[u64]) {
-        if let [processed, suppressed] = *state {
+        if let [processed] = *state {
             self.processed = processed;
-            self.suppressed = suppressed;
         }
-    }
-
-    fn bypass(&mut self) {
-        self.bypassed = true;
-    }
-
-    fn rearm(&mut self) {
-        self.bypassed = false;
-    }
-
-    fn bypassed(&self) -> bool {
-        self.bypassed
-    }
-
-    fn suppressed_checks(&self) -> u64 {
-        self.suppressed
     }
 
     fn process(
@@ -240,10 +220,6 @@ impl Extension for CountEveryPacket {
         _pkt: &TracePacket,
         _env: &mut ExtEnv<'_>,
     ) -> Result<Option<u32>, MonitorTrap> {
-        if self.bypassed {
-            self.suppressed += 1;
-            return Ok(None);
-        }
         self.processed += 1;
         Ok(None)
     }
@@ -288,10 +264,9 @@ proptest! {
 
     /// A swap scheduled at any boundary, with any FIFO depth, never
     /// loses a packet: committed and forwarded counts match the
-    /// swap-free reference, and every forwarded packet lands in the
-    /// processed or suppressed-checks accounting. The carry policy
-    /// transplants the probe's counters across the swap so the sum is
-    /// observable end-to-end.
+    /// swap-free reference, and every forwarded packet is processed.
+    /// The carry policy transplants the probe's counter across the swap
+    /// so the total is observable end-to-end.
     #[test]
     fn swap_at_any_boundary_conserves_packets(boundary in 1u64..=300, depth in 2usize..=16) {
         let reference = conservation_reference();
@@ -312,9 +287,9 @@ proptest! {
         prop_assert_eq!(r.forward.dropped, 0);
         let ext = sys.extension();
         prop_assert_eq!(
-            ext.processed + ext.suppressed,
+            ext.processed,
             r.forward.forwarded,
-            "every forwarded packet is processed or accounted (boundary {}, depth {})",
+            "every forwarded packet is processed (boundary {}, depth {})",
             boundary,
             depth
         );

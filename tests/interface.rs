@@ -1,7 +1,8 @@
 //! Integration tests of the core–fabric interface semantics, using a
 //! purpose-built test extension: forwarding policies (ignore / drop /
 //! stall / ack), BFIFO return values, clock-domain alignment, the
-//! end-of-run EMPTY discipline, and the commit-stage packet hand-off.
+//! end-of-run EMPTY discipline, degraded mode, and the commit-stage
+//! packet hand-off.
 
 use flexcore_suite::asm::assemble;
 use flexcore_suite::fabric::{Netlist, NetlistBuilder};
@@ -198,6 +199,26 @@ fn fabric_clock_alignment_quantizes_processing() {
     // 64 `or`s plus the initial `mov` (also a logic op).
     assert_eq!(seen, 65);
     assert!(r.cycles >= 65 * 4, "{} cycles for 65 packets at 0.25X", r.cycles);
+}
+
+#[test]
+fn degraded_mode_never_reaches_the_extension() {
+    // Recovery rung 3 is the system's decision alone: it stops
+    // forwarding, the extension is never called, and every commit the
+    // CFGR would have forwarded is counted as a suppressed check.
+    let every = Cfgr::new().with_classes(|_| true, ForwardPolicy::Always);
+    let (_, monitored) = run_probe(every, 0, SystemConfig::fabric_half_speed(), COUNT_PROGRAM);
+    assert!(monitored.forward.forwarded > 0);
+
+    let mut sys = System::new(SystemConfig::fabric_half_speed(), Probe::new(every));
+    sys.load_program(&assemble(COUNT_PROGRAM).unwrap());
+    sys.enter_degraded();
+    let r = sys.try_run(100_000).expect("simulation error");
+    assert_eq!(r.exit, ExitReason::Halt(0));
+    assert_eq!(sys.extension().seen, 0);
+    assert_eq!(r.forward.forwarded, 0);
+    assert_eq!(r.resilience.unmonitored_commits, r.instret);
+    assert_eq!(r.resilience.suppressed_checks, monitored.forward.forwarded);
 }
 
 /// A packet with every field non-zero and unlike anything a workload
