@@ -67,11 +67,11 @@ use std::collections::HashMap;
 
 use flexcore::recovery::FaultOutcome;
 use flexcore_bench::journal::{Journal, JournalError};
+use flexcore_bench::rate::RateMeter;
 use flexcore_bench::trial::{
     self, CampaignSpec, TrialOutcome, TrialSpec, SWEEP_RATES, SWEEP_TARGETS,
 };
 use flexcore_bench::{run_panic_tolerant_observed, ExtKind};
-use flexcore_telemetry::RateMeter;
 use flexcore_workloads::Workload;
 
 /// The `--progress` journal plus the trials it recovered on resume.

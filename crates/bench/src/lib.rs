@@ -23,6 +23,7 @@
 pub mod elide;
 pub mod journal;
 pub mod paper;
+pub mod rate;
 mod runner;
 pub mod swap;
 pub mod trial;

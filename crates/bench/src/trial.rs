@@ -16,17 +16,13 @@
 //!    JSONL trial-record shape that the
 //!    [`journal`](crate::journal) appends and reads back.
 
-use flexcore::ext::ExtEnv;
 use flexcore::faults::{FaultModel, FaultPlan, FaultRng, FaultSchedule, FaultTarget};
 use flexcore::recovery::{FaultOutcome, RecoveryPolicy, Supervisor};
-use flexcore::{
-    Cfgr, Extension, ExtensionDescriptor, ForwardPolicy, MonitorTrap, RunResult, SimError,
-    SwapPolicy, System, SystemConfig,
-};
+use flexcore::{Extension, RunResult, SimError, SwapPolicy, System, SystemConfig};
 use flexcore_asm::Program;
-use flexcore_fabric::{Netlist, NetlistBuilder};
 use flexcore_isa::Instruction;
-use flexcore_pipeline::TracePacket;
+use flexcore_mem::{MainMemory, SystemBus};
+use flexcore_pipeline::{Core, CoreConfig, ExitReason, Stepped, TracePacket};
 use flexcore_workloads::Workload;
 
 use crate::swap::{build_extension, schedule, SwapPoint};
@@ -48,52 +44,6 @@ pub const SWEEP_TARGETS: [(&str, FaultTarget); 4] = [
     ("fifo-pkt", FaultTarget::FifoPacket),
     ("metacache", FaultTarget::MetaCache),
 ];
-
-/// Forwards every commit and records the 1-based commit indices of ALU
-/// operations — the population SEC protects. Commit indices here match
-/// `FaultSchedule::AtCommit` exactly: the system polls the injector
-/// with the same counter that orders these packets.
-#[derive(Default)]
-struct CommitProfiler {
-    commits: u64,
-    alu_commits: Vec<u64>,
-}
-
-impl Extension for CommitProfiler {
-    fn name(&self) -> &'static str {
-        "profiler"
-    }
-
-    fn descriptor(&self) -> ExtensionDescriptor {
-        ExtensionDescriptor {
-            abbrev: "PROF",
-            name: "commit profiler",
-            meta_data: &[],
-            transparent_ops: &[],
-            sw_visible_ops: &[],
-        }
-    }
-
-    fn cfgr(&self) -> Cfgr {
-        Cfgr::new().with_classes(|_| true, ForwardPolicy::Always)
-    }
-
-    fn process(
-        &mut self,
-        pkt: &TracePacket,
-        _env: &mut ExtEnv<'_>,
-    ) -> Result<Option<u32>, MonitorTrap> {
-        self.commits += 1;
-        if matches!(pkt.inst, Instruction::Alu { .. }) {
-            self.alu_commits.push(self.commits);
-        }
-        Ok(None)
-    }
-
-    fn netlist(&self) -> Netlist {
-        NetlistBuilder::new("profiler").finish()
-    }
-}
 
 /// What one faulted simulation did.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -310,23 +260,41 @@ pub fn paper_config(ext: ExtKind) -> SystemConfig {
     crate::paper_config(ext).with_cycle_budget(CYCLE_BUDGET)
 }
 
-/// ALU commit indices of one clean run (the fault-site population).
+/// ALU commit indices of one clean run (the fault-site population):
+/// the 1-based commit count of every `Instruction::Alu` commit, in the
+/// same order `FaultSchedule::AtCommit` counts. The bare core commits
+/// the same instructions in the same order as a monitored system,
+/// because no instruction can observe timing.
 ///
 /// # Panics
 ///
-/// Panics if the clean profiling run fails — a reproduction bug, not a
-/// campaign outcome.
+/// Panics if the clean profiling run does not exit with `Halt(0)` — a
+/// reproduction bug, not a campaign outcome.
 pub fn profile_alu_commits(workload: &Workload) -> Vec<u64> {
     let program = workload.program().expect("workload assembles");
-    let mut sys = System::new(
-        SystemConfig::fabric_full_speed().with_cycle_budget(CYCLE_BUDGET),
-        CommitProfiler::default(),
-    );
-    sys.load_program(&program);
-    let r = sys.try_run(MAX_INSTRUCTIONS).expect("clean profiling run completes");
-    assert!(r.monitor_trap.is_none());
-    assert_eq!(r.forward.committed, r.forward.forwarded, "profiler must see every commit");
-    sys.extension().alu_commits.clone()
+    let mut mem = MainMemory::new();
+    let mut bus = SystemBus::default();
+    let mut core = Core::new(CoreConfig::leon3());
+    core.load_program(&program, &mut mem);
+    let mut pkt = TracePacket::EMPTY;
+    let (mut commits, mut alu_commits) = (0, Vec::new());
+    let exit = loop {
+        if commits >= MAX_INSTRUCTIONS {
+            break ExitReason::InstructionLimit;
+        }
+        match core.step_into(&mut mem, &mut bus, &mut pkt) {
+            Stepped::Committed => {
+                commits += 1;
+                if matches!(pkt.inst, Instruction::Alu { .. }) {
+                    alu_commits.push(commits);
+                }
+            }
+            Stepped::Annulled => {}
+            Stepped::Exited(exit) => break exit,
+        }
+    };
+    assert_eq!(exit, ExitReason::Halt(0), "{} clean profiling run failed", workload.name());
+    alu_commits
 }
 
 /// The clean (fault-free) reference run supervised triage compares

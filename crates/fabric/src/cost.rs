@@ -228,11 +228,6 @@ impl AsicCost {
     pub fn power_mw(&self, freq_mhz: f64) -> f64 {
         self.ge * calib::ASIC_DYN_UW_PER_GE_MHZ * freq_mhz / 1000.0
     }
-
-    /// Total power at `freq_mhz` including macros, mW.
-    pub fn total_power_mw(&self, freq_mhz: f64) -> f64 {
-        self.power_mw(freq_mhz) + self.macros.power_mw(freq_mhz)
-    }
 }
 
 impl fmt::Display for AsicCost {

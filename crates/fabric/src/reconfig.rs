@@ -162,11 +162,6 @@ impl PartialRegion {
         self.state
     }
 
-    /// Frames accepted in the load in progress.
-    pub fn frames_loaded(&self) -> u32 {
-        self.next_frame
-    }
-
     /// Completed (committed) loads since construction.
     pub fn loads(&self) -> u64 {
         self.loads

@@ -5,7 +5,7 @@ use flexcore_isa::{InstrClass, Instruction, Opcode};
 use flexcore_pipeline::TracePacket;
 
 use crate::ext::{
-    byte_tag_location, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap, META_BASE,
+    byte_tag_location, range_words, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap, META_BASE,
 };
 use crate::interface::{Cfgr, ForwardPolicy};
 
@@ -217,14 +217,10 @@ impl Extension for Bc {
                     Ok(None)
                 }
                 ops::COLOR_RANGE | ops::CLEAR_RANGE => {
-                    let start = pkt.srcv1 & !3;
-                    let len = pkt.srcv2 >> 4;
                     let color = if opc == ops::COLOR_RANGE { (pkt.srcv2 & 0x0f) as u8 } else { 0 };
                     let mask = if opc == ops::COLOR_RANGE { 0x0f } else { 0xff };
-                    let mut a = start;
-                    while a < start + len {
+                    for a in range_words(pkt.srcv1 & !3, pkt.srcv2 >> 4) {
                         Bc::write_mem_tag(env, a, color, mask);
-                        a += 4;
                     }
                     Ok(None)
                 }
@@ -414,6 +410,23 @@ mod tests {
         // though B is allocated.
         assert!(bc.process(&mem_packet(Opcode::Ld, 0x201c), &mut env).is_ok());
         assert!(bc.process(&mem_packet(Opcode::Ld, 0x2020), &mut env).is_err());
+    }
+
+    #[test]
+    fn color_range_clips_at_the_top_of_the_address_space() {
+        let (mut meta, mut mem, mut bus, mut shadow) = env_parts();
+        let mut bc = Bc::new();
+        let mut env = ExtEnv::new(&mut meta, &mut mem, &mut bus, &mut shadow, 0);
+        let r = bc
+            .process(&packet_with_cpop(1, ops::COLOR_RANGE, 0xffff_fff0, (32 << 4) | 6), &mut env);
+        assert_eq!(r.unwrap(), None);
+        for a in (0xffff_fff0u32..=0xffff_fffc).step_by(4) {
+            let t = bc.process(&packet_with_cpop(1, ops::READ_TAG, a, 0), &mut env).unwrap();
+            assert_eq!(t, Some(6), "{a:#x}");
+        }
+        // The range does not wrap around to address 0.
+        let t = bc.process(&packet_with_cpop(1, ops::READ_TAG, 0, 0), &mut env).unwrap();
+        assert_eq!(t, Some(0));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use flexcore_isa::{InstrClass, Instruction};
 use flexcore_pipeline::TracePacket;
 
 use crate::ext::{
-    bit_tag_location, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap, META_BASE,
+    range_words, word_tag_mask, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap, META_BASE,
 };
 use crate::interface::{Cfgr, ForwardPolicy};
 
@@ -31,41 +31,20 @@ pub const POLICY_CHECK_JUMPS: u32 = 1;
 /// Policy register bit: trap on tainted load/store addresses.
 pub const POLICY_CHECK_ADDRESSES: u32 = 2;
 
-/// Memory-tag granularity (the paper's footnote 2: "DIFT
-/// implementations may use multiple bits per tag, or have a tag per
-/// each byte in memory. However, the basic operations are identical").
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum TagGranularity {
-    /// One taint bit per 32-bit word (the paper's prototype — "enough
-    /// to detect attacks").
-    #[default]
-    PerWord,
-    /// One taint bit per byte: more meta-data traffic, no false taint
-    /// from sub-word stores sharing a word with clean data.
-    PerByte,
-}
-
 /// Dynamic Information Flow Tracking: a 1-bit taint tag per register
-/// and per memory word (or byte; see [`TagGranularity`]); tags
-/// propagate on ALU/load/store and are checked on security-critical
-/// operations (§IV.B).
+/// and per memory word; tags propagate on ALU/load/store and are
+/// checked on security-critical operations (§IV.B).
 #[derive(Clone, Debug)]
 pub struct Dift {
     policy: u32,
-    granularity: TagGranularity,
     checks: u64,
 }
 
 impl Dift {
     /// Creates the extension with the default policy (check indirect
-    /// jumps) and per-word tags, as in the paper's prototype.
+    /// jumps), as in the paper's prototype.
     pub fn new() -> Dift {
-        Dift { policy: POLICY_CHECK_JUMPS, granularity: TagGranularity::PerWord, checks: 0 }
-    }
-
-    /// Creates the byte-granular variant of footnote 2.
-    pub fn per_byte() -> Dift {
-        Dift { granularity: TagGranularity::PerByte, ..Dift::new() }
+        Dift { policy: POLICY_CHECK_JUMPS, checks: 0 }
     }
 
     /// Current policy register value.
@@ -73,82 +52,28 @@ impl Dift {
         self.policy
     }
 
-    /// Configured memory-tag granularity.
-    pub fn granularity(&self) -> TagGranularity {
-        self.granularity
-    }
-
     fn monitored(addr: u32) -> bool {
         addr < META_BASE
     }
 
-    /// Meta word address and bit for one *byte*: 1 bit per byte packs
-    /// 32 bytes per meta word.
-    fn byte_bit_location(addr: u32) -> (u32, u32) {
-        (META_BASE + ((addr >> 5) << 2), addr & 31)
-    }
-
     /// Reads the taint of an access of `bytes` bytes at `addr` (OR over
-    /// the covered granules).
-    fn mem_tag(&self, env: &mut ExtEnv<'_>, addr: u32, bytes: u32) -> u32 {
-        match self.granularity {
-            TagGranularity::PerWord => {
-                let (meta_addr, bit) = bit_tag_location(addr);
-                // Doubleword accesses cover two word tags (8-byte
-                // alignment keeps both in one meta word).
-                let words = bytes.div_ceil(4);
-                let mask = (((1u64 << words) - 1) as u32) << bit;
-                u32::from(env.read_meta(meta_addr) & mask != 0)
-            }
-            TagGranularity::PerByte => {
-                // All bytes of one access share a meta word (accesses
-                // are aligned and <= 4 bytes; 32 byte-tags per word).
-                let (meta_addr, bit) = Dift::byte_bit_location(addr);
-                let word = env.read_meta(meta_addr);
-                let mask = ((1u64 << bytes) - 1) as u32;
-                u32::from((word >> bit) & mask != 0)
-            }
-        }
+    /// the covered words).
+    fn mem_tag(env: &mut ExtEnv<'_>, addr: u32, bytes: u32) -> u32 {
+        let (meta_addr, mask) = word_tag_mask(addr, bytes);
+        u32::from(env.read_meta(meta_addr) & mask != 0)
     }
 
     /// Writes the taint for an access of `bytes` bytes at `addr`.
-    fn set_mem_tag(&self, env: &mut ExtEnv<'_>, addr: u32, bytes: u32, tag: u32) {
-        match self.granularity {
-            TagGranularity::PerWord => {
-                let (meta_addr, bit) = bit_tag_location(addr);
-                let words = bytes.div_ceil(4);
-                let mask = (((1u64 << words) - 1) as u32) << bit;
-                env.write_meta(meta_addr, if tag != 0 { mask } else { 0 }, mask);
-            }
-            TagGranularity::PerByte => {
-                let (meta_addr, bit) = Dift::byte_bit_location(addr);
-                let mask = (((1u64 << bytes) - 1) as u32) << bit;
-                env.write_meta(meta_addr, if tag != 0 { mask } else { 0 }, mask);
-            }
-        }
+    fn set_mem_tag(env: &mut ExtEnv<'_>, addr: u32, bytes: u32, tag: u32) {
+        let (meta_addr, mask) = word_tag_mask(addr, bytes);
+        env.write_meta(meta_addr, if tag != 0 { mask } else { 0 }, mask);
     }
 
-    fn set_range(&self, env: &mut ExtEnv<'_>, start: u32, len: u32, value: bool) {
-        match self.granularity {
-            TagGranularity::PerWord => {
-                let mut a = start & !3;
-                while a < start + len {
-                    self.set_mem_tag(env, a, 4, u32::from(value));
-                    a += 4;
-                }
-            }
-            TagGranularity::PerByte => {
-                let mut a = start;
-                while a < start + len {
-                    // One meta word covers 32 bytes; batch.
-                    let span = (32 - (a & 31)).min(start + len - a);
-                    let (meta_addr, bit) = Dift::byte_bit_location(a);
-                    let mask =
-                        if span >= 32 { u32::MAX } else { (((1u64 << span) - 1) as u32) << bit };
-                    env.write_meta(meta_addr, if value { mask } else { 0 }, mask);
-                    a += span;
-                }
-            }
+    /// Sets or clears the taint of every word that `[start, start + len)`
+    /// touches, one meta write per word.
+    fn set_range(env: &mut ExtEnv<'_>, start: u32, len: u32, value: bool) {
+        for a in range_words(start, len) {
+            Dift::set_mem_tag(env, a, 4, u32::from(value));
         }
     }
 }
@@ -216,13 +141,12 @@ impl Extension for Dift {
 
     fn check_elidable(&self, pkt: &TracePacket) -> bool {
         // The static taint verdicts are computed against the paper's
-        // prototype configuration: per-word tags and the default
-        // check-jumps policy. Any drift from that — a SET_POLICY cpop
-        // ran, the byte-granular variant, a software-visible `cpop`
-        // packet, or an atomic swap (whose tag exchange the static
-        // analysis never marks) — forfeits elision for this packet.
+        // prototype configuration: the default check-jumps policy. Any
+        // drift from that — a SET_POLICY cpop ran, a software-visible
+        // `cpop` packet, or an atomic swap (whose tag exchange the
+        // static analysis never marks) — forfeits elision for this
+        // packet.
         self.policy == POLICY_CHECK_JUMPS
-            && self.granularity == TagGranularity::PerWord
             && pkt.class != InstrClass::Cpop1
             && pkt.class != InstrClass::Cpop2
             && pkt.class != InstrClass::Swap
@@ -282,16 +206,16 @@ impl Extension for Dift {
                 if op == flexcore_isa::Opcode::Swap {
                     // Atomic exchange: tags swap along with the values.
                     if Dift::monitored(pkt.addr) {
-                        let mem_t = self.mem_tag(env, pkt.addr, 4);
+                        let mem_t = Dift::mem_tag(env, pkt.addr, 4);
                         let reg_t = u32::from(env.shadow.tag(rd) & 1);
-                        self.set_mem_tag(env, pkt.addr, 4, reg_t);
+                        Dift::set_mem_tag(env, pkt.addr, 4, reg_t);
                         env.shadow.set_tag(rd, mem_t as u8);
                     } else {
                         env.shadow.set_tag(rd, 0);
                     }
                 } else if op.is_load() {
                     let t = if Dift::monitored(pkt.addr) {
-                        self.mem_tag(env, pkt.addr, bytes)
+                        Dift::mem_tag(env, pkt.addr, bytes)
                     } else {
                         0
                     };
@@ -304,20 +228,20 @@ impl Extension for Dift {
                     if op == flexcore_isa::Opcode::Std {
                         t |= u32::from(env.shadow.tag(pair()) & 1);
                     }
-                    self.set_mem_tag(env, pkt.addr, bytes, t);
+                    Dift::set_mem_tag(env, pkt.addr, bytes, t);
                 }
                 Ok(None)
             }
             Instruction::Cpop { space: 1, opc, .. } => match opc {
                 ops::TAINT_RANGE => {
-                    self.set_range(env, pkt.srcv1, pkt.srcv2, true);
+                    Dift::set_range(env, pkt.srcv1, pkt.srcv2, true);
                     Ok(None)
                 }
                 ops::CLEAR_RANGE => {
-                    self.set_range(env, pkt.srcv1, pkt.srcv2, false);
+                    Dift::set_range(env, pkt.srcv1, pkt.srcv2, false);
                     Ok(None)
                 }
-                ops::READ_TAG => Ok(Some(self.mem_tag(env, pkt.srcv1, 4))),
+                ops::READ_TAG => Ok(Some(Dift::mem_tag(env, pkt.srcv1, 4))),
                 ops::SET_POLICY => {
                     self.policy = pkt.srcv1;
                     Ok(None)
@@ -547,42 +471,43 @@ mod tests {
     }
 
     #[test]
-    fn per_byte_tags_are_precise() {
-        // Footnote 2's byte-granular variant: the same scenario does
-        // NOT taint the neighbouring bytes.
+    fn range_ops_cover_unaligned_spans_across_meta_words() {
+        // Bytes 0x2075..=0x208c touch words 0x2074..=0x208c, whose tags
+        // straddle the meta words for 0x2000..0x2080 and 0x2080..0x2100.
         let (mut meta, mut mem, mut bus, mut shadow) = env_parts();
-        shadow.set_tag(Reg::O1, 1);
-        let mut dift = Dift::per_byte();
+        let mut dift = Dift::new();
         let mut env = ExtEnv::new(&mut meta, &mut mem, &mut bus, &mut shadow, 0);
-        dift.process(&mem_packet(Opcode::Stb, 0x2000), &mut env).unwrap();
-        env.shadow.set_tag(Reg::O1, 0);
-        dift.process(&mem_packet(Opcode::Ldub, 0x2003), &mut env).unwrap();
-        assert_eq!(env.shadow.tag(Reg::O1), 0, "neighbour byte stays clean");
-        // The tainted byte itself is still caught, including through a
-        // covering word load.
-        dift.process(&mem_packet(Opcode::Ldub, 0x2000), &mut env).unwrap();
-        assert_eq!(env.shadow.tag(Reg::O1), 1);
-        env.shadow.set_tag(Reg::O1, 0);
-        dift.process(&mem_packet(Opcode::Ld, 0x2000), &mut env).unwrap();
-        assert_eq!(env.shadow.tag(Reg::O1), 1, "word load ORs over its bytes");
+        dift.process(&packet_with_cpop(1, ops::TAINT_RANGE, 0x2075, 24), &mut env).unwrap();
+        for (addr, tainted) in [(0x2070u32, 0), (0x2074, 1), (0x207f, 1), (0x2080, 1), (0x208c, 1)]
+        {
+            dift.process(&mem_packet(Opcode::Ldub, addr), &mut env).unwrap();
+            assert_eq!(env.shadow.tag(Reg::O1), tainted, "{addr:#x}");
+        }
+        dift.process(&mem_packet(Opcode::Ldub, 0x2090), &mut env).unwrap();
+        assert_eq!(env.shadow.tag(Reg::O1), 0);
+        // Declassifying bytes 0x207e..=0x2081 clears both words it
+        // touches.
+        dift.process(&packet_with_cpop(1, ops::CLEAR_RANGE, 0x207e, 4), &mut env).unwrap();
+        for (addr, tainted) in [(0x2078, 1), (0x207c, 0), (0x2080, 0), (0x2084, 1)] {
+            let t = dift.process(&packet_with_cpop(1, ops::READ_TAG, addr, 0), &mut env).unwrap();
+            assert_eq!(t, Some(tainted), "{addr:#x}");
+        }
     }
 
     #[test]
-    fn per_byte_range_ops_handle_unaligned_spans() {
+    fn range_ops_clip_at_the_top_of_the_address_space() {
         let (mut meta, mut mem, mut bus, mut shadow) = env_parts();
-        let mut dift = Dift::per_byte();
+        let mut dift = Dift::new();
         let mut env = ExtEnv::new(&mut meta, &mut mem, &mut bus, &mut shadow, 0);
-        // Taint 40 bytes starting at an odd offset crossing a meta-word
-        // boundary.
-        dift.process(&packet_with_cpop(1, ops::TAINT_RANGE, 0x2005, 40), &mut env).unwrap();
-        for addr in [0x2005u32, 0x2010, 0x202c] {
-            dift.process(&mem_packet(Opcode::Ldub, addr), &mut env).unwrap();
-            assert_eq!(env.shadow.tag(Reg::O1), 1, "{addr:#x}");
+        let r = dift.process(&packet_with_cpop(1, ops::TAINT_RANGE, 0xffff_fff0, 0x20), &mut env);
+        assert_eq!(r.unwrap(), None);
+        for a in (0xffff_fff0u32..=0xffff_fffc).step_by(4) {
+            let t = dift.process(&packet_with_cpop(1, ops::READ_TAG, a, 0), &mut env).unwrap();
+            assert_eq!(t, Some(1), "{a:#x}");
         }
-        for addr in [0x2004u32, 0x202d] {
-            dift.process(&mem_packet(Opcode::Ldub, addr), &mut env).unwrap();
-            assert_eq!(env.shadow.tag(Reg::O1), 0, "{addr:#x}");
-        }
+        // The range does not wrap around to address 0.
+        let t = dift.process(&packet_with_cpop(1, ops::READ_TAG, 0, 0), &mut env).unwrap();
+        assert_eq!(t, Some(0));
     }
 
     #[test]

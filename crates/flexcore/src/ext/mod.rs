@@ -368,12 +368,31 @@ pub(crate) fn push_bits(out: &mut Vec<bool>, v: u32, n: usize) {
     }
 }
 
+/// Addresses of the words from `start & !3` up to, not including,
+/// `start + len`: the words a software range operation over
+/// `[start, start + len)` tags. A range that runs past `0xffff_ffff`
+/// is clipped at the top of the address space instead of wrapping.
+pub(crate) fn range_words(start: u32, len: u32) -> impl Iterator<Item = u32> {
+    let end = (u64::from(start) + u64::from(len)).min(1 << 32);
+    (u64::from(start & !3)..end).step_by(4).map(|a| a as u32)
+}
+
 /// Meta-data address of the 1-bit-per-word tag for the data word at
 /// `addr` (UMC and DIFT): word `w = addr >> 2` maps to bit `w & 31` of
 /// the meta word at `META_BASE + (w >> 5) * 4`.
 pub fn bit_tag_location(addr: u32) -> (u32, u32) {
     let w = addr >> 2;
     (META_BASE + ((w >> 5) << 2), w & 31)
+}
+
+/// `(meta word, mask)` of the 1-bit word tags that an access of `bytes`
+/// bytes at `addr` covers (UMC and DIFT). A doubleword access covers
+/// two word tags; its 8-byte alignment keeps both bits in one meta
+/// word.
+pub(crate) fn word_tag_mask(addr: u32, bytes: u32) -> (u32, u32) {
+    let (meta_addr, bit) = bit_tag_location(addr);
+    let words = bytes.div_ceil(4);
+    (meta_addr, (((1u64 << words) - 1) as u32) << bit)
 }
 
 /// Meta-data address of the 2-bit-per-word tag for the data word at

@@ -9,7 +9,8 @@ use flexcore_isa::{InstrClass, Instruction};
 use flexcore_pipeline::TracePacket;
 
 use crate::ext::{
-    two_bit_tag_location, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap, META_BASE,
+    range_words, two_bit_tag_location, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap,
+    META_BASE,
 };
 use crate::interface::{Cfgr, ForwardPolicy};
 
@@ -190,17 +191,13 @@ impl Extension for Mprot {
                 let Instruction::Cpop { opc, .. } = pkt.inst else { return Ok(None) };
                 match opc {
                     ops::SET_RANGE => {
-                        let start = pkt.srcv1 & !3;
-                        let len = pkt.srcv2 >> 2;
                         // Stored encoding is perm+1 in a 2-bit field
                         // (so 0 = untouched); `Full` aliases to
                         // `ReadWrite`.
                         let stored = (pkt.srcv2 & 3).min(2) + 1;
-                        let mut a = start;
-                        while a < start.saturating_add(len) {
+                        for a in range_words(pkt.srcv1 & !3, pkt.srcv2 >> 2) {
                             let (meta_addr, shift) = two_bit_tag_location(a);
                             env.write_meta(meta_addr, stored << shift, 3 << shift);
-                            a += 4;
                         }
                         Ok(None)
                     }
@@ -337,6 +334,21 @@ mod tests {
         assert_eq!(p, Some(Perm::ReadOnly as u32));
         set_range(&mut m, &mut env, 0x5000, 4, Perm::ReadWrite);
         assert!(m.process(&mem_packet(Opcode::St, 0x5000), &mut env).is_ok());
+    }
+
+    #[test]
+    fn set_range_clips_at_the_top_of_the_address_space() {
+        let (mut meta, mut mem, mut bus, mut shadow) = env_parts();
+        let mut m = Mprot::new();
+        let mut env = ExtEnv::new(&mut meta, &mut mem, &mut bus, &mut shadow, 0);
+        set_range(&mut m, &mut env, 0xffff_fff0, 0x20, Perm::ReadOnly);
+        for a in (0xffff_fff0u32..=0xffff_fffc).step_by(4) {
+            let p = m.process(&packet_with_cpop(1, ops::READ_PERM, a, 0), &mut env).unwrap();
+            assert_eq!(p, Some(Perm::ReadOnly as u32), "{a:#x}");
+        }
+        // The range does not wrap around to address 0.
+        let p = m.process(&packet_with_cpop(1, ops::READ_PERM, 0, 0), &mut env).unwrap();
+        assert_eq!(p, Some(DEFAULT_PERM as u32));
     }
 
     #[test]

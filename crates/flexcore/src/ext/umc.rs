@@ -5,7 +5,7 @@ use flexcore_isa::InstrClass;
 use flexcore_pipeline::TracePacket;
 
 use crate::ext::{
-    bit_tag_location, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap, META_BASE,
+    bit_tag_location, word_tag_mask, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap, META_BASE,
 };
 use crate::interface::{Cfgr, ForwardPolicy};
 
@@ -21,41 +21,18 @@ pub mod ops {
     pub const READ_TAG: u16 = 2;
 }
 
-/// Tag granularity for UMC. The paper's prototype tracks one bit per
-/// *word*; Purify (which the paper compares against) tracks per byte.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum UmcGranularity {
-    /// One initialized-bit per 32-bit word (the paper's prototype).
-    #[default]
-    PerWord,
-    /// One initialized-bit per byte (Purify-equivalent precision: a
-    /// byte store no longer "initializes" its whole word).
-    PerByte,
-}
-
-/// Uninitialized Memory Check: a 1-bit tag per memory word (or byte;
-/// see [`UmcGranularity`]), set on a store, checked on a load, cleared
-/// by software on de-allocation (§IV.A).
+/// Uninitialized Memory Check: a 1-bit tag per memory word, set on a
+/// store, checked on a load, cleared by software on de-allocation
+/// (§IV.A).
 #[derive(Clone, Debug, Default)]
 pub struct Umc {
-    granularity: UmcGranularity,
     traps_checked: u64,
 }
 
 impl Umc {
-    /// Creates the extension with the paper's per-word tags.
+    /// Creates the extension.
     pub fn new() -> Umc {
         Umc::default()
-    }
-
-    /// Creates the Purify-precision per-byte variant.
-    pub fn per_byte() -> Umc {
-        Umc { granularity: UmcGranularity::PerByte, ..Umc::default() }
-    }
-
-    /// Configured granularity.
-    pub fn granularity(&self) -> UmcGranularity {
-        self.granularity
     }
 
     /// Whether this address is monitored: program memory only (not the
@@ -64,66 +41,26 @@ impl Umc {
         addr < META_BASE
     }
 
-    /// Meta word and bit covering one *byte* (per-byte mode packs 32
-    /// byte-tags per meta word).
-    fn byte_bit_location(addr: u32) -> (u32, u32) {
-        (META_BASE + ((addr >> 5) << 2), addr & 31)
-    }
-
-    /// `(meta word, mask)` covering an access of `bytes` at `addr`
-    /// under the current granularity. Aligned accesses never straddle
-    /// a meta word in either mode.
-    fn access_mask(&self, addr: u32, bytes: u32) -> (u32, u32) {
-        match self.granularity {
-            UmcGranularity::PerWord => {
-                let (meta_addr, bit) = bit_tag_location(addr);
-                // Doubleword accesses cover two word tags; 8-byte
-                // alignment keeps both bits in one meta word.
-                let words = bytes.div_ceil(4);
-                let mask = (((1u64 << words) - 1) as u32) << bit;
-                (meta_addr, mask)
-            }
-            UmcGranularity::PerByte => {
-                let (meta_addr, bit) = Umc::byte_bit_location(addr);
-                let mask = (((1u64 << bytes) - 1) as u32) << bit;
-                (meta_addr, mask)
-            }
-        }
-    }
-
-    fn set_range(&self, env: &mut ExtEnv<'_>, start: u32, len: u32, value: bool) {
+    /// Sets or clears the tags of every word that `[start, start + len)`
+    /// touches, one meta write per meta word. The range is clipped at
+    /// the top of the address space.
+    fn set_range(env: &mut ExtEnv<'_>, start: u32, len: u32, value: bool) {
         if len == 0 {
             return;
         }
-        match self.granularity {
-            UmcGranularity::PerWord => {
-                let first = start >> 2;
-                let last = (start + len - 1) >> 2;
-                let mut w = first;
-                while w <= last {
-                    let (meta_addr, bit) = bit_tag_location(w << 2);
-                    // All bits of this meta word that fall inside the
-                    // range.
-                    let hi_word_in_meta = ((w & !31) + 31).min(last);
-                    let mut mask = 0u32;
-                    for b in bit..=(bit + (hi_word_in_meta - w)) {
-                        mask |= 1 << b;
-                    }
-                    env.write_meta(meta_addr, if value { mask } else { 0 }, mask);
-                    w = hi_word_in_meta + 1;
-                }
+        let first = start >> 2;
+        let last = start.saturating_add(len - 1) >> 2;
+        let mut w = first;
+        while w <= last {
+            let (meta_addr, bit) = bit_tag_location(w << 2);
+            // All bits of this meta word that fall inside the range.
+            let hi_word_in_meta = ((w & !31) + 31).min(last);
+            let mut mask = 0u32;
+            for b in bit..=(bit + (hi_word_in_meta - w)) {
+                mask |= 1 << b;
             }
-            UmcGranularity::PerByte => {
-                let mut a = start;
-                while a < start + len {
-                    let span = (32 - (a & 31)).min(start + len - a);
-                    let (meta_addr, bit) = Umc::byte_bit_location(a);
-                    let mask =
-                        if span >= 32 { u32::MAX } else { (((1u64 << span) - 1) as u32) << bit };
-                    env.write_meta(meta_addr, if value { mask } else { 0 }, mask);
-                    a += span;
-                }
-            }
+            env.write_meta(meta_addr, if value { mask } else { 0 }, mask);
+            w = hi_word_in_meta + 1;
         }
     }
 }
@@ -188,7 +125,7 @@ impl Extension for Umc {
         match pkt.class {
             c if c.is_store() => {
                 if Umc::monitored(pkt.addr) {
-                    let (meta_addr, mask) = self.access_mask(pkt.addr, bytes);
+                    let (meta_addr, mask) = word_tag_mask(pkt.addr, bytes);
                     env.write_meta(meta_addr, mask, mask);
                 }
                 Ok(None)
@@ -196,7 +133,7 @@ impl Extension for Umc {
             c if c.is_load() => {
                 if Umc::monitored(pkt.addr) {
                     self.traps_checked += 1;
-                    let (meta_addr, mask) = self.access_mask(pkt.addr, bytes);
+                    let (meta_addr, mask) = word_tag_mask(pkt.addr, bytes);
                     let word = env.read_meta(meta_addr);
                     if word & mask != mask {
                         return Err(MonitorTrap {
@@ -215,7 +152,7 @@ impl Extension for Umc {
                 // writes) its word.
                 if Umc::monitored(pkt.addr) {
                     self.traps_checked += 1;
-                    let (meta_addr, mask) = self.access_mask(pkt.addr, 4);
+                    let (meta_addr, mask) = word_tag_mask(pkt.addr, 4);
                     let word = env.read_meta(meta_addr);
                     let ok = word & mask == mask;
                     env.write_meta(meta_addr, mask, mask);
@@ -235,16 +172,16 @@ impl Extension for Umc {
                 };
                 match opc {
                     ops::CLEAR_RANGE => {
-                        self.set_range(env, a, b, false);
+                        Umc::set_range(env, a, b, false);
                         Ok(None)
                     }
                     ops::SET_RANGE => {
-                        self.set_range(env, a, b, true);
+                        Umc::set_range(env, a, b, true);
                         Ok(None)
                     }
                     ops::READ_TAG => {
                         // 1 iff the whole word at `a` is initialized.
-                        let (meta_addr, mask) = self.access_mask(a, 4);
+                        let (meta_addr, mask) = word_tag_mask(a, 4);
                         let word = env.read_meta(meta_addr);
                         Ok(Some(u32::from(word & mask == mask)))
                     }
@@ -258,7 +195,7 @@ impl Extension for Umc {
     fn on_program_load(&mut self, base: u32, len: u32, env: &mut ExtEnv<'_>) {
         // Statically-initialized memory (the loaded image) counts as
         // written — the OS marks it at load time via SET_RANGE.
-        self.set_range(env, base, len, true);
+        Umc::set_range(env, base, len, true);
     }
 
     /// The UMC datapath (§IV.A, Figure 3a): meta-data address
@@ -402,41 +339,41 @@ mod tests {
     }
 
     #[test]
-    fn per_byte_variant_catches_partial_initialization() {
-        // The paper's word-granular UMC accepts a word load after a
-        // single byte store; the Purify-precision variant does not.
+    fn range_ops_cover_unaligned_spans_across_meta_words() {
+        // Bytes 0x2073..=0x2092 touch words 0x2070..=0x2090, whose tags
+        // straddle the meta words for 0x2000..0x2080 and 0x2080..0x2100.
         let (mut meta, mut mem, mut bus, mut shadow) = env_parts();
-        let mut word_umc = Umc::new();
+        let mut umc = Umc::new();
         let mut env = ExtEnv::new(&mut meta, &mut mem, &mut bus, &mut shadow, 0);
-        word_umc.process(&mem_packet(Opcode::Stb, 0x2000), &mut env).unwrap();
-        assert!(word_umc.process(&mem_packet(Opcode::Ld, 0x2000), &mut env).is_ok());
-
-        let (mut meta, mut mem, mut bus, mut shadow) = env_parts();
-        let mut byte_umc = Umc::per_byte();
-        let mut env = ExtEnv::new(&mut meta, &mut mem, &mut bus, &mut shadow, 0);
-        byte_umc.process(&mem_packet(Opcode::Stb, 0x2000), &mut env).unwrap();
-        // The stored byte itself is fine...
-        assert!(byte_umc.process(&mem_packet(Opcode::Ldub, 0x2000), &mut env).is_ok());
-        // ...but the covering word has three uninitialized bytes.
-        let err = byte_umc.process(&mem_packet(Opcode::Ld, 0x2000), &mut env).unwrap_err();
-        assert!(err.reason.contains("uninitialized"));
-        // Fill the rest and the word load passes.
-        for a in [0x2001, 0x2002, 0x2003] {
-            byte_umc.process(&mem_packet(Opcode::Stb, a), &mut env).unwrap();
+        umc.process(&packet_with_cpop(1, ops::SET_RANGE, 0x2073, 0x20), &mut env).unwrap();
+        for a in [0x2070, 0x207c, 0x2080, 0x2090] {
+            assert!(umc.process(&mem_packet(Opcode::Ld, a), &mut env).is_ok(), "{a:#x}");
         }
-        assert!(byte_umc.process(&mem_packet(Opcode::Ld, 0x2000), &mut env).is_ok());
+        for a in [0x206c, 0x2094] {
+            assert!(umc.process(&mem_packet(Opcode::Ld, a), &mut env).is_err(), "{a:#x}");
+        }
+        // Clearing bytes 0x207d..=0x2083 frees both words it touches.
+        umc.process(&packet_with_cpop(1, ops::CLEAR_RANGE, 0x207d, 7), &mut env).unwrap();
+        for (a, tagged) in [(0x2078, 1), (0x207c, 0), (0x2080, 0), (0x2084, 1)] {
+            let t = umc.process(&packet_with_cpop(1, ops::READ_TAG, a, 0), &mut env).unwrap();
+            assert_eq!(t, Some(tagged), "{a:#x}");
+        }
     }
 
     #[test]
-    fn per_byte_range_ops_cover_unaligned_spans() {
+    fn range_ops_clip_at_the_top_of_the_address_space() {
         let (mut meta, mut mem, mut bus, mut shadow) = env_parts();
-        let mut umc = Umc::per_byte();
+        let mut umc = Umc::new();
         let mut env = ExtEnv::new(&mut meta, &mut mem, &mut bus, &mut shadow, 0);
-        umc.process(&packet_with_cpop(1, ops::SET_RANGE, 0x2003, 70), &mut env).unwrap();
-        assert!(umc.process(&mem_packet(Opcode::Ldub, 0x2003), &mut env).is_ok());
-        assert!(umc.process(&mem_packet(Opcode::Ldub, 0x2048), &mut env).is_ok());
-        assert!(umc.process(&mem_packet(Opcode::Ldub, 0x2002), &mut env).is_err());
-        assert!(umc.process(&mem_packet(Opcode::Ldub, 0x2049), &mut env).is_err());
+        let r = umc.process(&packet_with_cpop(1, ops::SET_RANGE, 0xffff_fff0, 0x20), &mut env);
+        assert_eq!(r.unwrap(), None);
+        for a in (0xffff_fff0u32..=0xffff_fffc).step_by(4) {
+            let t = umc.process(&packet_with_cpop(1, ops::READ_TAG, a, 0), &mut env).unwrap();
+            assert_eq!(t, Some(1), "{a:#x}");
+        }
+        // The range does not wrap around to address 0.
+        let t = umc.process(&packet_with_cpop(1, ops::READ_TAG, 0, 0), &mut env).unwrap();
+        assert_eq!(t, Some(0));
     }
 
     #[test]

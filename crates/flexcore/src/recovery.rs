@@ -294,11 +294,6 @@ impl<E: Extension, S: TraceSink> Supervisor<E, S> {
         &self.sys
     }
 
-    /// The supervised system, mutably.
-    pub fn system_mut(&mut self) -> &mut System<E, S> {
-        &mut self.sys
-    }
-
     /// Consumes the supervisor, returning the system (e.g. to extract
     /// its trace sink).
     pub fn into_system(self) -> System<E, S> {

@@ -8,7 +8,6 @@ use crate::error::{DeadlockSnapshot, SimError};
 use crate::ext::MonitorTrap;
 use crate::lockstep::{DivergenceReport, LockstepCommit, RegMismatch};
 use crate::obs::FlightEntry;
-use crate::recovery::RecoveryPolicy;
 use crate::stats::{ForwardStats, ResilienceStats, RunResult};
 
 fn per_class_value(per_class: &[u64]) -> Value {
@@ -168,39 +167,6 @@ impl Serialize for SimError {
                         .build(),
                 )
                 .build(),
-        }
-    }
-}
-
-impl Serialize for RecoveryPolicy {
-    fn to_value(&self) -> Value {
-        Value::object()
-            .field("checkpoint_every", &self.checkpoint_every)
-            .field("max_replays", &self.max_replays)
-            .field("max_reload_replays", &self.max_reload_replays)
-            .field("allow_degraded", &self.allow_degraded)
-            .field("checkpoint_cost_cycles", &self.checkpoint_cost_cycles)
-            .build()
-    }
-}
-
-impl RecoveryPolicy {
-    /// Decodes a serialized policy; fields that are absent keep their
-    /// defaults, so campaign/job specs can override selectively.
-    pub fn from_value(v: &Value) -> RecoveryPolicy {
-        let d = RecoveryPolicy::default();
-        let u64_or =
-            |key: &str, fallback: u64| v.get(key).and_then(Value::as_u64).unwrap_or(fallback);
-        RecoveryPolicy {
-            checkpoint_every: u64_or("checkpoint_every", d.checkpoint_every),
-            max_replays: u64_or("max_replays", u64::from(d.max_replays)) as u32,
-            max_reload_replays: u64_or("max_reload_replays", u64::from(d.max_reload_replays))
-                as u32,
-            allow_degraded: match v.get("allow_degraded") {
-                Some(Value::Bool(b)) => *b,
-                _ => d.allow_degraded,
-            },
-            checkpoint_cost_cycles: u64_or("checkpoint_cost_cycles", d.checkpoint_cost_cycles),
         }
     }
 }

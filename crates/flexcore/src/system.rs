@@ -1054,12 +1054,6 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         self.reconfig.any_pending()
     }
 
-    /// The fabric's partial-reconfiguration region (frame counters and
-    /// the currently-programmed mapping).
-    pub fn reconfig_region(&self) -> &PartialRegion {
-        &self.region
-    }
-
     /// The quiesce → drain → swap → rearm sequence, at a commit
     /// boundary. An unprogrammable bitstream (retry budget exhausted)
     /// propagates as [`SimError::UnrecoverableCorruption`] with the
@@ -1330,16 +1324,6 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     pub fn enable_lockstep(&mut self) {
         self.lockstep =
             Some(LockstepChecker::new(&self.core, &self.mem, LockstepChecker::DEFAULT_WINDOW));
-    }
-
-    /// Turns lockstep checking off.
-    pub fn disable_lockstep(&mut self) {
-        self.lockstep = None;
-    }
-
-    /// Whether lockstep checking is active.
-    pub fn lockstep_enabled(&self) -> bool {
-        self.lockstep.is_some()
     }
 
     /// The lockstep checker, when enabled (e.g. to read

@@ -223,11 +223,6 @@ impl RefCore {
         self.npc
     }
 
-    /// Why execution stopped, if it has.
-    pub fn exit_reason(&self) -> Option<RefExit> {
-        self.exited
-    }
-
     /// Console bytes produced so far.
     pub fn console(&self) -> &[u8] {
         &self.console

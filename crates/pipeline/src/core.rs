@@ -262,11 +262,6 @@ impl Core {
         self.exited.get_or_insert(reason);
     }
 
-    /// Why execution stopped, if it has.
-    pub fn exit_reason(&self) -> Option<ExitReason> {
-        self.exited
-    }
-
     /// The cycle at which all pending write-through stores have
     /// drained.
     pub fn quiesced_at(&self) -> u64 {

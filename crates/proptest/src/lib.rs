@@ -65,11 +65,6 @@ pub mod test_runner {
             z ^ (z >> 31)
         }
 
-        /// Next 32 random bits.
-        pub fn next_u32(&mut self) -> u32 {
-            (self.next_u64() >> 32) as u32
-        }
-
         /// Uniform value in `[0, n)`. `n` must be non-zero.
         pub fn below(&mut self, n: u64) -> u64 {
             debug_assert!(n > 0, "below(0)");

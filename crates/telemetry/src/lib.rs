@@ -1,18 +1,16 @@
 //! `flexcore-telemetry` — host-time attribution for the FlexCore
 //! reproduction.
 //!
-//! It answers one question: **where does host wall-clock go?**
-//! [`PhaseProfiler`] attributes time to three simulator [`Phase`]s
-//! (`core`, `fifo`, `fabric_eval`) as span counts and nanosecond
-//! totals. It reads the clock only at the simulator's trace-event
-//! boundaries and only inside sampled commit-to-commit windows, then
-//! scales the samples to whole-run totals. It plugs into the simulator's one instrumentation hook:
-//! `flexcore::obs` implements `TraceSink` for it and maps each trace
-//! event to the phase it closes, so unprofiled runs carry no profiling
-//! code at all.
-//!
-//! The [`RateMeter`] rounds this out with the rate + ETA arithmetic
-//! that `faultsweep` progress lines print.
+//! The crate holds only the sampled phase profiler. It answers one
+//! question: **where does host wall-clock go?** [`PhaseProfiler`]
+//! attributes time to three simulator [`Phase`]s (`core`, `fifo`,
+//! `fabric_eval`) as span counts and nanosecond totals. It reads the
+//! clock only at the simulator's trace-event boundaries and only inside
+//! sampled commit-to-commit windows, then scales the samples to
+//! whole-run totals. It plugs into the simulator's one instrumentation
+//! hook: `flexcore::obs` implements `TraceSink` for it and maps each
+//! trace event to the phase it closes, so unprofiled runs carry no
+//! profiling code at all.
 //!
 //! # Overhead contract
 //!
@@ -40,7 +38,5 @@
 #![warn(missing_docs)]
 
 pub mod phase;
-pub mod rate;
 
 pub use phase::{Phase, PhaseProfiler, PhaseStats};
-pub use rate::RateMeter;
