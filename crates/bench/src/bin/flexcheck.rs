@@ -39,12 +39,12 @@
 //! monitor's tag pipeline lost an initialization — and either way the
 //! build must not ship.
 //!
-//! The hot-swap direction: every ordered pair of swappable extension
-//! bitstreams is rehearsed through one partial-reconfiguration region
-//! — map, serialize, frame, program A, then program B over it — with
-//! each committed mapping proven consistent against a fresh technology
-//! mapping of its netlist. A pair that cannot complete this sequence
-//! would brick a mid-run `--swap-at` between those extensions.
+//! The hot-swap direction: every swappable extension's bitstream is
+//! rehearsed once — map, serialize, decode — with the decoded mapping
+//! proven consistent against a fresh technology mapping of its
+//! netlist, and every ordered pair is reported with the configuration
+//! frames each side shifts in. A pair with a side that fails would
+//! brick a mid-run `--swap-at` between those extensions.
 
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -55,8 +55,7 @@ use flexcore_bench::elide::{build_elision_table, verify_elision};
 use flexcore_bench::swap::{build_extension, elidable, LUT_K, SWAPPABLE};
 use flexcore_bench::ExtKind;
 use flexcore_fabric::{
-    from_bitstream, map_to_luts, segment_bitstream, to_bitstream, verify_consistent, Netlist,
-    PartialRegion, FRAME_BYTES,
+    from_bitstream, map_to_luts, to_bitstream, verify_consistent, Netlist, FRAME_BYTES,
 };
 use flexcore_workloads::Workload;
 
@@ -185,50 +184,17 @@ fn check_workload(w: Workload, opts: &Options) -> Result<AnalysisReport, String>
     Ok(report)
 }
 
-/// Result of rehearsing one ordered swap pair through a fresh
-/// partial-reconfiguration region.
-struct SwapPairRow {
-    from: String,
-    to: String,
-    from_frames: usize,
-    to_frames: usize,
-    error: Option<String>,
-}
-
-/// Programs `from`'s bitstream into a blank region, then `to`'s over
-/// it — the exact frame sequence a mid-run swap performs — proving
-/// each committed mapping consistent against a fresh mapping of its
-/// netlist.
-fn rehearse_swap_pair(from: &Netlist, to: &Netlist) -> SwapPairRow {
-    let mut row = SwapPairRow {
-        from: from.name().to_string(),
-        to: to.name().to_string(),
-        from_frames: 0,
-        to_frames: 0,
-        error: None,
-    };
-    let mut region = PartialRegion::new();
-    let mut program = |netlist: &Netlist, frames_out: &mut usize| -> Result<(), String> {
-        let bytes = to_bitstream(&map_to_luts(netlist, LUT_K));
-        let decoded = from_bitstream(&bytes)
-            .map_err(|e| format!("{}: bitstream does not round-trip: {e}", netlist.name()))?;
-        verify_consistent(netlist, &decoded)
-            .map_err(|e| format!("{}: decoded mapping: {e}", netlist.name()))?;
-        let frames = segment_bitstream(&bytes, FRAME_BYTES);
-        *frames_out = frames.len();
-        region.begin_load(frames.len() as u32);
-        for f in &frames {
-            region
-                .push_frame(f)
-                .map_err(|e| format!("{}: frame {}: {e}", netlist.name(), f.index))?;
-        }
-        let mapping = region.commit().map_err(|e| format!("{}: commit: {e}", netlist.name()))?;
-        verify_consistent(netlist, mapping)
-            .map_err(|e| format!("{}: programmed mapping: {e}", netlist.name()))
-    };
-    row.error =
-        program(from, &mut row.from_frames).and_then(|()| program(to, &mut row.to_frames)).err();
-    row
+/// Rehearses the bitstream a mid-run swap to `netlist` programs: map,
+/// serialize, decode, and prove the decoded mapping consistent against
+/// a fresh mapping of the netlist. Returns the number of configuration
+/// frames the swap shifts in.
+fn rehearse_bitstream(netlist: &Netlist) -> Result<usize, String> {
+    let bytes = to_bitstream(&map_to_luts(netlist, LUT_K));
+    let decoded = from_bitstream(&bytes)
+        .map_err(|e| format!("{}: bitstream does not round-trip: {e}", netlist.name()))?;
+    verify_consistent(netlist, &decoded)
+        .map_err(|e| format!("{}: decoded mapping: {e}", netlist.name()))?;
+    Ok(bytes.len().div_ceil(FRAME_BYTES))
 }
 
 /// Result of one `--xcheck` run.
@@ -300,31 +266,36 @@ fn run() -> Result<u8, String> {
     }
 
     // Every ordered pair (including A -> A, the bitstream-refresh case)
-    // must survive the frame-by-frame region reprogramming a hot-swap
-    // performs.
+    // needs both bitstreams to program; each is rehearsed once.
+    let rehearsed: Vec<Result<usize, String>> = netlists.iter().map(rehearse_bitstream).collect();
     let mut swap_values = Vec::new();
     let mut swap_failures = 0usize;
-    for from in &netlists {
-        for to in &netlists {
-            let row = rehearse_swap_pair(from, to);
-            match &row.error {
+    for (from, from_result) in netlists.iter().zip(&rehearsed) {
+        for (to, to_result) in netlists.iter().zip(&rehearsed) {
+            let (from_frames, to_frames, error) = match (from_result, to_result) {
+                (Err(e), _) => (0, 0, Some(e)),
+                (Ok(f), Err(e)) => (*f, 0, Some(e)),
+                (Ok(f), Ok(t)) => (*f, *t, None),
+            };
+            match error {
                 Some(e) => {
                     swap_failures += 1;
-                    println!("[swap {} -> {}] ERROR: {e}", row.from, row.to);
+                    println!("[swap {} -> {}] ERROR: {e}", from.name(), to.name());
                 }
                 None if !opts.quiet => println!(
-                    "[swap {} -> {}] ok ({} then {} frame(s) through one region)",
-                    row.from, row.to, row.from_frames, row.to_frames
+                    "[swap {} -> {}] ok ({from_frames} then {to_frames} frame(s))",
+                    from.name(),
+                    to.name()
                 ),
                 None => {}
             }
             let mut obj = serde::Value::object()
-                .field("from", &row.from.as_str())
-                .field("to", &row.to.as_str())
-                .field("from_frames", &(row.from_frames as u64))
-                .field("to_frames", &(row.to_frames as u64))
-                .field("ok", &row.error.is_none());
-            if let Some(e) = &row.error {
+                .field("from", &from.name())
+                .field("to", &to.name())
+                .field("from_frames", &(from_frames as u64))
+                .field("to_frames", &(to_frames as u64))
+                .field("ok", &error.is_none());
+            if let Some(e) = error {
                 obj = obj.field("error", &e.as_str());
             }
             swap_values.push(obj.build());

@@ -8,14 +8,27 @@
 //! and a Fletcher-32 integrity checksum — so a corrupted or truncated
 //! bitstream is rejected instead of silently mis-programming the
 //! monitor.
+//!
+//! [`verify_consistent`] is the swap-time counterpart of the flexcheck
+//! netlist lint: it proves a deserialized LUT mapping is byte-for-byte
+//! the mapping the current tech-mapper produces for a given netlist,
+//! so a hot swap can never program logic that the static toolchain
+//! would not have produced.
 
 use std::fmt;
 
-use crate::lutmap::{Lut, LutMapping};
-use crate::Net;
+use crate::lutmap::{map_to_luts, Lut, LutMapping};
+use crate::{Net, Netlist};
 
 /// Bitstream format version.
 pub const VERSION: u8 = 1;
+
+/// Configuration-frame payload size in bytes. Virtex-style fabrics
+/// shift configuration in fixed-width frames, one fabric cycle each; a
+/// hot swap of an `n`-byte bitstream costs `n.div_ceil(FRAME_BYTES)`
+/// frames. The exact width only scales that count (and thus the
+/// modeled reconfiguration time), so any power of two works.
+pub const FRAME_BYTES: usize = 64;
 
 /// Error deserializing a bitstream.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -57,7 +70,7 @@ impl fmt::Display for BitstreamError {
 
 impl std::error::Error for BitstreamError {}
 
-pub(crate) fn fletcher32(data: &[u8]) -> u32 {
+fn fletcher32(data: &[u8]) -> u32 {
     let mut s1: u32 = 0xffff;
     let mut s2: u32 = 0xffff;
     for chunk in data.chunks(2) {
@@ -192,6 +205,31 @@ pub fn from_bitstream(data: &[u8]) -> Result<LutMapping, BitstreamError> {
     LutMapping::from_parts(k, luts, depth).map_err(BitstreamError::Malformed)
 }
 
+/// Proves `mapping` is exactly what the tech mapper produces for
+/// `netlist` at the mapping's own LUT input width — the swap-time
+/// consistency gate. Byte-level comparison through the bitstream codec
+/// catches any divergence in truth tables, leaf lists, or depth.
+///
+/// # Errors
+///
+/// Returns the first difference found when the mapping is
+/// inconsistent with the netlist.
+pub fn verify_consistent(netlist: &Netlist, mapping: &LutMapping) -> Result<(), &'static str> {
+    let reference = map_to_luts(netlist, mapping.k());
+    if reference.lut_count() != mapping.lut_count() {
+        return Err("mapping inconsistent with netlist: LUT count differs from a fresh mapping");
+    }
+    if reference.depth() != mapping.depth() {
+        return Err("mapping inconsistent with netlist: LUT depth differs from a fresh mapping");
+    }
+    if to_bitstream(&reference) != to_bitstream(mapping) {
+        return Err(
+            "mapping inconsistent with netlist: bitstream bytes differ from a fresh mapping",
+        );
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +292,24 @@ mod tests {
         let mut wrong_ver = good;
         wrong_ver[4] = 99;
         assert_eq!(from_bitstream(&wrong_ver).err(), Some(BitstreamError::BadVersion(99)));
+    }
+
+    #[test]
+    fn consistency_gate_accepts_own_mapping_and_rejects_foreign() {
+        let mut b = NetlistBuilder::new("eq8");
+        let x = b.input_bus(8);
+        let y = b.input_bus(8);
+        let eq = b.eq(&x, &y);
+        b.output("eq", eq);
+        let netlist = b.finish();
+        verify_consistent(&netlist, &map_to_luts(&netlist, 6)).unwrap();
+
+        let mut b = NetlistBuilder::new("other");
+        let x = b.input_bus(4);
+        let r = b.reduce_or(&x);
+        b.output("any", r);
+        let other_map = map_to_luts(&b.finish(), 6);
+        assert!(verify_consistent(&netlist, &other_map).is_err());
     }
 
     #[test]

@@ -59,15 +59,13 @@ pub mod calib;
 mod cost;
 mod lutmap;
 mod netlist;
-pub mod reconfig;
 mod vcd;
 
-pub use bitstream::{from_bitstream, to_bitstream, BitstreamError, VERSION as BITSTREAM_VERSION};
+pub use bitstream::{
+    from_bitstream, to_bitstream, verify_consistent, BitstreamError, FRAME_BYTES,
+    VERSION as BITSTREAM_VERSION,
+};
 pub use cost::{AsicCost, FpgaCost, MacroCost};
 pub use lutmap::{map_to_luts, Lut, LutMapping};
 pub use netlist::{Bus, Gate, MacroBlock, Net, Netlist, NetlistBuilder};
-pub use reconfig::{
-    segment_bitstream, verify_consistent, Frame, PartialRegion, ReconfigError, RegionState,
-    FRAME_BYTES,
-};
 pub use vcd::{vcd_signal_count, write_vcd};

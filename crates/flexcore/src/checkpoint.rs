@@ -21,7 +21,7 @@
 //! state (metrics series, Chrome spans, the flight ring) restarts
 //! empty after a restore.
 //!
-//! With the `serde` feature the snapshot serializes to JSON
+//! The snapshot serializes to JSON
 //! ([`Snapshot::to_json`]) and parses back ([`Snapshot::from_json`]),
 //! which is what the `flexsim --checkpoint-every` / `--resume` flags
 //! ship to disk.
@@ -149,7 +149,6 @@ pub(crate) fn apply_delta(mem: &mut MainMemory, pages: &[PageDelta]) {
     }
 }
 
-#[cfg(feature = "serde")]
 mod json {
     //! JSON encoding/decoding of [`Snapshot`] via the vendored serde
     //! subset. The `Serialize` side builds a `Value` tree; the decode
@@ -783,14 +782,12 @@ mod json {
     }
 }
 
-#[cfg(feature = "serde")]
 impl serde::Serialize for Snapshot {
     fn to_value(&self) -> serde::Value {
         json::snapshot_value(self)
     }
 }
 
-#[cfg(feature = "serde")]
 impl Snapshot {
     /// Serializes the snapshot to one-line JSON.
     pub fn to_json(&self) -> String {

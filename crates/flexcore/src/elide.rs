@@ -85,7 +85,6 @@ impl ElisionTable {
     }
 }
 
-#[cfg(feature = "serde")]
 mod json {
     use serde::Value;
 
@@ -177,7 +176,6 @@ mod tests {
         assert_eq!(e, vec![(0x1000, ELIDE_UMC), (0x2000, ELIDE_CFI)]);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn json_round_trip() {
         let mut t = ElisionTable::new();
@@ -187,7 +185,6 @@ mod tests {
         assert_eq!(back, t);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn json_rejects_bad_format() {
         assert!(ElisionTable::from_json("{\"format\":99,\"entries\":[]}").is_err());

@@ -75,9 +75,9 @@ impl std::fmt::Display for DeadlockSnapshot {
 #[derive(Clone, Debug)]
 pub enum SimError {
     /// The system stopped making forward progress: no commit within the
-    /// configured watchdog window, or the fabric can never drain the
-    /// forward FIFO (so the core's end-of-program EMPTY wait would
-    /// spin forever).
+    /// watchdog window of 1,000,000 core cycles, or the fabric can never
+    /// drain the forward FIFO (so the core's end-of-program EMPTY wait
+    /// would spin forever).
     Deadlock(DeadlockSnapshot),
     /// The core-clock cycle count exceeded the configured budget
     /// (`SystemConfig::with_cycle_budget`).

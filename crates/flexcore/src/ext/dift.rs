@@ -495,6 +495,23 @@ mod tests {
     }
 
     #[test]
+    fn empty_range_ops_touch_no_word() {
+        let (mut meta, mut mem, mut bus, mut shadow) = env_parts();
+        let mut dift = Dift::new();
+        let mut env = ExtEnv::new(&mut meta, &mut mem, &mut bus, &mut shadow, 0);
+        let read = |dift: &mut Dift, env: &mut ExtEnv<'_>| {
+            dift.process(&packet_with_cpop(1, ops::READ_TAG, 0x2000, 0), env).unwrap()
+        };
+        // An empty span starting inside the word at 0x2000 taints nothing...
+        dift.process(&packet_with_cpop(1, ops::TAINT_RANGE, 0x2001, 0), &mut env).unwrap();
+        assert_eq!(read(&mut dift, &mut env), Some(0));
+        // ...and declassifies nothing.
+        dift.process(&packet_with_cpop(1, ops::TAINT_RANGE, 0x2000, 4), &mut env).unwrap();
+        dift.process(&packet_with_cpop(1, ops::CLEAR_RANGE, 0x2001, 0), &mut env).unwrap();
+        assert_eq!(read(&mut dift, &mut env), Some(1));
+    }
+
+    #[test]
     fn range_ops_clip_at_the_top_of_the_address_space() {
         let (mut meta, mut mem, mut bus, mut shadow) = env_parts();
         let mut dift = Dift::new();

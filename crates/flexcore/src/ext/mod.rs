@@ -370,10 +370,11 @@ pub(crate) fn push_bits(out: &mut Vec<bool>, v: u32, n: usize) {
 
 /// Addresses of the words from `start & !3` up to, not including,
 /// `start + len`: the words a software range operation over
-/// `[start, start + len)` tags. A range that runs past `0xffff_ffff`
-/// is clipped at the top of the address space instead of wrapping.
+/// `[start, start + len)` tags. An empty range (`len == 0`) tags no
+/// word, wherever it starts. A range that runs past `0xffff_ffff` is
+/// clipped at the top of the address space instead of wrapping.
 pub(crate) fn range_words(start: u32, len: u32) -> impl Iterator<Item = u32> {
-    let end = (u64::from(start) + u64::from(len)).min(1 << 32);
+    let end = if len == 0 { 0 } else { (u64::from(start) + u64::from(len)).min(1 << 32) };
     (u64::from(start & !3)..end).step_by(4).map(|a| a as u32)
 }
 

@@ -350,10 +350,9 @@ pub struct FaultInjector {
     log: Vec<FaultEvent>,
     bitstream_log: Vec<BitstreamStrike>,
     bitstream_attempts: u64,
-    /// While `false`, polls decide nothing and draw nothing: the
-    /// per-spec generator streams stay frozen, so a re-armed injector
-    /// resumes exactly where it left off. Recovery replays disarm the
-    /// plan so the restored run re-executes fault-free.
+    /// While `false`, polls decide nothing and draw nothing. Recovery
+    /// replays disarm the plan so the restored run re-executes
+    /// fault-free.
     armed: bool,
 }
 
@@ -391,25 +390,14 @@ impl FaultInjector {
         }
     }
 
-    /// Stops deciding faults without touching generator state or the
-    /// logs. A disarmed injector's [`poll_commit`] and
-    /// [`corrupt_bitstream`] strike nothing; the plan can be re-armed
-    /// later and resumes deterministically.
+    /// Stops deciding faults for good, without touching generator
+    /// state or the logs. A disarmed injector's [`poll_commit`] and
+    /// [`corrupt_bitstream`] strike nothing.
     ///
     /// [`poll_commit`]: FaultInjector::poll_commit
     /// [`corrupt_bitstream`]: FaultInjector::corrupt_bitstream
     pub fn disarm(&mut self) {
         self.armed = false;
-    }
-
-    /// Re-enables a [disarmed](FaultInjector::disarm) injector.
-    pub fn rearm(&mut self) {
-        self.armed = true;
-    }
-
-    /// Whether the injector is currently deciding faults.
-    pub fn armed(&self) -> bool {
-        self.armed
     }
 
     /// The plan seed.
@@ -600,26 +588,21 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_injector_strikes_nothing_and_resumes_exactly() {
-        let (mut armed, mut toggled) = (FaultInjector::new(&plan()), FaultInjector::new(&plan()));
+    fn disarmed_injector_strikes_nothing() {
+        let (mut armed, mut disarmed) = (FaultInjector::new(&plan()), FaultInjector::new(&plan()));
         for commit in 1..=100 {
-            assert_eq!(armed.poll_commit(commit, commit), toggled.poll_commit(commit, commit));
+            assert_eq!(armed.poll_commit(commit, commit), disarmed.poll_commit(commit, commit));
         }
-        // A disarmed window decides nothing and freezes the streams...
-        toggled.disarm();
+        // A disarmed injector decides nothing and leaves its log as it
+        // was at the disarm.
+        disarmed.disarm();
         for commit in 101..=200 {
-            assert!(toggled.poll_commit(commit, commit).is_empty());
+            assert!(disarmed.poll_commit(commit, commit).is_empty());
             let mut bytes = [0xffu8; 16];
-            assert!(toggled.corrupt_bitstream(&mut bytes).is_none());
+            assert!(disarmed.corrupt_bitstream(&mut bytes).is_none());
             assert_eq!(bytes, [0xffu8; 16], "disarmed bitstream transfer untouched");
         }
-        // ...so re-arming replays the same decisions the armed twin
-        // makes for the same commit indices.
-        toggled.rearm();
-        for commit in 101..=200 {
-            assert_eq!(armed.poll_commit(commit, commit), toggled.poll_commit(commit, commit));
-        }
-        assert_eq!(armed.log(), toggled.log());
+        assert_eq!(armed.log(), disarmed.log());
     }
 
     #[test]

@@ -85,7 +85,6 @@ pub mod software;
 
 mod elide;
 mod error;
-#[cfg(feature = "serde")]
 mod serde_impls;
 mod shadow;
 mod stats;
@@ -101,4 +100,6 @@ pub use reconfig::{SwapPolicy, SwapReport, SwapRequest};
 pub use recovery::{FaultOutcome, RecoveryAttempt, RecoveryPolicy, RecoveryReport, Supervisor};
 pub use shadow::ShadowRegFile;
 pub use stats::{ForwardStats, ResilienceStats, RunResult};
-pub use system::{Implementation, OverflowPolicy, RunOutcome, System, SystemConfig};
+pub use system::{
+    Implementation, OverflowPolicy, RunOutcome, System, SystemConfig, BITSTREAM_RETRY_LIMIT,
+};

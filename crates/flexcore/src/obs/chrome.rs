@@ -75,8 +75,7 @@ impl TraceSink for ChromeRecorder {
     }
 }
 
-/// JSON rendering — behind the `serde` feature.
-#[cfg(feature = "serde")]
+/// JSON rendering.
 mod export {
     use super::*;
     use serde::Value;
@@ -263,7 +262,6 @@ mod tests {
         assert_eq!(c.dropped(), 3);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn export_is_valid_json_with_trace_events() {
         let mut c = ChromeRecorder::new();

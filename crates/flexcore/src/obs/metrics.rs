@@ -256,8 +256,7 @@ impl TraceSink for MetricsRecorder {
     }
 }
 
-/// Serialization of the series (JSONL) — behind the `serde` feature.
-#[cfg(feature = "serde")]
+/// Serialization of the series (JSONL).
 mod export {
     use super::*;
     use flexcore_isa::InstrClass;

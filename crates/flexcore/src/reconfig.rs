@@ -13,10 +13,13 @@
 //!    written back; drained packets are counted in
 //!    [`ResilienceStats::swap_drained_packets`] — nothing is silently
 //!    dropped.
-//! 3. **Swap** — the new bitstream is segmented into frames and shifted
-//!    into the fabric's partial-reconfiguration region with the same
-//!    validate-and-retry machinery as a cold load (bounded retries with
-//!    backoff; exhaustion surfaces as
+//! 3. **Swap** — the new bitstream is transferred and validated by
+//!    [`System::load_bitstream`](crate::System::load_bitstream), the
+//!    same validate-and-retry machinery as a cold load, and shifted in
+//!    at one fabric cycle per
+//!    [`FRAME_BYTES`](flexcore_fabric::FRAME_BYTES)-byte configuration
+//!    frame (bounded retries with backoff, each re-shifting the whole
+//!    stream; exhaustion surfaces as
 //!    [`SimError::UnrecoverableCorruption`](crate::SimError::UnrecoverableCorruption)
 //!    and escalates through the recovery ladder, which replays the swap
 //!    deterministically).
@@ -100,7 +103,9 @@ pub struct SwapReport {
     pub drained_packets: u64,
     /// Bitstream transfer retries consumed inside this swap window.
     pub retries: u64,
-    /// Partial-reconfiguration frames shifted into the region.
+    /// Configuration frames shifted in per transfer: the bitstream
+    /// length divided by [`FRAME_BYTES`](flexcore_fabric::FRAME_BYTES),
+    /// rounded up.
     pub frames: u64,
 }
 

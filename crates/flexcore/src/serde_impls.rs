@@ -1,5 +1,4 @@
-//! `Serialize` implementations for run results and diagnostics
-//! (behind the `serde` feature).
+//! `Serialize` implementations for run results and diagnostics.
 
 use flexcore_isa::InstrClass;
 use serde::{Serialize, Value};

@@ -1,7 +1,7 @@
 //! The full FlexCore system model.
 
 use flexcore_asm::Program;
-use flexcore_fabric::{LutMapping, PartialRegion};
+use flexcore_fabric::{LutMapping, FRAME_BYTES};
 use flexcore_mem::{CacheConfig, MainMemory, MetaDataCache, SystemBus};
 use flexcore_pipeline::{Core, CoreConfig, ExitReason, Stepped, TracePacket};
 use flexcore_telemetry::PhaseProfiler;
@@ -23,6 +23,16 @@ use crate::ShadowRegFile;
 /// A wedged fabric "frees up" this far in the future — effectively
 /// never, while leaving headroom so grid alignment cannot overflow.
 const STUCK: u64 = 1 << 62;
+
+/// Forward-progress watchdog: if the commit stage would have to wait
+/// more than this many core cycles for a FIFO slot — or no instruction
+/// commits for this long — [`System::try_run`] returns
+/// [`SimError::Deadlock`] instead of spinning.
+pub(crate) const WATCHDOG_CYCLES: u64 = 1_000_000;
+
+/// How many times [`System::load_bitstream`] re-transfers a bitstream
+/// that fails validation before giving up.
+pub const BITSTREAM_RETRY_LIMIT: u32 = 3;
 
 /// How the monitoring extension is implemented.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -112,19 +122,11 @@ pub struct SystemConfig {
     /// — the paper's extensions all terminate the program, so
     /// imprecise traps suffice and the FIFO decouples fully.
     pub precise_exceptions: bool,
-    /// Forward-progress watchdog: if the commit stage would have to
-    /// wait more than this many core cycles for a FIFO slot — or no
-    /// instruction commits for this long — [`System::try_run`] returns
-    /// [`SimError::Deadlock`] instead of spinning.
-    pub watchdog_cycles: u64,
     /// Optional hard ceiling on core-clock cycles; exceeding it makes
     /// [`System::try_run`] return [`SimError::CycleBudgetExceeded`].
     pub cycle_budget: Option<u64>,
     /// FIFO overflow behavior under `Always` forwarding.
     pub overflow_policy: OverflowPolicy,
-    /// How many times [`System::load_bitstream`] re-transfers a
-    /// bitstream that fails validation before giving up.
-    pub bitstream_retry_limit: u32,
 }
 
 impl SystemConfig {
@@ -138,10 +140,8 @@ impl SystemConfig {
             decode_on_core: true,
             masked_meta_writes: true,
             precise_exceptions: false,
-            watchdog_cycles: 1_000_000,
             cycle_budget: None,
             overflow_policy: OverflowPolicy::Stall,
-            bitstream_retry_limit: 3,
         }
     }
 
@@ -207,14 +207,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy with a different forward-progress watchdog window
-    /// (core cycles without a commit before `try_run` declares
-    /// deadlock). Clamped to at least 1.
-    pub fn with_watchdog_cycles(mut self, cycles: u64) -> SystemConfig {
-        self.watchdog_cycles = cycles.max(1);
-        self
-    }
-
     /// Returns a copy with a hard core-cycle budget.
     pub fn with_cycle_budget(mut self, budget: u64) -> SystemConfig {
         self.cycle_budget = Some(budget);
@@ -224,12 +216,6 @@ impl SystemConfig {
     /// Returns a copy with the given FIFO overflow policy.
     pub fn with_overflow_policy(mut self, policy: OverflowPolicy) -> SystemConfig {
         self.overflow_policy = policy;
-        self
-    }
-
-    /// Returns a copy with a different bitstream reload budget.
-    pub fn with_bitstream_retry_limit(mut self, retries: u32) -> SystemConfig {
-        self.bitstream_retry_limit = retries;
         self
     }
 }
@@ -304,9 +290,6 @@ pub struct System<E: Extension, S: TraceSink = NullSink> {
     /// lifecycle against the restored commit count so a replay
     /// re-executes the swap deterministically.
     reconfig: ReconfigController<E>,
-    /// The fabric's partial-reconfiguration region, programmed frame by
-    /// frame during each swap window.
-    region: PartialRegion,
     /// Static check-elision table ([`System::set_elision`]).
     /// Construction-time configuration like the CFGR, not snapshot
     /// state: a restored run must be built with the same table.
@@ -381,7 +364,6 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             degraded_entry: None,
             fifo_drained_on_restore: 0,
             reconfig: ReconfigController::new(),
-            region: PartialRegion::new(),
             elision: None,
             text: (0, 0),
             elision_masks: Vec::new(),
@@ -780,7 +762,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                             // in the future (a wedged fabric) that the
                             // system has effectively deadlocked.
                             let free_at = self.fifo.empty_slot_at(now);
-                            if free_at.saturating_sub(now) > self.config.watchdog_cycles {
+                            if free_at.saturating_sub(now) > WATCHDOG_CYCLES {
                                 self.wedged = Some(self.deadlock_snapshot(now));
                                 return;
                             }
@@ -857,7 +839,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     /// Runs until the program exits, a monitor trap is delivered, or
     /// `max_instructions` commit — or until the simulation itself
     /// fails: a forward-progress watchdog detects deadlock (no commit
-    /// possible within `watchdog_cycles`, or the fabric can never
+    /// possible within 1,000,000 core cycles, or the fabric can never
     /// drain), the configured cycle budget is exceeded, or the
     /// lockstep golden model diverges.
     pub fn try_run(&mut self, max_instructions: u64) -> Result<RunResult, SimError> {
@@ -955,7 +937,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                     });
                 }
             }
-            if cycle.saturating_sub(last_commit_cycle) > self.config.watchdog_cycles {
+            if cycle.saturating_sub(last_commit_cycle) > WATCHDOG_CYCLES {
                 let snap = self.deadlock_snapshot(cycle);
                 return Err(SimError::Deadlock(snap));
             }
@@ -996,12 +978,11 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     /// Each transfer attempt passes through the armed fault injector
     /// (if any), which may corrupt bytes in flight; a corrupted stream
     /// fails its Fletcher-32 checksum and is re-transferred from the
-    /// pristine source, up to `bitstream_retry_limit` retries. Retry
+    /// pristine source, up to [`BITSTREAM_RETRY_LIMIT`] retries. Retry
     /// and reload counts land in [`ResilienceStats`].
     pub fn load_bitstream(&mut self, bytes: &[u8]) -> Result<LutMapping, SimError> {
-        let limit = self.config.bitstream_retry_limit;
         let mut last_error = String::new();
-        for attempt in 0..=limit {
+        for attempt in 0..=BITSTREAM_RETRY_LIMIT {
             let mut copy = bytes.to_vec();
             if let Some(inj) = &mut self.faults {
                 inj.corrupt_bitstream(&mut copy);
@@ -1013,7 +994,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 }
                 Err(e) => {
                     last_error = e.to_string();
-                    if attempt < limit {
+                    if attempt < BITSTREAM_RETRY_LIMIT {
                         self.resilience.bitstream_retries += 1;
                         self.emit(TraceEvent::BitstreamRetry { attempt });
                     }
@@ -1022,16 +1003,16 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         }
         Err(SimError::UnrecoverableCorruption {
             context: "fabric bitstream",
-            attempts: limit + 1,
+            attempts: BITSTREAM_RETRY_LIMIT + 1,
             detail: last_error,
         })
     }
 
     /// Schedules a mid-run bitstream hot-swap: at the given commit
     /// boundary the system quiesces, drains every in-flight packet,
-    /// programs the request's bitstream into the
-    /// partial-reconfiguration region (with the same bounded
-    /// retry-with-reload as [`System::load_bitstream`]), and rearms
+    /// programs the request's bitstream through
+    /// [`System::load_bitstream`] (with its bounded retry-with-reload),
+    /// shifting it in one configuration frame per fabric cycle, and rearms
     /// with the incoming extension per its [`SwapPolicy`]. See
     /// [`crate::reconfig`] for the lifecycle contract.
     ///
@@ -1069,7 +1050,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         // drained, never dropped.
         let drained = self.fifo.occupancy(cycle) as u64;
         let drain_done = self.fifo.empty_at(cycle).max(self.fabric_free_at).max(cycle);
-        if drain_done.saturating_sub(cycle) > self.config.watchdog_cycles {
+        if drain_done.saturating_sub(cycle) > WATCHDOG_CYCLES {
             // A wedged fabric can never drain; surface the window as a
             // deadlock so the recovery ladder can restore and retry.
             self.wedged = Some(self.deadlock_snapshot(cycle));
@@ -1083,25 +1064,12 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         // The transfer models the fault-prone link: each attempt passes
         // through the injector and may be corrupted in flight.
         self.load_bitstream(&bitstream)?;
-        // Shift the validated stream into the partial-reconfiguration
-        // region frame by frame. The source bytes just validated, so a
-        // frame failure here is a model inconsistency, not a transient.
-        let frames = flexcore_fabric::segment_bitstream(&bitstream, flexcore_fabric::FRAME_BYTES);
-        let region_err = |e: flexcore_fabric::ReconfigError| SimError::UnrecoverableCorruption {
-            context: "partial-reconfiguration region",
-            attempts: 1,
-            detail: e.to_string(),
-        };
-        self.region.begin_load(frames.len() as u32);
-        for f in &frames {
-            self.region.push_frame(f).map_err(region_err)?;
-        }
-        let _ = self.region.commit().map_err(region_err)?;
-        // Timing: one fabric cycle per frame shifted in, with every
-        // failed transfer attempt re-shifting the whole stream
-        // (retry-with-backoff), on top of the drain.
+        // Timing: one fabric cycle per configuration frame shifted in,
+        // with every failed transfer attempt re-shifting the whole
+        // stream (retry-with-backoff), on top of the drain.
+        let frames = bitstream.len().div_ceil(FRAME_BYTES) as u64;
         let retries = self.resilience.bitstream_retries - retries0;
-        let shift = (frames.len() as u64) * self.grid * (1 + retries);
+        let shift = frames * self.grid * (1 + retries);
         let reconfig_done = self.align_up(drain_done.saturating_add(shift));
         self.core.stall_until(reconfig_done);
         self.fabric_free_at = reconfig_done;
@@ -1150,7 +1118,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             rearmed_cycle: reconfig_done,
             drained_packets: drained,
             retries,
-            frames: frames.len() as u64,
+            frames,
         });
         Ok(())
     }
@@ -1332,20 +1300,13 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         self.lockstep.as_ref()
     }
 
-    /// Disarms the fault plan, if one is armed: polls decide nothing
-    /// and draw nothing until [`System::rearm_faults`]. The recovery
-    /// supervisor disarms before every replay so the restored run
-    /// re-executes fault-free (see [`FaultInjector::disarm`]).
+    /// Disarms the fault plan, if one is armed, for good: polls decide
+    /// nothing and draw nothing from then on. The recovery supervisor
+    /// disarms before every replay so the restored run re-executes
+    /// fault-free (see [`FaultInjector::disarm`]).
     pub fn disarm_faults(&mut self) {
         if let Some(inj) = &mut self.faults {
             inj.disarm();
-        }
-    }
-
-    /// Re-arms a previously disarmed fault plan.
-    pub fn rearm_faults(&mut self) {
-        if let Some(inj) = &mut self.faults {
-            inj.rearm();
         }
     }
 

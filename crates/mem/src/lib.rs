@@ -48,7 +48,6 @@ mod bus;
 mod cache;
 mod mainmem;
 mod metacache;
-#[cfg(feature = "serde")]
 mod serde_impls;
 mod storebuf;
 

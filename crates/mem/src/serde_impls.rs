@@ -1,5 +1,4 @@
-//! `Serialize` implementations for the statistics types (behind the
-//! `serde` feature).
+//! `Serialize` implementations for the statistics types.
 
 use serde::{Serialize, Value};
 

@@ -61,7 +61,6 @@
 mod alu;
 mod config;
 mod core;
-#[cfg(feature = "serde")]
 mod serde_impls;
 mod stats;
 mod trace;

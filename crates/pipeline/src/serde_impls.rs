@@ -1,5 +1,4 @@
-//! `Serialize` implementations for the statistics and exit types
-//! (behind the `serde` feature).
+//! `Serialize` implementations for the statistics and exit types.
 
 use flexcore_isa::InstrClass;
 use serde::{Serialize, Value};

@@ -44,7 +44,7 @@ fn run_with_swap(program: &Program, at_commit: u64) -> Result<(), Box<dyn std::e
     sys.load_program(program);
 
     // The incoming CFI extension and the bitstream that programs its
-    // datapath into the fabric's partial-reconfiguration region.
+    // datapath into the fabric.
     let cfi: Box<dyn Extension> = Box::new(Cfi::new(cfi_table(program)));
     let bitstream = to_bitstream(&map_to_luts(&cfi.netlist(), 6));
     sys.schedule_swap(SwapRequest { at_commit, bitstream, ext: cfi, policy: SwapPolicy::Reset });

@@ -6,7 +6,9 @@ use flexcore_suite::asm::assemble;
 use flexcore_suite::fabric::to_bitstream;
 use flexcore_suite::flexcore::ext::Sec;
 use flexcore_suite::flexcore::faults::{FaultModel, FaultPlan, FaultSchedule, FaultTarget};
-use flexcore_suite::flexcore::{OverflowPolicy, SimError, System, SystemConfig};
+use flexcore_suite::flexcore::{
+    OverflowPolicy, SimError, System, SystemConfig, BITSTREAM_RETRY_LIMIT,
+};
 use flexcore_suite::pipeline::ExitReason;
 use proptest::prelude::*;
 
@@ -96,8 +98,7 @@ fn sec_detects_an_injected_result_flip() {
 
 #[test]
 fn wedged_fabric_is_a_deadlock_error_not_a_hang() {
-    let config =
-        SystemConfig::fabric_quarter_speed().with_fifo_depth(4).with_watchdog_cycles(5_000);
+    let config = SystemConfig::fabric_quarter_speed().with_fifo_depth(4);
     let mut sys = System::new(config, Sec::new());
     sys.load_program(&alu_loop());
     sys.arm_faults(FaultPlan::new(1).inject(
@@ -160,8 +161,7 @@ fn unrecoverable_bitstream_corruption_is_reported() {
         &flexcore_suite::flexcore::Extension::netlist(&Sec::new()),
         6,
     ));
-    let mut sys =
-        System::new(SystemConfig::fabric_quarter_speed().with_bitstream_retry_limit(2), Sec::new());
+    let mut sys = System::new(SystemConfig::fabric_quarter_speed(), Sec::new());
     // Every transfer attempt gets hit.
     sys.arm_faults(FaultPlan::new(9).inject(
         FaultTarget::Bitstream,
@@ -171,7 +171,8 @@ fn unrecoverable_bitstream_corruption_is_reported() {
     match sys.load_bitstream(&bytes) {
         Err(SimError::UnrecoverableCorruption { context, attempts, .. }) => {
             assert_eq!(context, "fabric bitstream");
-            assert_eq!(attempts, 3, "limit 2 means 3 transfer attempts");
+            assert_eq!(attempts, BITSTREAM_RETRY_LIMIT + 1);
+            assert_eq!(attempts, 4, "limit 3 means 4 transfer attempts");
         }
         other => panic!("expected unrecoverable corruption, got {other:?}"),
     }

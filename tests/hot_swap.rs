@@ -22,7 +22,7 @@
 
 use flexcore_suite::analysis::cfi_edges;
 use flexcore_suite::asm::{assemble, Program};
-use flexcore_suite::fabric::{map_to_luts, to_bitstream, Netlist, NetlistBuilder};
+use flexcore_suite::fabric::{map_to_luts, to_bitstream, Netlist, NetlistBuilder, FRAME_BYTES};
 use flexcore_suite::flexcore::checkpoint::Snapshot;
 use flexcore_suite::flexcore::ext::{
     Cfi, CfiTable, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap, Sec, Umc,
@@ -314,6 +314,22 @@ fn swapped_umc_to_cfi(program: &Program, at_commit: u64) -> System<Box<dyn Exten
     let bitstream = bitstream_for(cfi.as_ref());
     sys.schedule_swap(SwapRequest { at_commit, bitstream, ext: cfi, policy: SwapPolicy::Reset });
     sys
+}
+
+#[test]
+fn swap_shifts_one_frame_per_64_bitstream_bytes() {
+    let program = fifo_pressure_kernel();
+    let bitstream = bitstream_for(&Cfi::new(cfi_table(&program)));
+    let mut sys = swapped_umc_to_cfi(&program, 60);
+    sys.try_run(MAX).expect("swapped run completes");
+    let [report] = sys.swap_reports() else {
+        panic!("exactly one swap report");
+    };
+    assert_eq!(report.frames, bitstream.len().div_ceil(FRAME_BYTES) as u64);
+    assert_eq!(report.retries, 0);
+    // One fabric cycle (two core cycles at half speed) per frame, on
+    // top of the drain.
+    assert!(report.rearmed_cycle - report.quiesce_cycle >= 2 * report.frames);
 }
 
 #[test]
