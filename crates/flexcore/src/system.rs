@@ -983,11 +983,17 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     pub fn load_bitstream(&mut self, bytes: &[u8]) -> Result<LutMapping, SimError> {
         let mut last_error = String::new();
         for attempt in 0..=BITSTREAM_RETRY_LIMIT {
-            let mut copy = bytes.to_vec();
-            if let Some(inj) = &mut self.faults {
-                inj.corrupt_bitstream(&mut copy);
-            }
-            match flexcore_fabric::from_bitstream(&copy) {
+            let decoded = match &mut self.faults {
+                // The injector corrupts a copy; `bytes` stays the
+                // pristine source every retry reloads from.
+                Some(inj) => {
+                    let mut copy = bytes.to_vec();
+                    inj.corrupt_bitstream(&mut copy);
+                    flexcore_fabric::from_bitstream(&copy)
+                }
+                None => flexcore_fabric::from_bitstream(bytes),
+            };
+            match decoded {
                 Ok(mapping) => {
                     self.resilience.bitstream_reloads += 1;
                     return Ok(mapping);
@@ -1060,14 +1066,18 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         // the incoming extension starts from a consistent memory image.
         self.meta.flush(&mut self.mem);
         let retries0 = self.resilience.bitstream_retries;
-        let bitstream = self.reconfig.slots_mut()[idx].bitstream.clone();
         // The transfer models the fault-prone link: each attempt passes
-        // through the injector and may be corrupted in flight.
-        self.load_bitstream(&bitstream)?;
+        // through the injector and may be corrupted in flight. The
+        // bytes leave the slot only for the transfer; a failed swap
+        // stays pending with its bitstream in place.
+        let bitstream = std::mem::take(&mut self.reconfig.slots_mut()[idx].bitstream);
+        let loaded = self.load_bitstream(&bitstream);
         // Timing: one fabric cycle per configuration frame shifted in,
         // with every failed transfer attempt re-shifting the whole
         // stream (retry-with-backoff), on top of the drain.
         let frames = bitstream.len().div_ceil(FRAME_BYTES) as u64;
+        self.reconfig.slots_mut()[idx].bitstream = bitstream;
+        loaded?;
         let retries = self.resilience.bitstream_retries - retries0;
         let shift = frames * self.grid * (1 + retries);
         let reconfig_done = self.align_up(drain_done.saturating_add(shift));

@@ -230,6 +230,7 @@ impl TimingCache {
 
     /// Splits `addr` into set and tag with shifts (the geometry is
     /// power-of-two, see [`CacheConfig::validate`]).
+    #[inline]
     fn set_and_tag(&self, addr: u32) -> (u32, u32) {
         let line = addr >> self.line_shift;
         (line & ((1 << self.set_bits) - 1), line >> self.set_bits)
@@ -244,26 +245,49 @@ impl TimingCache {
     /// Looks up `addr` for a read (`is_write = false`) or write, updates
     /// the tags and statistics, and reports what memory traffic is
     /// needed.
+    ///
+    /// A direct-mapped cache (the L1 default) checks the one line the
+    /// set can hold inline; everything else takes the way search.
+    #[inline]
     pub fn access(&mut self, addr: u32, is_write: bool) -> Lookup {
         self.stamp += 1;
-        let stamp = self.stamp;
         let (set, tag) = self.set_and_tag(addr);
+        if self.config.ways == 1 {
+            let line = self.lines[set as usize];
+            if line.valid && line.tag == tag {
+                return self.hit(set as usize, is_write);
+            }
+        }
+        self.search(set, tag, is_write)
+    }
+
+    /// Marks the line in `slot` most recently used (and dirty on a
+    /// write-back write) and counts the hit.
+    #[inline]
+    fn hit(&mut self, slot: usize, is_write: bool) -> Lookup {
+        let line = &mut self.lines[slot];
+        line.lru = self.stamp;
+        if is_write && self.config.write_policy == WritePolicy::WriteBackAllocate {
+            line.dirty = true;
+        }
+        if is_write {
+            self.stats.write_hits += 1;
+        } else {
+            self.stats.read_hits += 1;
+        }
+        Lookup { hit: true, refill: false, writeback_of: None, slot }
+    }
+
+    /// The way search behind [`TimingCache::access`], after the stamp
+    /// has moved: a hit in any way, or a miss with its allocation.
+    fn search(&mut self, set: u32, tag: u32, is_write: bool) -> Lookup {
+        let stamp = self.stamp;
         let policy = self.config.write_policy;
         let first = set as usize * self.config.ways as usize;
-        let ways = &mut self.lines[first..first + self.config.ways as usize];
+        let ways = &self.lines[first..first + self.config.ways as usize];
 
         if let Some(way) = ways.iter().position(|l| l.valid && l.tag == tag) {
-            let line = &mut ways[way];
-            line.lru = stamp;
-            if is_write && policy == WritePolicy::WriteBackAllocate {
-                line.dirty = true;
-            }
-            if is_write {
-                self.stats.write_hits += 1;
-            } else {
-                self.stats.read_hits += 1;
-            }
-            return Lookup { hit: true, refill: false, writeback_of: None, slot: first + way };
+            return self.hit(first + way, is_write);
         }
 
         // Miss.
@@ -511,7 +535,10 @@ mod props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// Hit/miss/write-back behaviour matches the reference LRU
-        /// model access-for-access, across geometries and policies.
+        /// model access-for-access, across geometries and policies, and
+        /// the replacement state checkpoints record moves the same way
+        /// on every path: each access bumps the stamp once, and the
+        /// line it hits or allocates takes that stamp.
         #[test]
         fn timing_cache_matches_reference_lru(
             ways in 1u32..=4,
@@ -536,8 +563,11 @@ mod props {
                 let (ref_hit, ref_wb) = reference.access(addr, is_write);
                 prop_assert_eq!(lookup.hit, ref_hit, "access {} addr {:#x}", i, addr);
                 prop_assert_eq!(lookup.writeback_of, ref_wb, "access {} addr {:#x}", i, addr);
+                let snap = dut.snapshot();
+                prop_assert_eq!(snap.stamp, i as u64 + 1, "access {}", i);
                 if lookup.hit || lookup.refill {
                     prop_assert_eq!(dut.slot_of(addr), Some(lookup.slot), "access {}", i);
+                    prop_assert_eq!(snap.lines[lookup.slot].lru, snap.stamp, "access {}", i);
                 }
             }
         }

@@ -1,5 +1,7 @@
 //! Paged big-endian backing store behind a two-level page table.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
@@ -8,9 +10,36 @@ const LEAF_SHIFT: u32 = 22;
 const LEAF_ENTRIES: usize = 1 << (LEAF_SHIFT - PAGE_SHIFT);
 const DIR_ENTRIES: usize = 1 << (32 - LEAF_SHIFT);
 
+/// One bit per word of a page: bit `w % 64` of entry `w / 64` is set
+/// once word `w` has been fetched.
+type FetchBits = [u64; PAGE_SIZE / 4 / 64];
+
 /// Index of `addr`'s page within its leaf.
 fn leaf_entry(addr: u32) -> usize {
     ((addr >> PAGE_SHIFT) as usize) & (LEAF_ENTRIES - 1)
+}
+
+/// A code generation no memory state has had before. Generations come
+/// from one process-wide counter that starts at 1, so 0 is never
+/// current.
+fn fresh_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Whether any of words `first..=last` is set in `bits`.
+fn any_fetched(bits: &FetchBits, first: usize, last: usize) -> bool {
+    if first == last {
+        // Every store the core issues is aligned and stays in one word.
+        return bits[first / 64] >> (first % 64) & 1 != 0;
+    }
+    let (lo, hi) = (first / 64, last / 64);
+    let head = u64::MAX << (first % 64);
+    let tail = u64::MAX >> (63 - last % 64);
+    if lo == hi {
+        return bits[lo] & head & tail != 0;
+    }
+    bits[lo] & head != 0 || bits[lo + 1..hi].iter().any(|&b| b != 0) || bits[hi] & tail != 0
 }
 
 /// Flat 32-bit physical address space, backed by 4-KB pages that are
@@ -29,6 +58,29 @@ fn leaf_entry(addr: u32) -> usize {
 /// byte. The directory and leaves are allocated on demand too, so a
 /// program touching a few regions clones in a few memcpys.
 ///
+/// # Code generations
+///
+/// Instruction fetch goes through [`MainMemory::fetch_u32`], which
+/// marks the word fetched. [`MainMemory::code_generation`] names the
+/// current state of every fetched word: while it is unchanged, each
+/// fetched word still holds the value it was fetched with, so a decode
+/// cached under a generation stays valid until the generation moves.
+/// A fresh generation is taken
+///
+/// * by a write that lands on a fetched word: `write_*` or
+///   [`MainMemory::load`] over the word, or
+///   [`MainMemory::page_bytes_mut`] on its page,
+/// * when a page becomes resident (a fetch from a page that is not
+///   resident marks nothing), and
+/// * by [`MainMemory::new`] and `clone`. Generations come from one
+///   process-wide counter, so no two memory states share one: a clone
+///   restored in place of the memory a decode came from never
+///   validates that decode.
+///
+/// Writes to words never fetched keep the generation, so data stores
+/// next to code do not invalidate cached decodes. Fetched marks are
+/// never cleared.
+///
 /// `MainMemory` is purely functional; all timing lives in
 /// [`SystemBus`](crate::SystemBus) and the caches.
 ///
@@ -41,7 +93,7 @@ fn leaf_entry(addr: u32) -> usize {
 /// assert_eq!(m.read_u8(0x100), 0x11); // big-endian: MSB first
 /// assert_eq!(m.read_u16(0x102), 0x3344);
 /// ```
-#[derive(Clone, Default, Debug)]
+#[derive(Debug)]
 pub struct MainMemory {
     /// Leaf number + 1 for each 4-MB region (0 = no leaf). Empty until
     /// the first write, then `DIR_ENTRIES` long.
@@ -50,6 +102,35 @@ pub struct MainMemory {
     leaves: Vec<[u32; LEAF_ENTRIES]>,
     /// Resident pages, in creation order.
     pages: Vec<[u8; PAGE_SIZE]>,
+    /// Fetched words of each resident page, by arena slot.
+    fetched: Vec<FetchBits>,
+    /// The current code generation.
+    generation: u64,
+}
+
+impl Default for MainMemory {
+    fn default() -> MainMemory {
+        MainMemory {
+            dir: Vec::new(),
+            leaves: Vec::new(),
+            pages: Vec::new(),
+            fetched: Vec::new(),
+            generation: fresh_generation(),
+        }
+    }
+}
+
+impl Clone for MainMemory {
+    /// Copies the contents and fetched marks under a fresh generation.
+    fn clone(&self) -> MainMemory {
+        MainMemory {
+            dir: self.dir.clone(),
+            leaves: self.leaves.clone(),
+            pages: self.pages.clone(),
+            fetched: self.fetched.clone(),
+            generation: fresh_generation(),
+        }
+    }
 }
 
 impl MainMemory {
@@ -74,16 +155,26 @@ impl MainMemory {
         self.slot(addr).map(|s| &self.pages[s])
     }
 
-    fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
+    /// The page holding bytes `addr..addr + len` (all on one page) for
+    /// writing, made resident first if needed; takes a fresh generation
+    /// if the bytes overlap a fetched word.
+    fn page_mut(&mut self, addr: u32, len: usize) -> &mut [u8; PAGE_SIZE] {
         let slot = match self.slot(addr) {
             Some(s) => s,
             None => self.allocate(addr),
         };
+        let off = (addr & PAGE_MASK) as usize;
+        if any_fetched(&self.fetched[slot], off / 4, (off + len - 1) / 4) {
+            self.generation = fresh_generation();
+        }
         &mut self.pages[slot]
     }
 
     /// Makes the page holding `addr` resident and returns its slot.
+    /// Takes a fresh generation: a fetch from the page while it was not
+    /// resident read zeros without marking anything.
     fn allocate(&mut self, addr: u32) -> usize {
+        self.generation = fresh_generation();
         if self.dir.is_empty() {
             self.dir = vec![0; DIR_ENTRIES];
         }
@@ -93,6 +184,7 @@ impl MainMemory {
             self.dir[d] = u16::try_from(self.leaves.len()).expect("at most DIR_ENTRIES leaves");
         }
         self.pages.push([0; PAGE_SIZE]);
+        self.fetched.push(FetchBits::default());
         let slot = self.pages.len();
         self.leaves[usize::from(self.dir[d]) - 1][leaf_entry(addr)] =
             u32::try_from(slot).expect("at most 2^20 pages");
@@ -113,10 +205,10 @@ impl MainMemory {
     /// boundary.
     fn write_bytes<const N: usize>(&mut self, addr: u32, bytes: [u8; N]) {
         let off = (addr & PAGE_MASK) as usize;
-        match self.page_mut(addr)[off..].first_chunk_mut() {
-            Some(dst) => *dst = bytes,
-            None => self.load(addr, &bytes),
+        if off + N > PAGE_SIZE {
+            return self.load(addr, &bytes);
         }
+        self.page_mut(addr, N)[off..off + N].copy_from_slice(&bytes);
     }
 
     /// Reads one byte.
@@ -126,7 +218,7 @@ impl MainMemory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u32, value: u8) {
-        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = value;
+        self.page_mut(addr, 1)[(addr & PAGE_MASK) as usize] = value;
     }
 
     /// Reads a big-endian halfword. `addr` is interpreted as given; the
@@ -150,6 +242,28 @@ impl MainMemory {
         self.write_bytes(addr, value.to_be_bytes());
     }
 
+    /// Reads the word at `addr` for instruction fetch and marks the
+    /// words its bytes lie in as fetched (where their pages are
+    /// resident), so that a later write to them moves
+    /// [`MainMemory::code_generation`].
+    pub fn fetch_u32(&mut self, addr: u32) -> u32 {
+        for a in [addr, addr.wrapping_add(3)] {
+            if let Some(slot) = self.slot(a) {
+                let w = (a & PAGE_MASK) as usize / 4;
+                self.fetched[slot][w / 64] |= 1 << (w % 64);
+            }
+        }
+        self.read_u32(addr)
+    }
+
+    /// The current code generation: unchanged since a
+    /// [`MainMemory::fetch_u32`] means the fetched word still reads the
+    /// same (see [Code generations](MainMemory#code-generations)).
+    #[inline]
+    pub fn code_generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Copies `bytes` into memory starting at `addr` (the program
     /// loader).
     pub fn load(&mut self, addr: u32, bytes: &[u8]) {
@@ -157,7 +271,7 @@ impl MainMemory {
         while !rest.is_empty() {
             let off = (addr & PAGE_MASK) as usize;
             let n = rest.len().min(PAGE_SIZE - off);
-            self.page_mut(addr)[off..off + n].copy_from_slice(&rest[..n]);
+            self.page_mut(addr, n)[off..off + n].copy_from_slice(&rest[..n]);
             addr = addr.wrapping_add(n as u32);
             rest = &rest[n..];
         }
@@ -227,7 +341,8 @@ impl MainMemory {
     }
 
     /// The raw bytes of page `index`, made resident first if it was
-    /// never touched (like any write).
+    /// never touched (like any write). Takes a fresh generation if the
+    /// page holds a fetched word.
     ///
     /// # Panics
     ///
@@ -236,7 +351,7 @@ impl MainMemory {
     #[inline]
     pub fn page_bytes_mut(&mut self, index: u32) -> &mut [u8] {
         let addr = index.checked_mul(PAGE_SIZE as u32).expect("page index below 2^20");
-        &mut self.page_mut(addr)[..]
+        &mut self.page_mut(addr, PAGE_SIZE)[..]
     }
 }
 
@@ -286,6 +401,77 @@ mod tests {
         assert_eq!(m.resident_pages(), 1);
         assert_eq!(m.read_u8(3 << PAGE_SHIFT | 5), 0xab);
         assert_eq!(m.page_bytes(3).map(<[u8]>::len), Some(PAGE_SIZE));
+    }
+
+    /// A memory with pages 1 and 2 resident and fetched words at 0x1000
+    /// and at the last word of page 1, 0x1ffc.
+    fn with_fetched_words() -> MainMemory {
+        let mut m = MainMemory::new();
+        m.load(0x1000, &[0xaa; 2 * PAGE_SIZE]);
+        m.fetch_u32(0x1000);
+        m.fetch_u32(0x1ffc);
+        m
+    }
+
+    #[test]
+    fn every_write_to_a_fetched_word_takes_a_fresh_generation() {
+        type Write = fn(&mut MainMemory);
+        let writes: [(&str, Write); 7] = [
+            ("byte", |m| m.write_u8(0x1003, 0)),
+            ("halfword", |m| m.write_u16(0x1002, 0)),
+            ("word", |m| m.write_u32(0x1000, 0)),
+            ("page-straddling word", |m| m.write_u32(0x1ffe, 0)),
+            ("load", |m| m.load(0x1001, &[0; 2])),
+            ("page_bytes_mut", |m| m.page_bytes_mut(1)[0x800] = 0),
+            ("a fetched word on a page the write makes resident", |m| {
+                m.fetch_u32(0x5000);
+                m.write_u8(0x5000, 1);
+            }),
+        ];
+        for (what, write) in writes {
+            let mut m = with_fetched_words();
+            let before = m.code_generation();
+            write(&mut m);
+            assert_ne!(m.code_generation(), before, "{what}");
+        }
+    }
+
+    #[test]
+    fn writes_to_unfetched_words_keep_the_generation() {
+        let mut m = with_fetched_words();
+        m.write_u8(0x3000, 0);
+        let before = m.code_generation();
+        m.write_u8(0x1004, 1);
+        m.write_u16(0x1006, 2);
+        m.write_u32(0x1ff8, 3);
+        m.load(0x1010, &[4; 64]);
+        m.page_bytes_mut(3)[0] = 5; // no fetched word on page 3
+        assert_eq!(m.code_generation(), before);
+        // A write that allocates a page takes one, fetched or not.
+        m.write_u8(0x9000, 6);
+        assert_ne!(m.code_generation(), before);
+    }
+
+    #[test]
+    fn fetch_marks_both_words_of_a_misaligned_fetch() {
+        let mut m = with_fetched_words();
+        m.fetch_u32(0x1402);
+        let before = m.code_generation();
+        m.write_u8(0x1405, 0);
+        assert_ne!(m.code_generation(), before);
+    }
+
+    #[test]
+    fn new_and_clone_never_reuse_a_generation() {
+        let m = with_fetched_words();
+        let mut seen = std::collections::BTreeSet::from([m.code_generation()]);
+        for _ in 0..4 {
+            assert!(seen.insert(MainMemory::new().code_generation()));
+            let c = m.clone();
+            assert!(seen.insert(c.code_generation()));
+            assert_eq!(c.dump(0x1000, PAGE_SIZE), m.dump(0x1000, PAGE_SIZE));
+        }
+        assert_ne!(MainMemory::default().code_generation(), 0);
     }
 
     #[test]

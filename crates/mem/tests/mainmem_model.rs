@@ -5,6 +5,10 @@
 //! this property can. Addresses are biased toward the page and
 //! page-table boundaries where the single-page fast paths hand over to
 //! the byte path.
+//!
+//! Fetches mark words for the code-generation contract the core's
+//! decode memo trusts: while `code_generation()` is unchanged since a
+//! fetch, the fetched word still reads the value it was fetched with.
 
 use std::collections::BTreeSet;
 
@@ -18,6 +22,9 @@ enum Op {
     Write { bytes: u32, addr: u32, value: u32 },
     Load { addr: u32, data: Vec<u8> },
     Dump { addr: u32, len: usize },
+    Fetch { addr: u32 },
+    PageBytesMut { addr: u32, value: u8 },
+    Clone,
 }
 
 fn addr() -> impl Strategy<Value = u32> {
@@ -44,6 +51,9 @@ fn op() -> impl Strategy<Value = Op> {
         1 => (addr(), prop::collection::vec(any::<u8>(), 0..40))
             .prop_map(|(addr, data)| Op::Load { addr, data }),
         1 => (addr(), 0usize..40).prop_map(|(addr, len)| Op::Dump { addr, len }),
+        3 => addr().prop_map(|addr| Op::Fetch { addr }),
+        1 => (addr(), any::<u8>()).prop_map(|(addr, value)| Op::PageBytesMut { addr, value }),
+        1 => Just(Op::Clone),
     ]
 }
 
@@ -70,6 +80,9 @@ proptest! {
     fn paged_memory_matches_byte_map(ops in prop::collection::vec(op(), 1..80)) {
         let (mut mem, mut reference) = (MainMemory::new(), ByteMap::default());
         let mut written = BTreeSet::new();
+        // (address, word read, generation) of every fetch so far.
+        let mut fetches: Vec<(u32, u32, u64)> = Vec::new();
+        let mut generations = BTreeSet::from([mem.code_generation()]);
         for op in ops {
             match op {
                 Op::Read { bytes, addr } => {
@@ -94,6 +107,29 @@ proptest! {
                     let expect: Vec<u8> =
                         (0..len).map(|i| reference.read_u8(addr.wrapping_add(i as u32))).collect();
                     prop_assert_eq!(mem.dump(addr, len), expect, "{:?}", op);
+                }
+                Op::Fetch { addr } => {
+                    let word = mem.fetch_u32(addr);
+                    prop_assert_eq!(word, reference.read_u32(addr), "{:?}", op);
+                    fetches.push((addr, word, mem.code_generation()));
+                }
+                Op::PageBytesMut { addr, value } => {
+                    mem.page_bytes_mut(addr >> 12)[(addr & 0xfff) as usize] = value;
+                    reference.write_u8(addr, value);
+                    written.insert(addr >> 12);
+                }
+                Op::Clone => {
+                    mem = mem.clone();
+                    prop_assert!(
+                        !generations.contains(&mem.code_generation()),
+                        "a clone reuses a generation"
+                    );
+                }
+            }
+            generations.insert(mem.code_generation());
+            for &(addr, word, generation) in &fetches {
+                if generation == mem.code_generation() {
+                    prop_assert_eq!(mem.read_u32(addr), word, "fetch at {:#x} after {:?}", addr, op);
                 }
             }
         }

@@ -111,11 +111,13 @@ pub struct CoreSnapshot {
 /// hot loop of up to 4 KB of text decodes once.
 const MEMO_SLOTS: usize = 1024;
 
-/// A decode-memo entry: a fetched word at a PC and everything the
-/// commit path derives from the word alone.
+/// A decode-memo entry: the word fetched at a PC under a memory code
+/// generation, and everything the commit path derives from the word
+/// alone.
 #[derive(Clone, Copy, Debug)]
 struct Decoded {
     pc: u32,
+    generation: u64,
     word: u32,
     inst: Instruction,
     class: InstrClass,
@@ -146,10 +148,12 @@ pub struct Core {
     /// Instructions committed since the last base-cycle charge (for
     /// `commit_width > 1`).
     commit_slot: u32,
-    /// Decoded instructions by PC. An entry is used only when its word
-    /// equals the word fetched this cycle, so stores over code, text
-    /// faults and checkpoint restores need no invalidation. Derived
-    /// state: not part of [`CoreSnapshot`].
+    /// Decoded instructions by PC. An entry is used only while the
+    /// memory's [`MainMemory::code_generation`] is the one it was
+    /// fetched under; stores over fetched code, text faults and
+    /// checkpoint restores (which install a clone) all move the
+    /// generation, so the memo needs no invalidation of its own.
+    /// Derived state: not part of [`CoreSnapshot`].
     memo: Box<[Option<Decoded>; MEMO_SLOTS]>,
 }
 
@@ -385,17 +389,27 @@ impl Core {
             return Stepped::Annulled;
         }
 
-        let word = mem.read_u32(pc);
+        let generation = mem.code_generation();
         let slot = (pc >> 2) as usize % MEMO_SLOTS;
         let d = match self.memo[slot] {
-            Some(d) if d.pc == pc && d.word == word => d,
+            Some(d) if d.pc == pc && d.generation == generation => d,
             _ => {
+                let word = mem.fetch_u32(pc);
                 let Ok(inst) = decode(word) else {
                     return self.exit(ExitReason::IllegalInstruction { pc, word });
                 };
                 let (src1, src2) = inst.source_regs();
                 let class = InstrClass::of(&inst);
-                let d = Decoded { pc, word, inst, class, src1, src2, dest: inst.dest_reg() };
+                let d = Decoded {
+                    pc,
+                    generation,
+                    word,
+                    inst,
+                    class,
+                    src1,
+                    src2,
+                    dest: inst.dest_reg(),
+                };
                 self.memo[slot] = Some(d);
                 d
             }
@@ -404,7 +418,7 @@ impl Core {
 
         *packet = TracePacket {
             pc,
-            inst_word: word,
+            inst_word: d.word,
             inst,
             class: d.class,
             addr: 0,
@@ -503,7 +517,7 @@ impl Core {
                 }
                 if matches!(op, Opcode::Ldd | Opcode::Std) && rd.index() % 2 != 0 {
                     // Doubleword ops require an even register pair.
-                    return self.exit(ExitReason::IllegalInstruction { pc, word });
+                    return self.exit(ExitReason::IllegalInstruction { pc, word: d.word });
                 }
                 if ea >= CONSOLE_ADDR {
                     // Memory-mapped console: uncached, no bus model

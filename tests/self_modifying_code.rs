@@ -1,14 +1,15 @@
 //! Code that changes under the core's feet: a store over an instruction
-//! that already executed, and a text fault on one. The core memoizes
-//! decoded instructions by PC, so each run must show the fresh
-//! encoding, never the one decoded on the first pass — on the bare
-//! core, under lockstep against the memo-free reference interpreter,
-//! and against that interpreter with the same fault applied.
+//! that already executed, a text fault on one, and a checkpoint restore
+//! that rewinds a store over code. The core memoizes decoded
+//! instructions by PC, so each run must show the current encoding,
+//! never one decoded earlier — on the bare core, under lockstep against
+//! the memo-free reference interpreter, against that interpreter with
+//! the same fault applied, and against a fresh run after the restore.
 
 use flexcore_suite::asm::{assemble, Program};
 use flexcore_suite::flexcore::ext::Nop;
 use flexcore_suite::flexcore::faults::{FaultModel, FaultPlan, FaultSchedule, FaultTarget};
-use flexcore_suite::flexcore::{System, SystemConfig};
+use flexcore_suite::flexcore::{RunResult, System, SystemConfig};
 use flexcore_suite::isa::interp::{ByteMap, Memory32, RefCore, RefExit, RefStep};
 use flexcore_suite::isa::Reg;
 use flexcore_suite::mem::{MainMemory, SystemBus};
@@ -132,4 +133,61 @@ fn text_fault_on_executed_code_matches_the_reference() {
     assert_eq!(r.exit, ExitReason::Halt(0));
     assert_eq!(sys.core().reg(Reg::O0), golden_o0);
     assert_eq!(golden_o0, (-10i32) as u32);
+}
+
+/// Patches `target` with the `repl` encoding before its only execution
+/// when `flag` is set: %o0 ends as 7 - 1 = 6 when patched and 7 + 5 = 12
+/// otherwise. It touches no page outside its image, so no write makes
+/// a page resident mid-run.
+fn patch_if_flagged() -> Program {
+    assemble(
+        "
+        start:  set flag, %g1
+                ld [%g1], %g1
+                set target, %g2
+                set repl, %g3
+                ld [%g3], %g3
+                mov 7, %o0
+                cmp %g1, 0
+                be target
+                nop
+                st %g3, [%g2]
+        target: add %o0, 5, %o0
+                ta 0
+        repl:   sub %o0, 1, %o0
+        flag:   .word 0
+        ",
+    )
+    .expect("flag-patching kernel assembles")
+}
+
+fn run_to_halt(sys: &mut System<Nop>) -> RunResult {
+    let r = sys.try_run(BUDGET).expect("run completes");
+    assert_eq!(r.exit, ExitReason::Halt(0));
+    r
+}
+
+/// The restored memory is a clone of the load-time image. Had the
+/// clone kept that image's code generation, the decode of the patched
+/// `target` from the first run would still validate after the restore,
+/// and the second run would execute the patch instead of the original.
+#[test]
+fn restore_rewinds_a_store_over_code_the_memo_decoded() {
+    let program = patch_if_flagged();
+    let flag = program.symbol("flag").expect("flag label");
+    let mut sys = System::new(SystemConfig::asic(), Nop::new());
+    sys.load_program(&program);
+    let at_zero = sys.snapshot();
+    sys.memory_mut().write_u32(flag, 1);
+    run_to_halt(&mut sys);
+    assert_eq!(sys.core().reg(Reg::O0), 6, "the first run executes the patch");
+
+    sys.restore(&at_zero).expect("snapshot restores into its own system");
+    let replayed = run_to_halt(&mut sys);
+    assert_eq!(sys.core().reg(Reg::O0), 12, "the second run executes the original add");
+
+    let mut fresh = System::new(SystemConfig::asic(), Nop::new());
+    fresh.load_program(&program);
+    assert_eq!(replayed, run_to_halt(&mut fresh));
+    assert_eq!(sys.snapshot(), fresh.snapshot());
 }
