@@ -79,7 +79,8 @@ fn any_fetched(bits: &FetchBits, first: usize, last: usize) -> bool {
 ///
 /// Writes to words never fetched keep the generation, so data stores
 /// next to code do not invalidate cached decodes. Fetched marks are
-/// never cleared.
+/// never cleared. Every write reaches page bytes through one private
+/// accessor that makes the check, so a new write method cannot skip it.
 ///
 /// `MainMemory` is purely functional; all timing lives in
 /// [`SystemBus`](crate::SystemBus) and the caches.
@@ -157,7 +158,9 @@ impl MainMemory {
 
     /// The page holding bytes `addr..addr + len` (all on one page) for
     /// writing, made resident first if needed; takes a fresh generation
-    /// if the bytes overlap a fetched word.
+    /// if the bytes overlap a fetched word. This is the only path to a
+    /// page's bytes for writing, so every write method gets the
+    /// generation check here and nowhere else.
     fn page_mut(&mut self, addr: u32, len: usize) -> &mut [u8; PAGE_SIZE] {
         let slot = match self.slot(addr) {
             Some(s) => s,
