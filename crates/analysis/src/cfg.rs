@@ -112,6 +112,16 @@ impl Cfg {
     pub fn code_len(&self) -> usize {
         self.code_addrs.len()
     }
+
+    /// Every reachable instruction as `(pc, inst)`, delay slots
+    /// included: each block's instructions in order, then the delay
+    /// slot its edges carry. A delay slot that is also a branch target
+    /// (an error diagnostic) is yielded twice.
+    pub fn instructions(&self) -> impl Iterator<Item = (u32, Instruction)> + '_ {
+        self.blocks
+            .iter()
+            .flat_map(|b| b.insts.iter().copied().chain(b.succs.iter().find_map(|e| e.delay)))
+    }
 }
 
 /// One successor of a CTI, before block indices exist.

@@ -59,27 +59,19 @@ impl CfiEdges {
 pub fn cfi_edges(program: &Program) -> CfiEdges {
     let (cfg, _) = build_cfg(program);
     let mut edges = CfiEdges::default();
-    let mut visit = |pc: u32, inst: &Instruction| match *inst {
-        // `bn` never transfers control; every other branch (including
-        // `ba`) has exactly one static target.
-        Instruction::Branch { cond, disp22, .. } if cond != Cond::N => {
-            edges.branch_edges.push((pc, pc.wrapping_add((disp22 as u32) << 2)));
-        }
-        Instruction::Call { disp30 } => {
-            edges.call_targets.push(pc.wrapping_add((disp30 as u32) << 2));
-            // Execution legally re-enters just past the delay slot.
-            edges.return_sites.push(pc.wrapping_add(8));
-        }
-        _ => {}
-    };
-    for block in cfg.blocks() {
-        for (pc, inst) in &block.insts {
-            visit(*pc, inst);
-        }
-        for edge in &block.succs {
-            if let Some((pc, inst)) = &edge.delay {
-                visit(*pc, inst);
+    for (pc, inst) in cfg.instructions() {
+        match inst {
+            // `bn` never transfers control; every other branch (including
+            // `ba`) has exactly one static target.
+            Instruction::Branch { cond, disp22, .. } if cond != Cond::N => {
+                edges.branch_edges.push((pc, pc.wrapping_add((disp22 as u32) << 2)));
             }
+            Instruction::Call { disp30 } => {
+                edges.call_targets.push(pc.wrapping_add((disp30 as u32) << 2));
+                // Execution legally re-enters just past the delay slot.
+                edges.return_sites.push(pc.wrapping_add(8));
+            }
+            _ => {}
         }
     }
     if let Some(entry) = cfg.entry() {

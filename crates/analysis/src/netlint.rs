@@ -265,8 +265,7 @@ fn mapping_checks(netlist: &Netlist, k: usize, diags: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexcore_fabric::MacroBlock;
-    use flexcore_fabric::NetlistBuilder;
+    use flexcore_fabric::{MacroBlock, NetlistBuilder, LUT_K};
 
     fn rules(diags: &[Diagnostic]) -> Vec<Rule> {
         diags.iter().map(|d| d.rule).collect()
@@ -281,7 +280,7 @@ mod tests {
         let q = b.register(s);
         b.output("sum", s);
         b.output("held", q);
-        let diags = lint_netlist(&b.finish(), 6);
+        let diags = lint_netlist(&b.finish(), LUT_K);
         assert!(diags.iter().all(|d| !d.is_error()), "{diags:?}");
         assert!(!rules(&diags).contains(&Rule::NlDeadLogic), "{diags:?}");
         assert!(!rules(&diags).contains(&Rule::NlFloatingInput), "{diags:?}");
@@ -295,7 +294,7 @@ mod tests {
         let _dead = b.not(x);
         b.output("pass", x);
         let _ = unused_in;
-        let diags = lint_netlist(&b.finish(), 6);
+        let diags = lint_netlist(&b.finish(), LUT_K);
         assert!(rules(&diags).contains(&Rule::NlDeadLogic), "{diags:?}");
         assert!(rules(&diags).contains(&Rule::NlFloatingInput), "{diags:?}");
         assert!(diags.iter().all(|d| !d.is_error()), "warnings must not gate: {diags:?}");
@@ -306,7 +305,7 @@ mod tests {
         let mut b = NetlistBuilder::new("cfgreg");
         let q = b.dff();
         b.output("held", q);
-        let diags = lint_netlist(&b.finish(), 6);
+        let diags = lint_netlist(&b.finish(), LUT_K);
         let d = diags.iter().find(|d| d.rule == Rule::NlUnconnectedDff).expect("info emitted");
         assert!(!d.is_error());
     }
@@ -318,7 +317,7 @@ mod tests {
         let y = b.not(x);
         b.output("o", x);
         b.output("o", y);
-        let diags = lint_netlist(&b.finish(), 6);
+        let diags = lint_netlist(&b.finish(), LUT_K);
         assert!(rules(&diags).contains(&Rule::NlDuplicateOutput), "{diags:?}");
     }
 
@@ -334,7 +333,7 @@ mod tests {
         }
         b.output_bus("acc", &sum);
         b.add_macro(MacroBlock::Ram { words: 16, width: 8 });
-        let diags = lint_netlist(&b.finish(), 6);
+        let diags = lint_netlist(&b.finish(), LUT_K);
         assert!(diags.iter().all(|d| !d.is_error()), "{diags:?}");
     }
 

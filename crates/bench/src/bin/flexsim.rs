@@ -426,10 +426,7 @@ fn run_monitored(program: &Program, opts: &Options, ext: Box<dyn Extension>) -> 
     }
     let mut recoveries = 0;
     let driven = if opts.recover {
-        let policy = RecoveryPolicy {
-            checkpoint_every: opts.checkpoint_every.unwrap_or(10_000),
-            ..RecoveryPolicy::default()
-        };
+        let policy = RecoveryPolicy { checkpoint_every: opts.checkpoint_every.unwrap_or(10_000) };
         let mut sup = Supervisor::new(sys, policy);
         let outcome = sup.run(opts.max);
         let report = sup.report().clone();

@@ -74,16 +74,12 @@ pub fn build_elision_table(program: &Program) -> (ElisionTable, ElisionSummary) 
     // extension re-derives the target from the committed packet and
     // certifies it against its own edge table, so listing a site here
     // is safe even if a fault corrupts the displacement in flight.
-    for block in report.cfg.blocks() {
-        let insts = block.insts.iter().map(|&(pc, inst)| (pc, inst));
-        let delays = block.succs.iter().filter_map(|e| e.delay);
-        for (pc, inst) in insts.chain(delays) {
-            if matches!(inst, Instruction::Branch { .. } | Instruction::Call { .. })
-                && table.mask(pc) & ELIDE_CFI == 0
-            {
-                table.set(pc, ELIDE_CFI);
-                summary.cfi_pcs += 1;
-            }
+    for (pc, inst) in report.cfg.instructions() {
+        if matches!(inst, Instruction::Branch { .. } | Instruction::Call { .. })
+            && table.mask(pc) & ELIDE_CFI == 0
+        {
+            table.set(pc, ELIDE_CFI);
+            summary.cfi_pcs += 1;
         }
     }
     (table, summary)

@@ -20,9 +20,7 @@ use flexcore_analysis::cfi_edges;
 use flexcore_asm::Program;
 use flexcore_fabric::{map_to_luts, to_bitstream};
 
-/// LUT input width used everywhere a netlist is technology-mapped
-/// (matches the recovery ladder's bitstream-reload rung).
-pub const LUT_K: usize = 6;
+pub use flexcore_fabric::LUT_K;
 
 /// The lowercase names [`build_extension`] accepts, in presentation
 /// order. The first four are the paper's Table IV columns, in column

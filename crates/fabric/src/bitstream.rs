@@ -233,7 +233,7 @@ pub fn verify_consistent(netlist: &Netlist, mapping: &LutMapping) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{map_to_luts, NetlistBuilder};
+    use crate::{map_to_luts, NetlistBuilder, LUT_K};
 
     fn adder_mapping() -> (crate::Netlist, LutMapping) {
         let mut b = NetlistBuilder::new("add8");
@@ -243,7 +243,7 @@ mod tests {
         b.output_bus("s", &s);
         b.output("c", c);
         let n = b.finish();
-        let m = map_to_luts(&n, 6);
+        let m = map_to_luts(&n, LUT_K);
         (n, m)
     }
 
@@ -302,13 +302,13 @@ mod tests {
         let eq = b.eq(&x, &y);
         b.output("eq", eq);
         let netlist = b.finish();
-        verify_consistent(&netlist, &map_to_luts(&netlist, 6)).unwrap();
+        verify_consistent(&netlist, &map_to_luts(&netlist, LUT_K)).unwrap();
 
         let mut b = NetlistBuilder::new("other");
         let x = b.input_bus(4);
         let r = b.reduce_or(&x);
         b.output("any", r);
-        let other_map = map_to_luts(&b.finish(), 6);
+        let other_map = map_to_luts(&b.finish(), LUT_K);
         assert!(verify_consistent(&netlist, &other_map).is_err());
     }
 
@@ -321,7 +321,7 @@ mod tests {
         let y = b.input_bus(64);
         let (s, _) = b.add(&x, &y);
         b.output_bus("s", &s);
-        let m = map_to_luts(&b.finish(), 6);
+        let m = map_to_luts(&b.finish(), LUT_K);
         let bs = to_bitstream(&m);
         assert!(bs.len() < 64 * 1024, "{} bytes", bs.len());
     }
@@ -330,7 +330,7 @@ mod tests {
 #[cfg(test)]
 mod props {
     use super::*;
-    use crate::{map_to_luts, NetlistBuilder};
+    use crate::{map_to_luts, NetlistBuilder, LUT_K};
     use proptest::prelude::*;
 
     proptest! {
@@ -353,7 +353,7 @@ mod props {
             }
             let last = *pool.last().expect("nonempty");
             b.output("o", last);
-            let m = map_to_luts(&b.finish(), 6);
+            let m = map_to_luts(&b.finish(), LUT_K);
             let back = from_bitstream(&to_bitstream(&m)).unwrap();
             prop_assert_eq!(back.lut_count(), m.lut_count());
             for (l1, l2) in m.luts().iter().zip(back.luts()) {

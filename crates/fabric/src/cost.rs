@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::calib;
-use crate::lutmap::map_to_luts;
+use crate::lutmap::{map_to_luts, LUT_K};
 use crate::{Gate, MacroBlock, Netlist};
 
 /// Cost of the macro blocks (RAMs, register files, FIFOs) attached to a
@@ -63,9 +63,10 @@ pub struct FpgaCost {
 }
 
 impl FpgaCost {
-    /// Maps `netlist` to 6-LUTs and derives its FPGA costs.
+    /// Maps `netlist` to [`LUT_K`]-input LUTs and derives its FPGA
+    /// costs.
     pub fn of(netlist: &Netlist) -> FpgaCost {
-        let mapping = map_to_luts(netlist, 6);
+        let mapping = map_to_luts(netlist, LUT_K);
         FpgaCost {
             name: netlist.name().to_string(),
             luts: mapping.lut_count(),

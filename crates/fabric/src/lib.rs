@@ -31,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use flexcore_fabric::{map_to_luts, to_bitstream, AsicCost, FpgaCost, NetlistBuilder};
+//! use flexcore_fabric::{map_to_luts, to_bitstream, AsicCost, FpgaCost, NetlistBuilder, LUT_K};
 //!
 //! // A 16-bit equality comparator.
 //! let mut b = NetlistBuilder::new("eq16");
@@ -41,7 +41,7 @@
 //! b.output("eq", eq);
 //! let netlist = b.finish();
 //!
-//! let mapping = map_to_luts(&netlist, 6);
+//! let mapping = map_to_luts(&netlist, LUT_K);
 //! assert!(mapping.lut_count() >= 4);            // a handful of 6-LUTs
 //! let fpga = FpgaCost::of(&netlist);
 //! let asic = AsicCost::of(&netlist);
@@ -66,6 +66,6 @@ pub use bitstream::{
     VERSION as BITSTREAM_VERSION,
 };
 pub use cost::{AsicCost, FpgaCost, MacroCost};
-pub use lutmap::{map_to_luts, Lut, LutMapping};
+pub use lutmap::{map_to_luts, Lut, LutMapping, LUT_K};
 pub use netlist::{Bus, Gate, MacroBlock, Net, Netlist, NetlistBuilder};
 pub use vcd::{vcd_signal_count, write_vcd};

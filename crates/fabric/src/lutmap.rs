@@ -175,6 +175,10 @@ fn eval_cone(netlist: &Netlist, net: Net, leaves: &[Net], assignment: usize) -> 
     }
 }
 
+/// LUT input width of the modeled Virtex-5-class fabric: every netlist
+/// is technology-mapped, costed and programmed at this width.
+pub const LUT_K: usize = 6;
+
 /// Maps a netlist's combinational logic onto `k`-input LUTs with a
 /// greedy cone-growing heuristic (logic duplication allowed, as in real
 /// mappers): each gate absorbs its fan-in cones while the merged leaf
@@ -298,7 +302,7 @@ mod tests {
         let y = b.input();
         let z = b.and(x, y);
         b.output("z", z);
-        let m = map_to_luts(&b.finish(), 6);
+        let m = map_to_luts(&b.finish(), LUT_K);
         assert_eq!(m.lut_count(), 1);
         assert_eq!(m.depth(), 1);
     }
@@ -310,7 +314,7 @@ mod tests {
         let xs = b.input_bus(6);
         let o = b.reduce_or(&xs);
         b.output("o", o);
-        let m = map_to_luts(&b.finish(), 6);
+        let m = map_to_luts(&b.finish(), LUT_K);
         assert_eq!(m.lut_count(), 1);
         assert_eq!(m.depth(), 1);
     }
@@ -321,7 +325,7 @@ mod tests {
         let xs = b.input_bus(7);
         let o = b.reduce_or(&xs);
         b.output("o", o);
-        let m = map_to_luts(&b.finish(), 6);
+        let m = map_to_luts(&b.finish(), LUT_K);
         // Optimal is 2; the greedy heuristic may use 3.
         assert!((2..=3).contains(&m.lut_count()), "{}", m.lut_count());
         assert_eq!(m.depth(), 2);
@@ -333,7 +337,7 @@ mod tests {
         let xs = b.input_bus(64);
         let o = b.reduce_xor(&xs);
         b.output("o", o);
-        let m = map_to_luts(&b.finish(), 6);
+        let m = map_to_luts(&b.finish(), LUT_K);
         // Optimal is ~13 LUTs / 2 levels; the greedy mapper lands
         // within 2x of that.
         assert!(m.lut_count() <= 26, "{} luts", m.lut_count());
@@ -350,7 +354,7 @@ mod tests {
         b.output_bus("s", &s);
         b.output("c", c);
         let n = b.finish();
-        let m = map_to_luts(&n, 6);
+        let m = map_to_luts(&n, LUT_K);
         for a in (0..256u64).step_by(7) {
             for bb in (0..256u64).step_by(11) {
                 let mut inp = to_bits(a, 8);
@@ -371,7 +375,7 @@ mod tests {
         let q = b.register(z);
         b.output("q", q);
         let n = b.finish();
-        let m = map_to_luts(&n, 6);
+        let m = map_to_luts(&n, LUT_K);
         assert_eq!(m.lut_count(), 1, "the xor feeding the flop");
         // Sequential equivalence over a few cycles.
         let mut s1 = n.initial_state();
@@ -523,7 +527,7 @@ mod props {
             ops in prop::collection::vec(arb_op(), 1..80),
         ) {
             let n = build(num_inputs, &ops);
-            let m = map_to_luts(&n, 6);
+            let m = map_to_luts(&n, LUT_K);
             prop_assert!(m.lut_count() <= n.logic_gates().max(1));
             if n.logic_gates() > 0 && m.lut_count() > 0 {
                 prop_assert!(m.depth() >= 1);

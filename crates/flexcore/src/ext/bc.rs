@@ -363,6 +363,7 @@ impl Extension for Bc {
 mod tests {
     use super::*;
     use crate::ext::tests_util::{alu_packet, env_parts, mem_packet, packet_with_cpop};
+    use flexcore_fabric::{map_to_luts, LUT_K};
     use flexcore_isa::Reg;
 
     /// Colors a 32-byte "allocation" at 0x2000 with color 5 and marks
@@ -497,8 +498,8 @@ mod tests {
     fn netlist_is_larger_than_dift() {
         let bcn = Bc::new().netlist();
         let dn = crate::ext::Dift::new().netlist();
-        let bl = flexcore_fabric::map_to_luts(&bcn, 6).lut_count();
-        let dl = flexcore_fabric::map_to_luts(&dn, 6).lut_count();
+        let bl = map_to_luts(&bcn, LUT_K).lut_count();
+        let dl = map_to_luts(&dn, LUT_K).lut_count();
         assert!(bl > dl, "BC {bl} LUTs vs DIFT {dl}");
     }
 }

@@ -274,6 +274,7 @@ impl Extension for Cfi {
 mod tests {
     use super::*;
     use crate::ext::tests_util::{env_parts, packet};
+    use flexcore_fabric::{map_to_luts, LUT_K};
 
     fn branch_packet(pc: u32, cond: Cond, disp22: i32) -> TracePacket {
         let mut p = packet(Instruction::Branch { cond, annul: false, disp22 });
@@ -366,7 +367,7 @@ mod tests {
     fn netlist_is_nontrivial_and_maps() {
         let n = Cfi::new(CfiTable::new()).netlist();
         assert!(n.logic_gates() > 50);
-        let m = flexcore_fabric::map_to_luts(&n, 6);
+        let m = map_to_luts(&n, LUT_K);
         assert!(m.lut_count() > 30, "{}", m.lut_count());
         assert!(m.depth() >= 2);
     }

@@ -354,6 +354,7 @@ impl Extension for Dift {
 mod tests {
     use super::*;
     use crate::ext::tests_util::{alu_packet, env_parts, mem_packet, packet, packet_with_cpop};
+    use flexcore_fabric::{map_to_luts, LUT_K};
     use flexcore_isa::{Instruction, Opcode, Operand2, Reg};
 
     fn jmpl_packet(rs1: Reg) -> flexcore_pipeline::TracePacket {
@@ -542,8 +543,8 @@ mod tests {
     fn netlist_is_larger_than_umc() {
         let d = Dift::new().netlist();
         let u = crate::ext::Umc::new().netlist();
-        let dl = flexcore_fabric::map_to_luts(&d, 6).lut_count();
-        let ul = flexcore_fabric::map_to_luts(&u, 6).lut_count();
+        let dl = map_to_luts(&d, LUT_K).lut_count();
+        let ul = map_to_luts(&u, LUT_K).lut_count();
         assert!(dl > ul, "DIFT {dl} LUTs vs UMC {ul}");
     }
 }

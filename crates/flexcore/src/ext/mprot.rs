@@ -285,6 +285,7 @@ impl Extension for Mprot {
 mod tests {
     use super::*;
     use crate::ext::tests_util::{env_parts, mem_packet, packet_with_cpop};
+    use flexcore_fabric::{map_to_luts, LUT_K};
     use flexcore_isa::Opcode;
 
     fn set_range(m: &mut Mprot, env: &mut ExtEnv<'_>, start: u32, len: u32, perm: Perm) {
@@ -360,8 +361,8 @@ mod tests {
 
     #[test]
     fn netlist_maps_to_a_small_fabric_footprint() {
-        let l = flexcore_fabric::map_to_luts(&Mprot::new().netlist(), 6).lut_count();
-        let umc = flexcore_fabric::map_to_luts(&crate::ext::Umc::new().netlist(), 6).lut_count();
+        let l = map_to_luts(&Mprot::new().netlist(), LUT_K).lut_count();
+        let umc = map_to_luts(&crate::ext::Umc::new().netlist(), LUT_K).lut_count();
         // Comparable to UMC: the smallest class of extension.
         assert!(l < 2 * umc, "MPROT {l} LUTs vs UMC {umc}");
     }

@@ -72,6 +72,7 @@ mod tests {
     use super::*;
     use crate::ext::tests_util::{env_parts, mem_packet};
     use crate::interface::ForwardPolicy;
+    use flexcore_fabric::{map_to_luts, LUT_K};
     use flexcore_isa::{InstrClass, Opcode};
 
     #[test]
@@ -89,7 +90,7 @@ mod tests {
     #[test]
     fn netlist_round_trips_through_the_bitstream() {
         let n = Nop::new().netlist();
-        let m = flexcore_fabric::map_to_luts(&n, 6);
+        let m = map_to_luts(&n, LUT_K);
         let bytes = flexcore_fabric::to_bitstream(&m);
         assert!(flexcore_fabric::from_bitstream(&bytes).is_ok());
     }

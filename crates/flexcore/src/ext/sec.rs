@@ -293,6 +293,7 @@ pub(crate) fn reexecute(op: Opcode, a: u32, b: u32) -> Option<u32> {
 mod tests {
     use super::*;
     use crate::ext::tests_util::{alu_packet, env_parts};
+    use flexcore_fabric::{map_to_luts, LUT_K};
     use flexcore_isa::{InstrClass, Reg};
 
     fn check(op: Opcode, a: u32, b: u32, res: u32) -> Result<Option<u32>, MonitorTrap> {
@@ -369,8 +370,8 @@ mod tests {
 
     #[test]
     fn netlist_is_the_largest_extension() {
-        let sl = flexcore_fabric::map_to_luts(&Sec::new().netlist(), 6).lut_count();
-        let bl = flexcore_fabric::map_to_luts(&crate::ext::Bc::new().netlist(), 6).lut_count();
+        let sl = map_to_luts(&Sec::new().netlist(), LUT_K).lut_count();
+        let bl = map_to_luts(&crate::ext::Bc::new().netlist(), LUT_K).lut_count();
         assert!(sl > bl, "SEC {sl} LUTs vs BC {bl}");
     }
 }

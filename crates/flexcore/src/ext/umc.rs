@@ -261,6 +261,7 @@ impl Extension for Umc {
 mod tests {
     use super::*;
     use crate::ext::tests_util::{env_parts, mem_packet, packet_with_cpop};
+    use flexcore_fabric::{map_to_luts, LUT_K};
     use flexcore_isa::Opcode;
 
     #[test]
@@ -390,7 +391,7 @@ mod tests {
     fn netlist_is_nontrivial_and_maps() {
         let n = Umc::new().netlist();
         assert!(n.logic_gates() > 50);
-        let m = flexcore_fabric::map_to_luts(&n, 6);
+        let m = map_to_luts(&n, LUT_K);
         assert!(m.lut_count() > 30, "{}", m.lut_count());
         assert!(m.depth() >= 2);
     }

@@ -259,19 +259,8 @@ impl TraceSink for MetricsRecorder {
 /// Serialization of the series (JSONL).
 mod export {
     use super::*;
-    use flexcore_isa::InstrClass;
+    use flexcore_pipeline::per_class_value;
     use serde::Value;
-
-    fn per_class_value(per_class: &[u64; NUM_INSTR_CLASSES]) -> Value {
-        let mut obj = Value::object();
-        for c in InstrClass::all() {
-            let n = per_class[c.index()];
-            if n > 0 {
-                obj = obj.field(&format!("{c:?}").to_lowercase(), &n);
-            }
-        }
-        obj.build()
-    }
 
     impl MetricsRecorder {
         /// Serializes the series as JSON Lines: a `meta` header, one

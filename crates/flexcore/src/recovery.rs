@@ -40,38 +40,34 @@ use crate::ext::Extension;
 use crate::obs::{NullSink, TraceSink};
 use crate::stats::{ResilienceStats, RunResult};
 use crate::{SimError, Snapshot, System};
+use flexcore_fabric::LUT_K;
 
-/// Knobs of the [`Supervisor`]'s checkpoint cadence and escalation
-/// ladder.
+/// Rung-1 budget: rollback-and-replay attempts before escalating.
+pub const MAX_REPLAYS: u32 = 2;
+
+/// Rung-2 budget: replay-after-bitstream-reload attempts before
+/// escalating.
+pub const MAX_RELOAD_REPLAYS: u32 = 1;
+
+/// Modeled cost of taking one checkpoint, in core-clock cycles.
+/// Snapshots are instantaneous in the simulation (they never perturb
+/// timing or the replayed state); this constant only prices them in
+/// [`RecoveryReport::checkpoint_overhead_cycles`].
+pub const CHECKPOINT_COST_CYCLES: u64 = 500;
+
+/// The [`Supervisor`]'s checkpoint cadence, its one setting: the
+/// ladder's budgets are [`MAX_REPLAYS`] and [`MAX_RELOAD_REPLAYS`],
+/// and rung 3 is always taken before an abort.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Commit-boundary interval between checkpoint attempts (clamped to
     /// ≥ 1).
     pub checkpoint_every: u64,
-    /// Rung-1 budget: rollback-and-replay attempts before escalating.
-    pub max_replays: u32,
-    /// Rung-2 budget: replay-after-bitstream-reload attempts before
-    /// escalating.
-    pub max_reload_replays: u32,
-    /// Whether rung 3 (degraded mode) is permitted at all; when
-    /// `false` the ladder goes straight from rung 2 to abort.
-    pub allow_degraded: bool,
-    /// Modeled cost of taking one checkpoint, in core-clock cycles.
-    /// Snapshots are instantaneous in the simulation (they never
-    /// perturb timing or the replayed state); this knob only prices
-    /// them in [`RecoveryReport::checkpoint_overhead_cycles`].
-    pub checkpoint_cost_cycles: u64,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> RecoveryPolicy {
-        RecoveryPolicy {
-            checkpoint_every: 10_000,
-            max_replays: 2,
-            max_reload_replays: 1,
-            allow_degraded: true,
-            checkpoint_cost_cycles: 500,
-        }
+        RecoveryPolicy { checkpoint_every: 10_000 }
     }
 }
 
@@ -112,9 +108,8 @@ pub struct RecoveryReport {
     pub mttr_cycles: u64,
     /// Checkpoints retained during supervised execution.
     pub checkpoints_taken: u64,
-    /// `checkpoints_taken ×`
-    /// [`RecoveryPolicy::checkpoint_cost_cycles`] — the modeled price
-    /// of the checkpoint cadence.
+    /// `checkpoints_taken ×` [`CHECKPOINT_COST_CYCLES`] — the modeled
+    /// price of the checkpoint cadence.
     pub checkpoint_overhead_cycles: u64,
     /// Instructions committed while monitoring was bypassed (rung 3).
     pub degraded_commits: u64,
@@ -380,7 +375,7 @@ impl<E: Extension, S: TraceSink> Supervisor<E, S> {
         // Rung 1: rollback and replay. The first attempt trusts the
         // last clean checkpoint; later attempts distrust it and replay
         // from time zero.
-        if self.rung1_used < self.policy.max_replays {
+        if self.rung1_used < MAX_REPLAYS {
             self.rung1_used += 1;
             let snap = match (&self.last, self.rung1_used) {
                 (Some(last), 1) => last,
@@ -396,13 +391,13 @@ impl<E: Extension, S: TraceSink> Supervisor<E, S> {
 
         // Rung 2: reload the fabric configuration from a freshly mapped
         // netlist, then replay from the initial state.
-        if self.rung2_used < self.policy.max_reload_replays {
+        if self.rung2_used < MAX_RELOAD_REPLAYS {
             self.rung2_used += 1;
             if self.sys.restore(&self.initial).is_err() {
                 return false;
             }
             self.sys.disarm_faults();
-            let mapping = flexcore_fabric::map_to_luts(&self.sys.extension().netlist(), 6);
+            let mapping = flexcore_fabric::map_to_luts(&self.sys.extension().netlist(), LUT_K);
             let bytes = flexcore_fabric::to_bitstream(&mapping);
             if self.sys.load_bitstream(&bytes).is_err() {
                 return false;
@@ -413,7 +408,7 @@ impl<E: Extension, S: TraceSink> Supervisor<E, S> {
         }
 
         // Rung 3: degraded mode — run the program out unmonitored.
-        if self.policy.allow_degraded && !self.sys.degraded() {
+        if !self.sys.degraded() {
             if self.sys.restore(&self.initial).is_err() {
                 return false;
             }
@@ -439,7 +434,7 @@ impl<E: Extension, S: TraceSink> Supervisor<E, S> {
     /// Folds end-of-run state into the report.
     fn finish(&mut self, resilience: ResilienceStats, end_cycle: u64) {
         self.report.checkpoint_overhead_cycles =
-            self.report.checkpoints_taken * self.policy.checkpoint_cost_cycles;
+            self.report.checkpoints_taken * CHECKPOINT_COST_CYCLES;
         self.report.fifo_drained = self.sys.fifo_drained_on_restore();
         self.report.degraded_commits = resilience.unmonitored_commits;
         self.report.suppressed_checks = resilience.suppressed_checks;
@@ -488,11 +483,8 @@ mod tests {
 
     #[test]
     fn policy_defaults_walk_every_rung_once_over() {
-        let p = RecoveryPolicy::default();
-        assert_eq!(p.max_replays, 2);
-        assert_eq!(p.max_reload_replays, 1);
-        assert!(p.allow_degraded);
-        assert_eq!(p.checkpoint_every, 10_000);
+        assert_eq!((MAX_REPLAYS, MAX_RELOAD_REPLAYS), (2, 1));
+        assert_eq!(RecoveryPolicy::default().checkpoint_every, 10_000);
     }
 
     #[test]
@@ -505,10 +497,7 @@ mod tests {
         sys.load_program(&loopy());
         sys.enable_lockstep();
         sys.inject_result_fault(1000, 5);
-        let mut sup = Supervisor::new(
-            sys,
-            RecoveryPolicy { checkpoint_every: 256, ..RecoveryPolicy::default() },
-        );
+        let mut sup = Supervisor::new(sys, RecoveryPolicy { checkpoint_every: 256 });
         let recovered = sup.run(MAX).expect("supervisor recovers the divergence");
 
         assert_eq!(recovered, reference, "replay is bit-exact");
@@ -566,28 +555,24 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_ladder_aborts_with_the_original_trap() {
-        let mut sys = System::new(SystemConfig::fabric_half_speed(), Umc::new());
-        sys.load_program(&uninit_read());
-        let mut sup = Supervisor::new(
-            sys,
-            RecoveryPolicy {
-                max_replays: 0,
-                max_reload_replays: 0,
-                allow_degraded: false,
-                ..RecoveryPolicy::default()
-            },
+    fn exhausted_ladder_aborts_with_the_original_error() {
+        // An endless loop blows the cycle budget on every attempt,
+        // degraded mode included: rungs 1, 1, 2 and 3 all fail, then
+        // the ladder is exhausted.
+        let config = SystemConfig::fabric_half_speed().with_cycle_budget(50_000);
+        let mut sys = System::new(config, Umc::new());
+        sys.load_program(&assemble("start: ba start\n nop").unwrap());
+        let mut sup = Supervisor::new(sys, RecoveryPolicy::default());
+        let result = sup.run(MAX);
+        assert!(
+            matches!(result, Err(SimError::CycleBudgetExceeded { budget: 50_000, .. })),
+            "the budget error surfaces unrecovered: {result:?}"
         );
-        let r = sup.run(MAX).expect("a monitor trap is an Ok result");
-        assert!(r.monitor_trap.is_some(), "the trap surfaces unrecovered");
         let report = sup.report();
         assert!(report.aborted);
-        assert_eq!(report.errors_detected, 1);
-        assert_eq!(
-            FaultOutcome::classify(report, &Ok(r.clone()), &r),
-            FaultOutcome::Due,
-            "an aborted trial is DUE even against itself"
-        );
+        assert!(report.degraded_entered);
+        assert_eq!(report.errors_detected, 5);
+        assert_eq!(report.attempts.iter().map(|a| a.rung).collect::<Vec<_>>(), vec![1, 1, 2, 3]);
     }
 
     #[test]

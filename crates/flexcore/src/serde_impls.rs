@@ -1,6 +1,6 @@
 //! `Serialize` implementations for run results and diagnostics.
 
-use flexcore_isa::InstrClass;
+use flexcore_pipeline::per_class_value;
 use serde::{Serialize, Value};
 
 use crate::error::{DeadlockSnapshot, SimError};
@@ -8,17 +8,6 @@ use crate::ext::MonitorTrap;
 use crate::lockstep::{DivergenceReport, LockstepCommit, RegMismatch};
 use crate::obs::FlightEntry;
 use crate::stats::{ForwardStats, ResilienceStats, RunResult};
-
-fn per_class_value(per_class: &[u64]) -> Value {
-    let mut obj = Value::object();
-    for c in InstrClass::all() {
-        let n = per_class[c.index()];
-        if n > 0 {
-            obj = obj.field(&format!("{c:?}").to_lowercase(), &n);
-        }
-    }
-    obj.build()
-}
 
 impl Serialize for ForwardStats {
     fn to_value(&self) -> Value {

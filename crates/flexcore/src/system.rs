@@ -14,7 +14,7 @@ use crate::faults::{
     FaultTarget, PacketField,
 };
 use crate::interface::{Cfgr, ForwardFifo, ForwardPolicy};
-use crate::lockstep::{DivergenceReport, LockstepChecker};
+use crate::lockstep::LockstepChecker;
 use crate::obs::{NullSink, TraceEvent, TraceSink};
 use crate::reconfig::{ReconfigController, SwapPolicy, SwapReport, SwapRequest};
 use crate::stats::{ForwardStats, ResilienceStats, RunResult};
@@ -98,9 +98,9 @@ pub enum RunOutcome {
 pub struct SystemConfig {
     /// Core parameters.
     pub core: CoreConfig,
-    /// Meta-data cache geometry (the paper's default: 4 KB, 32-B
-    /// lines).
-    pub meta_cache: CacheConfig,
+    /// Meta-data cache capacity in bytes (the paper's default: 4 KB);
+    /// the rest of the geometry is [`CacheConfig::meta_default`]'s.
+    pub meta_cache_bytes: u32,
     /// Forward-FIFO depth (the paper's default: 64).
     pub fifo_depth: usize,
     /// Extension implementation and clock ratio.
@@ -134,7 +134,7 @@ impl SystemConfig {
     pub fn asic() -> SystemConfig {
         SystemConfig {
             core: CoreConfig::leon3(),
-            meta_cache: CacheConfig::meta_default(),
+            meta_cache_bytes: CacheConfig::meta_default().size_bytes,
             fifo_depth: 64,
             implementation: Implementation::Asic,
             decode_on_core: true,
@@ -203,8 +203,14 @@ impl SystemConfig {
     /// Returns a copy with a different meta-data cache capacity in
     /// bytes (geometry otherwise unchanged).
     pub fn with_meta_cache_bytes(mut self, bytes: u32) -> SystemConfig {
-        self.meta_cache.size_bytes = bytes;
+        self.meta_cache_bytes = bytes;
         self
+    }
+
+    /// The meta-data cache geometry: [`CacheConfig::meta_default`] at
+    /// [`SystemConfig::meta_cache_bytes`].
+    fn meta_cache(&self) -> CacheConfig {
+        CacheConfig { size_bytes: self.meta_cache_bytes, ..CacheConfig::meta_default() }
     }
 
     /// Returns a copy with a hard core-cycle budget.
@@ -258,18 +264,12 @@ pub struct System<E: Extension, S: TraceSink = NullSink> {
     resilience: ResilienceStats,
     /// Set by a `FabricStuck` fault: the fabric never drains again.
     fabric_stuck: bool,
-    /// Set when the commit stage detects it can never make progress;
-    /// `try_run` converts it into `SimError::Deadlock`.
-    wedged: Option<DeadlockSnapshot>,
     /// Memory image as it stood right after [`System::load_program`] —
     /// the baseline that [`System::snapshot`] delta-compresses against.
     baseline_mem: Option<MainMemory>,
     /// The golden-model checker, when
     /// [`System::enable_lockstep`] is active.
     lockstep: Option<LockstepChecker>,
-    /// Set by the commit-path lockstep check; `try_run` converts it
-    /// into [`SimError::Divergence`].
-    diverged: Option<Box<DivergenceReport>>,
     /// Degraded mode: monitoring is bypassed; commits are counted as
     /// unmonitored instead of being forwarded. Entered by the recovery
     /// supervisor's rung 3, never by the system itself. Not part of a
@@ -344,7 +344,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             core: Core::new(config.core),
             mem: MainMemory::new(),
             bus: SystemBus::default(),
-            meta: MetaDataCache::new(config.meta_cache),
+            meta: MetaDataCache::new(config.meta_cache()),
             shadow: ShadowRegFile::new(),
             ext,
             cfgr,
@@ -356,10 +356,8 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             faults: None,
             resilience: ResilienceStats::default(),
             fabric_stuck: false,
-            wedged: None,
             baseline_mem: None,
             lockstep: None,
-            diverged: None,
             degraded: false,
             degraded_entry: None,
             fifo_drained_on_restore: 0,
@@ -485,7 +483,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         self.ext.on_program_load(program.base(), program.len() as u32, &mut env);
         // Leave the meta cache cold and its statistics clean.
         self.meta.flush(&mut self.mem);
-        self.meta = MetaDataCache::new(self.config.meta_cache);
+        self.meta = MetaDataCache::new(self.config.meta_cache());
         // The checkpoint baseline: the complete image (text, data, and
         // the extension's flushed meta-data) as of time zero.
         self.baseline_mem = Some(self.mem.clone());
@@ -677,8 +675,9 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     }
 
     /// Handles one committed instruction: fault injection, the
-    /// forwarding filter, the FIFO, and the fabric.
-    fn on_commit(&mut self, pkt: &mut TracePacket) {
+    /// forwarding filter, the FIFO, and the fabric. A lockstep
+    /// divergence or a FIFO that can never drain is the run's error.
+    fn on_commit(&mut self, pkt: &mut TracePacket) -> Result<(), SimError> {
         self.forward.committed += 1;
         if let Some(inj) = &mut self.faults {
             let actions = inj.poll_commit(self.forward.committed, pkt.commit_cycle);
@@ -703,8 +702,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             // commit it lands on.
             if let Err(mut report) = checker.check_commit(pkt, &self.core, self.forward.committed) {
                 report.flight = self.sink.flight_log();
-                self.diverged = Some(report);
-                return;
+                return Err(SimError::Divergence(report));
             }
         }
         if self.degraded {
@@ -714,11 +712,11 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             if self.cfgr.policy(pkt.class).forwards() {
                 self.resilience.suppressed_checks += 1;
             }
-            return;
+            return Ok(());
         }
         let mut policy = self.cfgr.policy(pkt.class);
         if !policy.forwards() {
-            return;
+            return Ok(());
         }
         // Statically discharged check: the analysis proved this PC's
         // packet cannot change the extension's observable behavior, and
@@ -732,7 +730,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 pc: pkt.pc,
                 class: pkt.class,
             });
-            return;
+            return Ok(());
         }
         if self.config.precise_exceptions {
             // No decoupling: every forwarded instruction must be
@@ -746,7 +744,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 if self.fifo.is_full(now) {
                     self.forward.dropped += 1;
                     self.emit(TraceEvent::Drop { cycle: now, class: pkt.class, overflow: false });
-                    return;
+                    return Ok(());
                 }
                 self.record_forward(pkt);
                 let (start, _) = self.process_on_fabric(pkt, now);
@@ -763,8 +761,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                             // system has effectively deadlocked.
                             let free_at = self.fifo.empty_slot_at(now);
                             if free_at.saturating_sub(now) > WATCHDOG_CYCLES {
-                                self.wedged = Some(self.deadlock_snapshot(now));
-                                return;
+                                return Err(SimError::Deadlock(self.deadlock_snapshot(now)));
                             }
                             self.core.stall_until(free_at);
                             self.emit(TraceEvent::CommitStall { cycle: now, until: free_at });
@@ -778,7 +775,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                                 class: pkt.class,
                                 overflow: true,
                             });
-                            return;
+                            return Ok(());
                         }
                     }
                 } else {
@@ -814,6 +811,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 }
             }
         }
+        Ok(())
     }
 
     fn record_forward(&mut self, pkt: &TracePacket) {
@@ -899,12 +897,6 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         // `&mut self` needs no copy.
         let mut pkt = TracePacket::EMPTY;
         loop {
-            if let Some(report) = self.diverged.take() {
-                return Err(SimError::Divergence(report));
-            }
-            if let Some(snap) = self.wedged.take() {
-                return Err(SimError::Deadlock(snap));
-            }
             let cycle = self.core.cycle();
             // Hot-swap hook: fires at the scheduled commit boundary,
             // before the pause check so a snapshot taken at the same
@@ -953,7 +945,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             match self.core.step_into(&mut self.mem, &mut self.bus, &mut pkt) {
                 Stepped::Committed => {
                     last_commit_cycle = self.core.cycle();
-                    self.on_commit(&mut pkt);
+                    self.on_commit(&mut pkt)?;
                 }
                 Stepped::Annulled => {}
                 Stepped::Exited(exit) => {
@@ -1042,10 +1034,11 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     }
 
     /// The quiesce → drain → swap → rearm sequence, at a commit
-    /// boundary. An unprogrammable bitstream (retry budget exhausted)
-    /// propagates as [`SimError::UnrecoverableCorruption`] with the
-    /// swap still pending, so a recovery-ladder replay re-executes the
-    /// whole window deterministically.
+    /// boundary. A fabric that can never drain is a
+    /// [`SimError::Deadlock`], and an unprogrammable bitstream (retry
+    /// budget exhausted) a [`SimError::UnrecoverableCorruption`]; both
+    /// leave the swap pending, so a recovery-ladder replay re-executes
+    /// the whole window deterministically.
     fn execute_swap(&mut self, idx: usize) -> Result<(), SimError> {
         let cycle = self.core.cycle();
         let committed = self.forward.committed;
@@ -1059,8 +1052,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         if drain_done.saturating_sub(cycle) > WATCHDOG_CYCLES {
             // A wedged fabric can never drain; surface the window as a
             // deadlock so the recovery ladder can restore and retry.
-            self.wedged = Some(self.deadlock_snapshot(cycle));
-            return Ok(());
+            return Err(SimError::Deadlock(self.deadlock_snapshot(cycle)));
         }
         // The outgoing extension's dirty meta-data is written back so
         // the incoming extension starts from a consistent memory image.
@@ -1246,8 +1238,6 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         self.pending_trap = snap.pending_trap;
         self.resilience = snap.resilience;
         self.fabric_stuck = snap.fabric_stuck;
-        self.wedged = None;
-        self.diverged = None;
         if self.lockstep.is_some() {
             // Re-seed the golden model from the restored state.
             self.enable_lockstep();
@@ -1296,7 +1286,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     /// ([`crate::lockstep::LockstepChecker`]) steps commit-for-commit
     /// with the pipeline and any architectural disagreement makes the
     /// run return [`SimError::Divergence`] with a minimized
-    /// [`DivergenceReport`]. Call after
+    /// [`DivergenceReport`](crate::lockstep::DivergenceReport). Call after
     /// [`load_program`](System::load_program) (or at any commit
     /// boundary).
     pub fn enable_lockstep(&mut self) {

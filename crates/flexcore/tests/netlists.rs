@@ -4,7 +4,7 @@
 //! reload — is lossless for every extension.
 
 use flexcore::ext::{Bc, Cfi, CfiTable, Dift, Extension, Mprot, Sec, Umc};
-use flexcore_fabric::{from_bitstream, map_to_luts, to_bitstream, Netlist};
+use flexcore_fabric::{from_bitstream, map_to_luts, to_bitstream, Netlist, LUT_K};
 
 fn all_netlists() -> Vec<Netlist> {
     vec![
@@ -42,7 +42,7 @@ fn stimulus(seed: u32, n: usize) -> Vec<bool> {
 #[test]
 fn mapped_networks_match_their_netlists() {
     for netlist in all_netlists() {
-        let mapping = map_to_luts(&netlist, 6);
+        let mapping = map_to_luts(&netlist, LUT_K);
         // Start from an arbitrary state and run long enough for every
         // pipeline register to carry values between cycles.
         let mut s1 = stimulus(0x5eed, netlist.flops());
@@ -61,7 +61,7 @@ fn mapped_networks_match_their_netlists() {
 #[test]
 fn every_extension_survives_the_bitstream_flow() {
     for netlist in all_netlists() {
-        let mapping = map_to_luts(&netlist, 6);
+        let mapping = map_to_luts(&netlist, LUT_K);
         let bs = to_bitstream(&mapping);
         let reloaded = from_bitstream(&bs).unwrap_or_else(|e| panic!("{}: {e}", netlist.name()));
         assert_eq!(reloaded.lut_count(), mapping.lut_count(), "{}", netlist.name());
@@ -86,7 +86,7 @@ fn every_extension_survives_the_bitstream_flow() {
 #[test]
 fn interface_netlist_also_maps_cleanly() {
     let n = flexcore::interface::interface_netlist();
-    let m = map_to_luts(&n, 6);
+    let m = map_to_luts(&n, LUT_K);
     assert!(m.lut_count() > 50);
     let bs = to_bitstream(&m);
     assert!(from_bitstream(&bs).is_ok());

@@ -128,6 +128,12 @@ impl Cond {
         self as u8
     }
 
+    /// The complementary condition (true exactly when `self` is
+    /// false): SPARC encodes it by flipping the top bit of the field.
+    pub fn negate(self) -> Cond {
+        Cond::from_bits(self.to_bits() ^ 8)
+    }
+
     /// Evaluates the condition against a set of flags, per the SPARC V8
     /// manual's `Bicc` semantics.
     pub fn eval(self, f: IccFlags) -> bool {
@@ -258,11 +264,12 @@ mod tests {
 
     #[test]
     fn complementary_pairs() {
-        // Each SPARC condition in 1..8 is the complement of the one at
-        // code | 8.
-        for bits in 1..8u8 {
+        // Each SPARC condition in 0..8 is the complement of the one at
+        // code | 8, and `negate` maps each to the other.
+        for bits in 0..8u8 {
             let a = Cond::from_bits(bits);
             let b = Cond::from_bits(bits | 8);
+            assert_eq!((a.negate(), b.negate()), (b, a));
             for fbits in 0..16u8 {
                 let f = IccFlags::from_bits(fbits);
                 assert_ne!(a.eval(f), b.eval(f), "{a} vs {b} on {f}");

@@ -30,7 +30,7 @@ impl CacheConfig {
     /// The paper's L1 configuration: 32 KB, 32-byte lines. Leon3's
     /// caches are direct-mapped by default; we keep that, with
     /// write-through / no-allocate.
-    pub fn l1_default() -> CacheConfig {
+    pub const fn l1_default() -> CacheConfig {
         CacheConfig {
             size_bytes: 32 * 1024,
             line_bytes: 32,
@@ -41,7 +41,7 @@ impl CacheConfig {
 
     /// The paper's meta-data cache: 4 KB, 32-byte lines, write-back
     /// with allocation so that bit-masked tag updates stay on chip.
-    pub fn meta_default() -> CacheConfig {
+    pub const fn meta_default() -> CacheConfig {
         CacheConfig {
             size_bytes: 4 * 1024,
             line_bytes: 32,
@@ -56,7 +56,7 @@ impl CacheConfig {
     }
 
     /// Number of words per line.
-    pub fn line_words(&self) -> u32 {
+    pub const fn line_words(&self) -> u32 {
         self.line_bytes / 4
     }
 

@@ -1,27 +1,33 @@
 //! Core configuration.
+//!
+//! The paper evaluates one Leon3 (§V.A): single-issue, 7-stage
+//! pipeline, 32-KB direct-mapped L1 I/D caches with 32-B lines,
+//! write-through no-allocate. Its cache geometry and latencies are the
+//! constants below; only the commit width varies (the superscalar
+//! study).
 
 use flexcore_mem::CacheConfig;
 
-/// Timing and cache parameters of the modeled core.
+/// L1 instruction and data cache geometry.
+pub(crate) const L1: CacheConfig = CacheConfig::l1_default();
+/// Words per L1 line: the length of a refill burst on the bus.
+pub(crate) const L1_LINE_WORDS: u32 = L1.line_words();
+/// Write buffer depth for write-through stores.
+pub(crate) const STORE_BUFFER_DEPTH: usize = 8;
+/// Extra cycles for integer multiply (Leon3's 32x32 multiplier).
+pub(crate) const MUL_LATENCY: u64 = 4;
+/// Extra cycles for integer divide (Leon3's radix-2 divider).
+pub(crate) const DIV_LATENCY: u64 = 35;
+/// Extra cycles a load spends in the pipeline beyond the base cycle
+/// (Leon3 loads occupy the memory stage for two cycles).
+pub(crate) const LOAD_LATENCY: u64 = 1;
+/// Extra cycles charged on a *taken* control transfer beyond its delay
+/// slot (the Leon3 fetch-redirect bubble on jumps and taken branches).
+pub(crate) const TAKEN_BRANCH_PENALTY: u64 = 1;
+
+/// The one settable parameter of the modeled core.
 #[derive(Clone, Copy, Debug)]
 pub struct CoreConfig {
-    /// L1 instruction cache geometry.
-    pub icache: CacheConfig,
-    /// L1 data cache geometry.
-    pub dcache: CacheConfig,
-    /// Write buffer depth for write-through stores.
-    pub store_buffer_depth: usize,
-    /// Extra cycles for integer multiply (Leon3's 32x32 multiplier).
-    pub mul_latency: u32,
-    /// Extra cycles for integer divide (Leon3's radix-2 divider).
-    pub div_latency: u32,
-    /// Extra cycles a load spends in the pipeline beyond the base cycle
-    /// (Leon3 loads occupy the memory stage for two cycles).
-    pub load_latency: u32,
-    /// Extra cycles charged on a *taken* control transfer beyond its
-    /// delay slot (the Leon3 fetch-redirect bubble on jumps and taken
-    /// branches).
-    pub taken_branch_penalty: u32,
     /// Idealized commit width: how many instructions share one base
     /// cycle. 1 models the paper's single-issue Leon3; larger values
     /// give an optimistic superscalar bound (no dependence stalls) for
@@ -32,20 +38,10 @@ pub struct CoreConfig {
 }
 
 impl CoreConfig {
-    /// The paper's evaluation configuration (§V.A): Leon3 with
-    /// single-issue 7-stage pipeline, 32-KB L1 I/D caches with 32-B
-    /// lines, write-through no-allocate.
+    /// The paper's evaluation configuration (§V.A): the single-issue
+    /// Leon3.
     pub fn leon3() -> CoreConfig {
-        CoreConfig {
-            icache: CacheConfig::l1_default(),
-            dcache: CacheConfig::l1_default(),
-            store_buffer_depth: 8,
-            mul_latency: 4,
-            div_latency: 35,
-            load_latency: 1,
-            taken_branch_penalty: 1,
-            commit_width: 1,
-        }
+        CoreConfig { commit_width: 1 }
     }
 
     /// An idealized `width`-issue variant of the Leon3 configuration
@@ -56,13 +52,7 @@ impl CoreConfig {
     /// Panics if `width == 0`.
     pub fn superscalar(width: u32) -> CoreConfig {
         assert!(width > 0, "commit width must be at least 1");
-        CoreConfig { commit_width: width, ..CoreConfig::leon3() }
-    }
-}
-
-impl Default for CoreConfig {
-    fn default() -> CoreConfig {
-        CoreConfig::leon3()
+        CoreConfig { commit_width: width }
     }
 }
 
@@ -72,10 +62,10 @@ mod tests {
 
     #[test]
     fn leon3_matches_paper_parameters() {
-        let c = CoreConfig::leon3();
-        assert_eq!(c.icache.size_bytes, 32 * 1024);
-        assert_eq!(c.icache.line_bytes, 32);
-        assert_eq!(c.dcache.size_bytes, 32 * 1024);
-        assert!(c.div_latency > c.mul_latency);
+        assert_eq!(CoreConfig::leon3().commit_width, 1);
+        assert_eq!(L1.size_bytes, 32 * 1024);
+        assert_eq!(L1.line_bytes, 32);
+        assert_eq!(L1_LINE_WORDS, 8);
+        assert_eq!((MUL_LATENCY, DIV_LATENCY), (4, 35));
     }
 }

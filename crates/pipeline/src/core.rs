@@ -5,6 +5,10 @@ use flexcore_isa::{decode, IccFlags, InstrClass, Instruction, Opcode, Operand2, 
 use flexcore_mem::{BusMaster, CacheStats, MainMemory, StoreBuffer, SystemBus, TimingCache};
 
 use crate::alu::alu;
+use crate::config::{
+    DIV_LATENCY, L1, L1_LINE_WORDS, LOAD_LATENCY, MUL_LATENCY, STORE_BUFFER_DEPTH,
+    TAKEN_BRANCH_PENALTY,
+};
 use crate::{CoreConfig, CoreStats, TracePacket, CONSOLE_ADDR};
 
 /// Why execution stopped.
@@ -132,7 +136,8 @@ struct Decoded {
 /// end-to-end example.
 #[derive(Clone, Debug)]
 pub struct Core {
-    config: CoreConfig,
+    /// [`CoreConfig::commit_width`].
+    commit_width: u32,
     regs: [u32; 32],
     icc: IccFlags,
     pc: u32,
@@ -164,16 +169,16 @@ impl Core {
     /// Creates a core in reset state (PC 0, registers zero).
     pub fn new(config: CoreConfig) -> Core {
         Core {
-            config,
+            commit_width: config.commit_width,
             regs: [0; 32],
             icc: IccFlags::default(),
             pc: 0,
             npc: 4,
             annul_next: false,
             cycle: 0,
-            icache: TimingCache::new(config.icache),
-            dcache: TimingCache::new(config.dcache),
-            storebuf: StoreBuffer::new(config.store_buffer_depth),
+            icache: TimingCache::new(L1),
+            dcache: TimingCache::new(L1),
+            storebuf: StoreBuffer::new(STORE_BUFFER_DEPTH),
             stats: CoreStats::default(),
             console: Vec::new(),
             exited: None,
@@ -305,11 +310,8 @@ impl Core {
         }
     }
 
-    /// Restores state captured by [`Core::snapshot`].
-    ///
-    /// The core must have been constructed with the same
-    /// [`CoreConfig`] as the snapshotted one; the cache restore panics
-    /// on a geometry mismatch.
+    /// Restores state captured by [`Core::snapshot`] on a core built
+    /// with the same [`CoreConfig`].
     pub fn restore(&mut self, snap: &CoreSnapshot) {
         self.regs = snap.regs;
         self.icc = IccFlags::from_bits(snap.icc);
@@ -372,7 +374,7 @@ impl Core {
         // Instruction fetch.
         let ifetch = self.icache.access(pc, false);
         if !ifetch.hit {
-            let done = bus.transfer(BusMaster::Core, self.cycle, self.config.icache.line_words());
+            let done = bus.transfer(BusMaster::Core, self.cycle, L1_LINE_WORDS);
             self.cycle = done;
         }
         // Default control flow: slide the delay-slot window.
@@ -449,8 +451,8 @@ impl Core {
                 packet.result = out.value;
                 packet.cond = self.icc;
                 match op {
-                    Opcode::Umul | Opcode::Smul => self.cycle += u64::from(self.config.mul_latency),
-                    Opcode::Udiv | Opcode::Sdiv => self.cycle += u64::from(self.config.div_latency),
+                    Opcode::Umul | Opcode::Smul => self.cycle += MUL_LATENCY,
+                    Opcode::Udiv | Opcode::Sdiv => self.cycle += DIV_LATENCY,
                     _ => {}
                 }
             }
@@ -535,11 +537,7 @@ impl Core {
                     packet.result = old;
                     let lookup = self.dcache.access(ea, false);
                     if !lookup.hit {
-                        let done = bus.transfer(
-                            BusMaster::Core,
-                            self.cycle,
-                            self.config.dcache.line_words(),
-                        );
+                        let done = bus.transfer(BusMaster::Core, self.cycle, L1_LINE_WORDS);
                         self.cycle = done;
                     }
                     self.dcache.access(ea, true);
@@ -548,7 +546,7 @@ impl Core {
                     // buffering.
                     self.cycle = done;
                     self.set_reg(rd, old);
-                    self.cycle += u64::from(self.config.load_latency);
+                    self.cycle += LOAD_LATENCY;
                 } else if op == Opcode::Std {
                     // SPARC-V8 doubleword ops pair even/odd registers.
                     // A crafted (or fault-flipped) odd rd would address
@@ -593,11 +591,7 @@ impl Core {
                     let rd2 = Reg::new(rd.index() as u8 | 1).unwrap_or(rd);
                     let lookup = self.dcache.access(ea, false);
                     if !lookup.hit {
-                        let done = bus.transfer(
-                            BusMaster::Core,
-                            self.cycle,
-                            self.config.dcache.line_words(),
-                        );
+                        let done = bus.transfer(BusMaster::Core, self.cycle, L1_LINE_WORDS);
                         self.cycle = done;
                     }
                     self.dcache.access(ea + 4, false); // same line: 8-aligned
@@ -607,15 +601,11 @@ impl Core {
                     self.set_reg(rd2, v2);
                     packet.result = v1;
                     // Two memory-stage beats plus the usual load use.
-                    self.cycle += u64::from(self.config.load_latency) + 1;
+                    self.cycle += LOAD_LATENCY + 1;
                 } else {
                     let lookup = self.dcache.access(ea, false);
                     if !lookup.hit {
-                        let done = bus.transfer(
-                            BusMaster::Core,
-                            self.cycle,
-                            self.config.dcache.line_words(),
-                        );
+                        let done = bus.transfer(BusMaster::Core, self.cycle, L1_LINE_WORDS);
                         self.cycle = done;
                     }
                     let value = match op {
@@ -628,7 +618,7 @@ impl Core {
                     };
                     self.set_reg(rd, value);
                     packet.result = value;
-                    self.cycle += u64::from(self.config.load_latency);
+                    self.cycle += LOAD_LATENCY;
                 }
             }
         }
@@ -636,12 +626,12 @@ impl Core {
         // Taken control transfers pay the fetch-redirect bubble (and
         // break the commit group).
         if packet.branch_taken {
-            self.cycle += u64::from(self.config.taken_branch_penalty);
+            self.cycle += TAKEN_BRANCH_PENALTY;
             self.commit_slot = 0;
         }
         // Base cycle, shared by `commit_width` instructions.
         self.commit_slot += 1;
-        if self.commit_slot >= self.config.commit_width {
+        if self.commit_slot >= self.commit_width {
             self.commit_slot = 0;
             self.cycle += 1;
         }
@@ -674,11 +664,10 @@ impl Core {
         } else {
             let lookup = self.dcache.access(addr, false);
             if !lookup.hit {
-                let done =
-                    bus.transfer(BusMaster::Core, self.cycle, self.config.dcache.line_words());
+                let done = bus.transfer(BusMaster::Core, self.cycle, L1_LINE_WORDS);
                 self.cycle = done;
             }
-            self.cycle += u64::from(self.config.load_latency);
+            self.cycle += LOAD_LATENCY;
         }
         self.cycle += 1;
     }

@@ -67,6 +67,7 @@ mod trace;
 
 pub use config::CoreConfig;
 pub use core::{Core, CoreSnapshot, ExitReason, StepResult, Stepped};
+pub use serde_impls::per_class_value;
 pub use stats::CoreStats;
 pub use trace::TracePacket;
 

@@ -5,9 +5,10 @@ use serde::{Serialize, Value};
 
 use crate::{CoreStats, ExitReason};
 
-/// Per-class counter arrays serialize as an object keyed by class name,
-/// omitting zero entries (32 mostly-zero keys would drown the signal).
-pub(crate) fn per_class_value(per_class: &[u64]) -> Value {
+/// Per-class counter arrays (indexed by [`InstrClass::index`])
+/// serialize as an object keyed by class name, omitting zero entries
+/// (32 mostly-zero keys would drown the signal).
+pub fn per_class_value(per_class: &[u64]) -> Value {
     let mut obj = Value::object();
     for c in InstrClass::all() {
         let n = per_class[c.index()];

@@ -15,7 +15,7 @@
 
 use flexcore_suite::analysis::cfi_edges;
 use flexcore_suite::asm::{assemble, Program};
-use flexcore_suite::fabric::{map_to_luts, to_bitstream};
+use flexcore_suite::fabric::{map_to_luts, to_bitstream, LUT_K};
 use flexcore_suite::flexcore::ext::{Cfi, CfiTable, Extension, Umc};
 use flexcore_suite::flexcore::{SwapPolicy, SwapRequest, System, SystemConfig};
 
@@ -46,7 +46,7 @@ fn run_with_swap(program: &Program, at_commit: u64) -> Result<(), Box<dyn std::e
     // The incoming CFI extension and the bitstream that programs its
     // datapath into the fabric.
     let cfi: Box<dyn Extension> = Box::new(Cfi::new(cfi_table(program)));
-    let bitstream = to_bitstream(&map_to_luts(&cfi.netlist(), 6));
+    let bitstream = to_bitstream(&map_to_luts(&cfi.netlist(), LUT_K));
     sys.schedule_swap(SwapRequest { at_commit, bitstream, ext: cfi, policy: SwapPolicy::Reset });
 
     let result = sys.try_run(100_000)?;

@@ -8,14 +8,14 @@
 //! cargo run --example program_fabric
 //! ```
 
-use flexcore_suite::fabric::{from_bitstream, map_to_luts, to_bitstream, FpgaCost};
+use flexcore_suite::fabric::{from_bitstream, map_to_luts, to_bitstream, FpgaCost, LUT_K};
 use flexcore_suite::flexcore::ext::{Dift, Extension};
 
 fn main() {
     // 1. "Synthesis": the DIFT extension's datapath as a gate-level
     //    netlist, technology-mapped onto the 6-LUT fabric.
     let netlist = Dift::new().netlist();
-    let mapping = map_to_luts(&netlist, 6);
+    let mapping = map_to_luts(&netlist, LUT_K);
     let cost = FpgaCost::of(&netlist);
     println!(
         "synthesized DIFT: {} LUTs, depth {}, {:.0} um2, fmax {:.0} MHz",

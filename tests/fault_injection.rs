@@ -2,8 +2,8 @@
 //! of seeded campaigns, deadlock detection instead of hangs, bounded
 //! bitstream reload, and FIFO accounting invariants under drops.
 
+use flexcore_bench::swap::bitstream_for;
 use flexcore_suite::asm::assemble;
-use flexcore_suite::fabric::to_bitstream;
 use flexcore_suite::flexcore::ext::Sec;
 use flexcore_suite::flexcore::faults::{FaultModel, FaultPlan, FaultSchedule, FaultTarget};
 use flexcore_suite::flexcore::{
@@ -129,10 +129,7 @@ fn cycle_budget_is_enforced() {
 
 #[test]
 fn corrupted_bitstream_reloads_within_budget() {
-    let bytes = to_bitstream(&flexcore_suite::fabric::map_to_luts(
-        &flexcore_suite::flexcore::Extension::netlist(&Sec::new()),
-        6,
-    ));
+    let bytes = bitstream_for(&Sec::new());
     let mut sys = System::new(SystemConfig::fabric_quarter_speed(), Sec::new());
     // Strike transfer attempts 1 and 2; attempt 3 goes through clean.
     sys.arm_faults(
@@ -157,10 +154,7 @@ fn corrupted_bitstream_reloads_within_budget() {
 
 #[test]
 fn unrecoverable_bitstream_corruption_is_reported() {
-    let bytes = to_bitstream(&flexcore_suite::fabric::map_to_luts(
-        &flexcore_suite::flexcore::Extension::netlist(&Sec::new()),
-        6,
-    ));
+    let bytes = bitstream_for(&Sec::new());
     let mut sys = System::new(SystemConfig::fabric_quarter_speed(), Sec::new());
     // Every transfer attempt gets hit.
     sys.arm_faults(FaultPlan::new(9).inject(

@@ -20,12 +20,12 @@
 //!   swap re-scheduled finishes bit-identical to the uninterrupted
 //!   swapped run.
 
-use flexcore_suite::analysis::cfi_edges;
+use flexcore_bench::swap::{bitstream_for, cfi_table_for};
 use flexcore_suite::asm::{assemble, Program};
-use flexcore_suite::fabric::{map_to_luts, to_bitstream, Netlist, NetlistBuilder, FRAME_BYTES};
+use flexcore_suite::fabric::{Netlist, NetlistBuilder, FRAME_BYTES};
 use flexcore_suite::flexcore::checkpoint::Snapshot;
 use flexcore_suite::flexcore::ext::{
-    Cfi, CfiTable, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap, Sec, Umc,
+    Cfi, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap, Sec, Umc,
 };
 use flexcore_suite::flexcore::faults::{FaultModel, FaultPlan, FaultSchedule, FaultTarget};
 use flexcore_suite::flexcore::recovery::{FaultOutcome, RecoveryPolicy, Supervisor};
@@ -37,26 +37,6 @@ use flexcore_suite::pipeline::{ExitReason, TracePacket};
 use proptest::prelude::*;
 
 const MAX: u64 = 1_000_000;
-
-/// CFI edge table recovered statically from the kernel's own CFG.
-fn cfi_table(program: &Program) -> CfiTable {
-    let edges = cfi_edges(program);
-    let mut table = CfiTable::new();
-    for &(from, to) in &edges.branch_edges {
-        table.allow_branch(from, to);
-    }
-    for &target in &edges.call_targets {
-        table.allow_call(target);
-    }
-    for &site in &edges.return_sites {
-        table.allow_return(site);
-    }
-    table
-}
-
-fn bitstream_for(ext: &dyn Extension) -> Vec<u8> {
-    to_bitstream(&map_to_luts(&ext.netlist(), 6))
-}
 
 /// A short kernel whose *last* control transfer is an indirect jump to
 /// an address outside the recovered CFG's call/return whitelist: clean
@@ -167,7 +147,7 @@ fn assert_boundary_sweep(
 #[test]
 fn umc_to_cfi_swap_matches_static_verdicts_at_every_boundary() {
     let program = cfi_violating_kernel();
-    let table = cfi_table(&program);
+    let table = cfi_table_for(&program);
     assert_boundary_sweep(&program, &|| Box::new(Umc::new()), &|| {
         Box::new(Cfi::new(table.clone()))
     });
@@ -306,7 +286,7 @@ proptest! {
 }
 
 fn swapped_umc_to_cfi(program: &Program, at_commit: u64) -> System<Box<dyn Extension>> {
-    let table = cfi_table(program);
+    let table = cfi_table_for(program);
     let mut sys: System<Box<dyn Extension>> =
         System::new(SystemConfig::fabric_half_speed(), Box::new(Umc::new()));
     sys.load_program(program);
@@ -319,7 +299,7 @@ fn swapped_umc_to_cfi(program: &Program, at_commit: u64) -> System<Box<dyn Exten
 #[test]
 fn swap_shifts_one_frame_per_64_bitstream_bytes() {
     let program = fifo_pressure_kernel();
-    let bitstream = bitstream_for(&Cfi::new(cfi_table(&program)));
+    let bitstream = bitstream_for(&Cfi::new(cfi_table_for(&program)));
     let mut sys = swapped_umc_to_cfi(&program, 60);
     sys.try_run(MAX).expect("swapped run completes");
     let [report] = sys.swap_reports() else {

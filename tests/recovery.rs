@@ -55,10 +55,7 @@ fn supervised_trial(idx: usize, frac: f64, bit: u32) -> (RunResult, RecoveryRepo
     let mut sys = fresh(w);
     sys.enable_lockstep();
     sys.inject_result_fault(site, bit);
-    let mut sup = Supervisor::new(
-        sys,
-        RecoveryPolicy { checkpoint_every: 5_000, ..RecoveryPolicy::default() },
-    );
+    let mut sup = Supervisor::new(sys, RecoveryPolicy { checkpoint_every: 5_000 });
     let r = sup.run(MAX_INSTRUCTIONS).expect("supervised run completes");
     (r, sup.report().clone())
 }
