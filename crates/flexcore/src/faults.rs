@@ -400,11 +400,6 @@ impl FaultInjector {
         self.armed = false;
     }
 
-    /// The plan seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Appends a rule to a live injector (its stream derives from the
     /// new spec's index, so existing streams are unperturbed).
     pub fn push_spec(&mut self, spec: FaultSpec) {

@@ -246,11 +246,6 @@ impl LockstepChecker {
         self.commits_checked
     }
 
-    /// The golden model (e.g. to inspect its state in tests).
-    pub fn golden(&self) -> &RefCore {
-        &self.golden
-    }
-
     /// Reconciliation hook for platform-defined register writes the ISA
     /// does not model: the BFIFO return value a `WaitForAck` forward
     /// writes into the destination register. The system mirrors that

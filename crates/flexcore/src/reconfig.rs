@@ -32,13 +32,20 @@
 //! run from that boundary onward (only cycle counts differ, by the
 //! drain + reprogram stall).
 //!
+//! The system keeps the schedule in boundary order with a count of the
+//! swaps that have fired. Swaps fire in that order, so the fired ones
+//! are always a prefix of the schedule. Each scheduled swap holds one
+//! extension: the incoming one until it fires, the outgoing one after.
+//! [`System::restore`](crate::System::restore) first checks the
+//! snapshot against the extension live at its commit count, then moves
+//! the prefix's end there by exchanging extensions: newest first when
+//! it rewinds swaps, oldest first when it fast-forwards them.
+//!
 //! [`SwapBegin`]: crate::obs::TraceEvent::SwapBegin
 //! [`SwapComplete`]: crate::obs::TraceEvent::SwapComplete
 //! [`ResilienceStats::swap_drained_packets`]: crate::ResilienceStats::swap_drained_packets
 
 use std::fmt;
-
-use crate::ext::Extension;
 
 /// What happens to monitor state across a hot-swap.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -128,138 +135,25 @@ impl fmt::Display for SwapReport {
     }
 }
 
-/// One scheduled swap and its lifecycle bookkeeping.
+/// One scheduled swap. `ext` holds the incoming extension until the
+/// swap fires and the outgoing one after it, so firing the swap,
+/// rewinding it on a restore and fast-forwarding it on a restore are
+/// each one exchange with the live extension.
 #[derive(Clone, Debug)]
 pub(crate) struct SwapSlot<E> {
     pub(crate) at_commit: u64,
     pub(crate) bitstream: Vec<u8>,
     pub(crate) policy: SwapPolicy,
-    /// The incoming extension, present until the swap completes.
-    pub(crate) pending: Option<E>,
-    /// The incoming extension's state as scheduled — `Reset` restores
-    /// this, and a checkpoint replay that un-swaps re-pristines from it
-    /// so a re-executed swap is deterministic.
+    /// The incoming extension's state as scheduled: `Reset` restores
+    /// it, so a swap that a restore rewound re-executes
+    /// deterministically.
     pub(crate) pristine: Vec<u64>,
-    /// The outgoing extension, retained after completion so a restore
-    /// to a pre-swap boundary can put it back.
-    pub(crate) retired: Option<E>,
-    pub(crate) done: bool,
-}
-
-/// Schedules hot-swaps and owns their lifecycle state.
-///
-/// The controller itself is pure bookkeeping — the actual quiesce /
-/// drain / program / rearm sequence lives in
-/// [`System`](crate::System), which asks the controller which swap is
-/// due at the top of the run loop.
-#[derive(Clone, Debug, Default)]
-pub struct ReconfigController<E> {
-    slots: Vec<SwapSlot<E>>,
-    reports: Vec<SwapReport>,
-}
-
-impl<E: Extension> ReconfigController<E> {
-    /// An empty controller.
-    pub fn new() -> ReconfigController<E> {
-        ReconfigController { slots: Vec::new(), reports: Vec::new() }
-    }
-
-    /// Schedules a swap. Multiple swaps may be scheduled; they fire in
-    /// boundary order (ties fire in scheduling order).
-    pub fn schedule(&mut self, req: SwapRequest<E>) {
-        let pristine = req.ext.snapshot_state();
-        self.slots.push(SwapSlot {
-            at_commit: req.at_commit,
-            bitstream: req.bitstream,
-            policy: req.policy,
-            pending: Some(req.ext),
-            pristine,
-            retired: None,
-            done: false,
-        });
-        self.slots.sort_by_key(|s| s.at_commit);
-    }
-
-    /// The index of the next swap due at `committed` instructions, if
-    /// any.
-    pub(crate) fn due(&self, committed: u64) -> Option<usize> {
-        self.slots.iter().position(|s| !s.done && s.at_commit <= committed)
-    }
-
-    /// `true` when at least one scheduled swap has not yet fired.
-    pub fn any_pending(&self) -> bool {
-        self.slots.iter().any(|s| !s.done)
-    }
-
-    /// Completed swaps, oldest first.
-    pub fn reports(&self) -> &[SwapReport] {
-        &self.reports
-    }
-
-    pub(crate) fn slots_mut(&mut self) -> &mut [SwapSlot<E>] {
-        &mut self.slots
-    }
-
-    pub(crate) fn push_report(&mut self, report: SwapReport) {
-        self.reports.push(report);
-    }
-
-    /// Drops reports for swaps that a checkpoint restore rewound past.
-    pub(crate) fn truncate_reports(&mut self, committed: u64) {
-        self.reports.retain(|r| r.at_commit <= committed);
-    }
+    pub(crate) ext: E,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ext::Nop;
-
-    fn req(at: u64) -> SwapRequest<Nop> {
-        SwapRequest {
-            at_commit: at,
-            bitstream: vec![1, 2, 3],
-            ext: Nop::new(),
-            policy: SwapPolicy::Reset,
-        }
-    }
-
-    #[test]
-    fn due_fires_in_boundary_order() {
-        let mut c = ReconfigController::new();
-        c.schedule(req(50));
-        c.schedule(req(10));
-        assert_eq!(c.due(5), None);
-        assert_eq!(c.due(10), Some(0));
-        // Completing the first exposes the second.
-        c.slots_mut()[0].done = true;
-        assert_eq!(c.due(10), None);
-        assert_eq!(c.due(60), Some(1));
-        assert!(c.any_pending());
-        c.slots_mut()[1].done = true;
-        assert!(!c.any_pending());
-    }
-
-    #[test]
-    fn truncate_reports_drops_rewound_swaps() {
-        let mut c: ReconfigController<Nop> = ReconfigController::new();
-        let r = SwapReport {
-            at_commit: 100,
-            from: "Nop",
-            to: "Nop",
-            policy: SwapPolicy::Reset,
-            quiesce_cycle: 0,
-            rearmed_cycle: 0,
-            drained_packets: 0,
-            retries: 0,
-            frames: 0,
-        };
-        c.push_report(SwapReport { at_commit: 10, ..r.clone() });
-        c.push_report(r);
-        c.truncate_reports(50);
-        assert_eq!(c.reports().len(), 1);
-        assert_eq!(c.reports()[0].at_commit, 10);
-    }
 
     #[test]
     fn policy_displays_lowercase() {

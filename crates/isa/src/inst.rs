@@ -167,20 +167,6 @@ impl Instruction {
         matches!(self, Instruction::Sethi { rd, imm22: 0 } if rd.is_zero())
     }
 
-    /// The instruction family opcode (for classification and display).
-    pub fn opcode(&self) -> Opcode {
-        match *self {
-            Instruction::Alu { op, .. } | Instruction::Mem { op, .. } => op,
-            Instruction::Sethi { .. } => Opcode::Sethi,
-            Instruction::Branch { .. } => Opcode::Bicc,
-            Instruction::Call { .. } => Opcode::Call,
-            Instruction::Jmpl { .. } => Opcode::Jmpl,
-            Instruction::Trap { .. } => Opcode::Ticc,
-            Instruction::Cpop { space: 1, .. } => Opcode::Cpop1,
-            Instruction::Cpop { .. } => Opcode::Cpop2,
-        }
-    }
-
     /// Whether this is a control-transfer instruction (has a delay
     /// slot).
     pub fn is_control(&self) -> bool {

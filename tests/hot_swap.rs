@@ -18,7 +18,9 @@
 //!   interrupted before *or* after the swap boundary, snapshotted
 //!   through JSON, and restored into a fresh system with the same
 //!   swap re-scheduled finishes bit-identical to the uninterrupted
-//!   swapped run.
+//!   swapped run. Stacked swaps rewind (restore into the finished
+//!   system) and fast-forward (restore into a fresh one) to the same
+//!   result, and a rejected snapshot leaves the schedule untouched.
 
 use flexcore_bench::swap::{bitstream_for, cfi_table_for};
 use flexcore_suite::asm::{assemble, Program};
@@ -286,14 +288,32 @@ proptest! {
 }
 
 fn swapped_umc_to_cfi(program: &Program, at_commit: u64) -> System<Box<dyn Extension>> {
-    let table = cfi_table_for(program);
-    let mut sys: System<Box<dyn Extension>> =
-        System::new(SystemConfig::fabric_half_speed(), Box::new(Umc::new()));
+    swapped_umc_to_cfi_with(SystemConfig::fabric_half_speed(), program, at_commit)
+}
+
+fn swapped_umc_to_cfi_with(
+    config: SystemConfig,
+    program: &Program,
+    at_commit: u64,
+) -> System<Box<dyn Extension>> {
+    let mut sys: System<Box<dyn Extension>> = System::new(config, Box::new(Umc::new()));
     sys.load_program(program);
-    let cfi: Box<dyn Extension> = Box::new(Cfi::new(table));
-    let bitstream = bitstream_for(cfi.as_ref());
-    sys.schedule_swap(SwapRequest { at_commit, bitstream, ext: cfi, policy: SwapPolicy::Reset });
+    schedule(&mut sys, at_commit, Box::new(Cfi::new(cfi_table_for(program))));
     sys
+}
+
+fn schedule(sys: &mut System<Box<dyn Extension>>, at_commit: u64, ext: Box<dyn Extension>) {
+    let bitstream = bitstream_for(ext.as_ref());
+    sys.schedule_swap(SwapRequest { at_commit, bitstream, ext, policy: SwapPolicy::Reset });
+}
+
+/// Runs `sys` to `pause` commits and returns the snapshot taken there.
+fn snapshot_at(sys: &mut System<Box<dyn Extension>>, pause: u64) -> Snapshot {
+    match sys.try_run_until(MAX, pause).expect("run to the pause point") {
+        RunOutcome::Paused { instret, .. } => assert!(instret >= pause),
+        RunOutcome::Done(r) => panic!("finished before the pause point: {:?}", r.exit),
+    }
+    sys.snapshot()
 }
 
 #[test]
@@ -372,12 +392,7 @@ fn corrupted_swap_window_is_retried_or_escalates_to_replay() {
 /// snapshot through JSON, restores into a fresh system with the same
 /// swap re-scheduled, and returns the resumed run's result.
 fn interrupt_and_resume(program: &Program, at_commit: u64, pause: u64) -> RunResult {
-    let mut first = swapped_umc_to_cfi(program, at_commit);
-    match first.try_run_until(MAX, pause).expect("run to the pause point") {
-        RunOutcome::Paused { instret, .. } => assert!(instret >= pause),
-        RunOutcome::Done(r) => panic!("finished before the pause point: {:?}", r.exit),
-    }
-    let snap = first.snapshot();
+    let snap = snapshot_at(&mut swapped_umc_to_cfi(program, at_commit), pause);
     let parsed = Snapshot::from_json(&snap.to_json()).expect("snapshot JSON parses");
     assert_eq!(parsed, snap, "snapshot survives the JSON round-trip");
     let mut resumed = swapped_umc_to_cfi(program, at_commit);
@@ -407,5 +422,66 @@ fn snapshot_restore_preserves_the_swap_timeline() {
             resumed.resilience.swap_stall_cycles, reference.resilience.swap_stall_cycles,
             "pause {pause}"
         );
+    }
+}
+
+/// A snapshot the system rejects must leave it as it was, swap schedule
+/// included: the snapshot was taken after the swap fired, so a restore
+/// that realigned the schedule before its checks would leave CFI live
+/// and the swap spent.
+#[test]
+fn rejected_restore_leaves_the_swap_schedule_untouched() {
+    let program = fifo_pressure_kernel();
+    let snap = snapshot_at(&mut swapped_umc_to_cfi(&program, 100), 160);
+    assert_eq!(snap.ext_name, "CFI");
+
+    let shallow = SystemConfig::fabric_half_speed().with_fifo_depth(32);
+    let mut sys = swapped_umc_to_cfi_with(shallow, &program, 100);
+    let err = sys.restore(&snap).expect_err("the FIFO depth differs");
+    assert!(err.to_string().ends_with("snapshot FIFO depth 64 != configured depth 32"), "{err}");
+    assert_eq!(sys.extension().name(), "UMC");
+    assert!(sys.swap_pending());
+
+    let mut fresh = swapped_umc_to_cfi_with(shallow, &program, 100);
+    let expected = fresh.try_run(MAX).expect("fresh run completes");
+    assert_eq!(expected.resilience.swaps_completed, 1);
+    assert_eq!(sys.try_run(MAX).expect("run after the rejected restore"), expected);
+    assert_eq!(sys.swap_reports(), fresh.swap_reports());
+}
+
+/// Two stacked swaps, scheduled out of boundary order, across restores
+/// before, between and after them. Restoring into the finished system
+/// rewinds fired swaps; restoring into a fresh one fast-forwards them.
+/// Both must finish exactly as the uninterrupted run.
+#[test]
+fn stacked_swaps_rewind_and_fast_forward_across_restores() {
+    let program = fifo_pressure_kernel();
+    let build = || {
+        let mut sys: System<Box<dyn Extension>> =
+            System::new(SystemConfig::fabric_half_speed(), Box::new(Umc::new()));
+        sys.load_program(&program);
+        schedule(&mut sys, 180, Box::new(Umc::new()));
+        schedule(&mut sys, 100, Box::new(Cfi::new(cfi_table_for(&program))));
+        sys
+    };
+    let mut sys = build();
+    let snaps: Vec<Snapshot> = [40, 150, 210].iter().map(|&p| snapshot_at(&mut sys, p)).collect();
+    let reference = sys.try_run(MAX).expect("reference run completes");
+    let reports = sys.swap_reports().to_vec();
+    assert_eq!(reference.resilience.swaps_completed, 2);
+    let order: Vec<_> = reports.iter().map(|r| (r.at_commit, r.from, r.to)).collect();
+    assert_eq!(order, [(100, "UMC", "CFI"), (180, "CFI", "UMC")]);
+
+    for snap in &snaps {
+        let at = snap.forward.committed;
+        sys.restore(snap).expect("restore into the finished system");
+        assert_eq!(sys.try_run(MAX).expect("rewound run completes"), reference, "snapshot {at}");
+        assert_eq!(sys.swap_reports(), reports, "snapshot {at}");
+
+        let mut fresh = build();
+        fresh.restore(snap).expect("restore into a fresh system");
+        assert_eq!(fresh.try_run(MAX).expect("resumed run completes"), reference, "snapshot {at}");
+        let later: Vec<_> = reports.iter().filter(|r| r.at_commit > at).cloned().collect();
+        assert_eq!(fresh.swap_reports(), later, "snapshot {at}");
     }
 }

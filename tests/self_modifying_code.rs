@@ -52,7 +52,7 @@ fn bare_core_executes_the_stored_encoding() {
 
 #[test]
 fn lockstep_sees_no_divergence_over_self_modifying_code() {
-    let mut sys = System::new(SystemConfig::asic(), Nop::new());
+    let mut sys = System::new(SystemConfig::fabric_full_speed(), Nop::new());
     sys.load_program(&self_patching());
     sys.enable_lockstep();
     let r = sys.try_run(BUDGET).expect("no divergence from the reference interpreter");
@@ -118,7 +118,7 @@ fn text_fault_on_executed_code_matches_the_reference() {
     let mask = word(patch) ^ word(alt);
     let after = 4; // mov, mov, add, subcc: `patch` has executed once.
 
-    let mut sys = System::new(SystemConfig::asic(), Nop::new());
+    let mut sys = System::new(SystemConfig::fabric_full_speed(), Nop::new());
     sys.load_program(&program);
     sys.arm_faults(FaultPlan::new(7).inject(
         FaultTarget::InstructionWord { base: patch, len: 4 },
@@ -175,7 +175,7 @@ fn run_to_halt(sys: &mut System<Nop>) -> RunResult {
 fn restore_rewinds_a_store_over_code_the_memo_decoded() {
     let program = patch_if_flagged();
     let flag = program.symbol("flag").expect("flag label");
-    let mut sys = System::new(SystemConfig::asic(), Nop::new());
+    let mut sys = System::new(SystemConfig::fabric_full_speed(), Nop::new());
     sys.load_program(&program);
     let at_zero = sys.snapshot();
     sys.memory_mut().write_u32(flag, 1);
@@ -186,7 +186,7 @@ fn restore_rewinds_a_store_over_code_the_memo_decoded() {
     let replayed = run_to_halt(&mut sys);
     assert_eq!(sys.core().reg(Reg::O0), 12, "the second run executes the original add");
 
-    let mut fresh = System::new(SystemConfig::asic(), Nop::new());
+    let mut fresh = System::new(SystemConfig::fabric_full_speed(), Nop::new());
     fresh.load_program(&program);
     assert_eq!(replayed, run_to_halt(&mut fresh));
     assert_eq!(sys.snapshot(), fresh.snapshot());
