@@ -163,8 +163,13 @@ fn forward_fixpoint<S: Clone>(
     let mut in_states: Vec<Option<S>> = vec![None; cfg.blocks().len()];
     let entry = cfg.entry().expect("fixpoint requires an entry block");
     in_states[entry] = Some(entry_state);
+    // `queued[b]` ⇔ `b` is on the worklist: a re-changed block that is
+    // still waiting is not pushed twice.
+    let mut queued = vec![false; in_states.len()];
+    queued[entry] = true;
     let mut worklist = vec![entry];
     while let Some(b) = worklist.pop() {
+        queued[b] = false;
         let mut s = in_states[b].clone().expect("worklist blocks have in-state");
         for &(pc, ref inst) in &cfg.blocks()[b].insts {
             transfer(&mut s, pc, inst);
@@ -185,7 +190,8 @@ fn forward_fixpoint<S: Clone>(
                     true
                 }
             };
-            if changed && !worklist.contains(&edge.to) {
+            if changed && !queued[edge.to] {
+                queued[edge.to] = true;
                 worklist.push(edge.to);
             }
         }
@@ -694,7 +700,9 @@ fn liveness_pass(cfg: &Cfg, diags: &mut Vec<Diagnostic>) {
     let n = cfg.blocks().len();
     let mut live_in = vec![0u32; n];
     let mut worklist: Vec<usize> = (0..n).collect();
+    let mut queued = vec![true; n];
     while let Some(b) = worklist.pop() {
+        queued[b] = false;
         let block = &cfg.blocks()[b];
         let mut live: u32 = match block.term {
             // Past a halt nothing is read; past a return or a decode
@@ -716,7 +724,8 @@ fn liveness_pass(cfg: &Cfg, diags: &mut Vec<Diagnostic>) {
         if live != live_in[b] {
             live_in[b] = live;
             for &p in &block.preds {
-                if !worklist.contains(&p) {
+                if !queued[p] {
+                    queued[p] = true;
                     worklist.push(p);
                 }
             }

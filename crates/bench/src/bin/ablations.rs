@@ -28,7 +28,7 @@ fn sweep(label: &str, cfg: SystemConfig, workloads: &[Workload], baselines: &[u6
     let ratios: Vec<f64> = workloads
         .iter()
         .zip(baselines)
-        .map(|(w, &b)| run_extension(w, ext, cfg).cycles as f64 / b as f64)
+        .map(|(w, &b)| run_extension(w, ext, cfg, None).cycles as f64 / b as f64)
         .collect();
     println!("  {:<44}{:>8.3}", label, geomean(&ratios));
 }

@@ -66,6 +66,7 @@
 use std::collections::HashMap;
 
 use flexcore::recovery::FaultOutcome;
+use flexcore::RunResult;
 use flexcore_bench::journal::{Journal, JournalError};
 use flexcore_bench::rate::RateMeter;
 use flexcore_bench::trial::{
@@ -149,24 +150,19 @@ fn run_with_progress(
     slots.into_iter().map(|s| s.expect("every slot filled")).collect()
 }
 
-/// The reconfig-window campaign: UMC → CFI hot-swaps with bitstream
-/// strikes inside the swap window, run under the supervisor and
-/// triaged against the clean swap-free reference. Returns whether the
-/// 0-SDC / 0-unclassified gate passed.
-fn reconfig_campaign(
-    cspec: &CampaignSpec,
+/// One supervised triage table: for each workload, runs its trials
+/// against its clean reference (`campaign` returns both) and prints
+/// a row of masked / detected-recovered / SDC / DUE / unclassified
+/// counts with the mean MTTR, then the campaign MTTR line (ending in
+/// `mttr_note`) and the 0-SDC / 0-unclassified gate. Returns whether
+/// the gate passed.
+fn triage_table(
     workloads: &[Workload],
     trials: usize,
     progress: &mut Progress,
+    mttr_note: &str,
+    campaign: impl Fn(&Workload) -> (RunResult, Vec<TrialSpec>),
 ) -> bool {
-    println!(
-        "\nReconfig-window fault triage (bitstream strikes inside UMC -> CFI swap windows, \
-         under the supervisor)"
-    );
-    println!(
-        "  even trials: one corrupted transfer (a retry absorbs it); \
-         odd trials: every attempt corrupted (ladder rolls back and replays the swap)"
-    );
     println!(
         "{:<12}{:>8}{:>9}{:>11}{:>6}{:>6}{:>9}{:>13}",
         "benchmark", "trials", "masked", "recovered", "sdc", "due", "unclass", "mean mttr"
@@ -176,8 +172,7 @@ fn reconfig_campaign(
     let mut total_recovered = 0u64;
     let mut mttr_sum = 0u64;
     for workload in workloads {
-        let reference = trial::swap_reference_run(workload);
-        let jobs = trial::reconfig_trials(cspec, &[*workload]);
+        let (reference, jobs) = campaign(workload);
         let reports = run_with_progress(jobs, Some(&reference), progress);
         let mut counts: HashMap<FaultOutcome, u64> = HashMap::new();
         let mut unclassified = 0u64;
@@ -188,7 +183,6 @@ fn reconfig_campaign(
                     Some(t) => {
                         *counts.entry(t).or_default() += 1;
                         if t == FaultOutcome::DetectedRecovered {
-                            total_recovered += 1;
                             workload_mttr += o.mttr.unwrap_or(0);
                         }
                     }
@@ -216,17 +210,85 @@ fn reconfig_campaign(
         );
         total_sdc += n(FaultOutcome::Sdc);
         total_unclassified += unclassified;
+        total_recovered += recovered;
         mttr_sum += workload_mttr;
     }
     let campaign_mttr =
         if total_recovered == 0 { 0.0 } else { mttr_sum as f64 / total_recovered as f64 };
     println!(
-        "campaign MTTR: {campaign_mttr:.1} cycles mean over {total_recovered} recovered trials \
-         (each MTTR spans the replayed swap window)"
+        "campaign MTTR: {campaign_mttr:.1} cycles mean over {total_recovered} recovered \
+         trials{mttr_note}"
     );
     let pass = total_sdc == 0 && total_unclassified == 0;
     println!("recovery gate (0 SDC, 0 unclassified): {}", if pass { "PASS" } else { "FAIL" });
     pass
+}
+
+/// Campaign 1 without the supervisor: per workload, how many
+/// single-bit ALU flips SEC (or the lockstep golden model) detected,
+/// missed or hung on, against the ≥ 90% coverage target. Returns
+/// whether every workload met it.
+fn coverage_table(
+    cspec: &CampaignSpec,
+    workloads: &[Workload],
+    trials: usize,
+    progress: &mut Progress,
+) -> bool {
+    println!("\nSEC detection coverage (single-bit flips of ALU results, paper 0.25X config)");
+    println!(
+        "{:<12}{:>8}{:>10}{:>10}{:>10}{:>11}{:>12}",
+        "benchmark", "trials", "detected", "silent", "hung", "coverage", "mean skid"
+    );
+    let mut all_pass = true;
+    for workload in workloads {
+        let jobs = trial::campaign1_trials(cspec, &[*workload]);
+        let reports = run_with_progress(jobs, None, progress);
+        let mut detected = 0u64;
+        let mut diverged = 0u64;
+        let mut silent = 0u64;
+        let mut hung = 0u64;
+        let mut skids = Vec::new();
+        for rep in &reports {
+            match &rep.outcome {
+                Ok(o) if o.detected() => {
+                    detected += 1;
+                    diverged += u64::from(o.diverged);
+                    skids.extend(o.trap_skid);
+                }
+                Ok(o) if o.deadlocked || o.over_budget => hung += 1,
+                Ok(_) => silent += 1,
+                Err(msg) => {
+                    silent += 1;
+                    eprintln!("  {} panicked: {msg}", rep.label);
+                }
+            }
+        }
+        let coverage = detected as f64 / trials as f64;
+        let mean_skid = if skids.is_empty() {
+            0.0
+        } else {
+            skids.iter().sum::<u64>() as f64 / skids.len() as f64
+        };
+        all_pass &= coverage >= 0.90;
+        println!(
+            "{:<12}{:>8}{:>10}{:>10}{:>10}{:>10.1}%{:>12.1}",
+            workload.name(),
+            trials,
+            detected,
+            silent,
+            hung,
+            coverage * 100.0,
+            mean_skid,
+        );
+        if diverged > 0 {
+            println!(
+                "  ({diverged} of the {detected} detections came from lockstep divergence, \
+                 which fires before the imprecise SEC trap)"
+            );
+        }
+    }
+    println!("coverage target ≥ 90.0%: {}", if all_pass { "PASS" } else { "FAIL" });
+    all_pass
 }
 
 /// Fsyncs the progress journal once the campaign is done.
@@ -311,7 +373,23 @@ fn main() {
     println!("{}", "=".repeat(78));
 
     if reconfig {
-        let pass = reconfig_campaign(&cspec, &workloads, trials, &mut progress);
+        // UMC → CFI hot-swaps with bitstream strikes inside the swap
+        // window, triaged against the clean swap-free run.
+        println!(
+            "\nReconfig-window fault triage (bitstream strikes inside UMC -> CFI swap windows, \
+             under the supervisor)"
+        );
+        println!(
+            "  even trials: one corrupted transfer (a retry absorbs it); \
+             odd trials: every attempt corrupted (ladder rolls back and replays the swap)"
+        );
+        let pass = triage_table(
+            &workloads,
+            trials,
+            &mut progress,
+            " (each MTTR spans the replayed swap window)",
+            |w| (trial::swap_reference_run(w), trial::reconfig_trials(&cspec, &[*w])),
+        );
         finish(&mut progress);
         if progress.reused > 0 {
             println!("resumed: {} trials reused from the progress file", progress.reused);
@@ -328,131 +406,17 @@ fn main() {
     // fault sites) run under the rollback-and-replay supervisor and are
     // triaged against a clean reference run instead of merely counted
     // as detected/silent.
-    if recover {
+    let all_pass = if recover {
         println!(
             "\nSEC soft-error recovery triage (single-bit ALU flips under the supervisor, \
              paper 0.25X config)"
         );
-        println!(
-            "{:<12}{:>8}{:>9}{:>11}{:>6}{:>6}{:>9}{:>13}",
-            "benchmark", "trials", "masked", "recovered", "sdc", "due", "unclass", "mean mttr"
-        );
+        triage_table(&workloads, trials, &mut progress, "", |w| {
+            (trial::reference_run(w), trial::campaign1_trials(&cspec, &[*w]))
+        })
     } else {
-        println!("\nSEC detection coverage (single-bit flips of ALU results, paper 0.25X config)");
-        println!(
-            "{:<12}{:>8}{:>10}{:>10}{:>10}{:>11}{:>12}",
-            "benchmark", "trials", "detected", "silent", "hung", "coverage", "mean skid"
-        );
-    }
-    let mut all_pass = true;
-    let mut total_sdc = 0u64;
-    let mut total_unclassified = 0u64;
-    let mut total_recovered = 0u64;
-    let mut mttr_sum = 0u64;
-    for workload in &workloads {
-        let reference = recover.then(|| trial::reference_run(workload));
-        let jobs = trial::campaign1_trials(&cspec, &[*workload]);
-        let reports = run_with_progress(jobs, reference.as_ref(), &mut progress);
-        if recover {
-            let mut counts: HashMap<FaultOutcome, u64> = HashMap::new();
-            let mut unclassified = 0u64;
-            let mut workload_mttr = 0u64;
-            for rep in &reports {
-                match &rep.outcome {
-                    Ok(o) => match o.triage {
-                        Some(t) => {
-                            *counts.entry(t).or_default() += 1;
-                            if t == FaultOutcome::DetectedRecovered {
-                                total_recovered += 1;
-                                workload_mttr += o.mttr.unwrap_or(0);
-                            }
-                        }
-                        None => unclassified += 1,
-                    },
-                    Err(msg) => {
-                        unclassified += 1;
-                        eprintln!("  {} panicked: {msg}", rep.label);
-                    }
-                }
-            }
-            let n = |t: FaultOutcome| counts.get(&t).copied().unwrap_or(0);
-            let recovered = n(FaultOutcome::DetectedRecovered);
-            let mean_mttr =
-                if recovered == 0 { 0.0 } else { workload_mttr as f64 / recovered as f64 };
-            println!(
-                "{:<12}{:>8}{:>9}{:>11}{:>6}{:>6}{:>9}{:>13.1}",
-                workload.name(),
-                trials,
-                n(FaultOutcome::Masked),
-                recovered,
-                n(FaultOutcome::Sdc),
-                n(FaultOutcome::Due),
-                unclassified,
-                mean_mttr,
-            );
-            total_sdc += n(FaultOutcome::Sdc);
-            total_unclassified += unclassified;
-            mttr_sum += workload_mttr;
-        } else {
-            let mut detected = 0u64;
-            let mut diverged = 0u64;
-            let mut silent = 0u64;
-            let mut hung = 0u64;
-            let mut skids = Vec::new();
-            for rep in &reports {
-                match &rep.outcome {
-                    Ok(o) if o.detected() => {
-                        detected += 1;
-                        diverged += u64::from(o.diverged);
-                        skids.extend(o.trap_skid);
-                    }
-                    Ok(o) if o.deadlocked || o.over_budget => hung += 1,
-                    Ok(_) => silent += 1,
-                    Err(msg) => {
-                        silent += 1;
-                        eprintln!("  {} panicked: {msg}", rep.label);
-                    }
-                }
-            }
-            let coverage = detected as f64 / trials as f64;
-            let mean_skid = if skids.is_empty() {
-                0.0
-            } else {
-                skids.iter().sum::<u64>() as f64 / skids.len() as f64
-            };
-            all_pass &= coverage >= 0.90;
-            println!(
-                "{:<12}{:>8}{:>10}{:>10}{:>10}{:>10.1}%{:>12.1}",
-                workload.name(),
-                trials,
-                detected,
-                silent,
-                hung,
-                coverage * 100.0,
-                mean_skid,
-            );
-            if diverged > 0 {
-                println!(
-                    "  ({diverged} of the {detected} detections came from lockstep divergence, \
-                     which fires before the imprecise SEC trap)"
-                );
-            }
-        }
-    }
-    if recover {
-        let campaign_mttr =
-            if total_recovered == 0 { 0.0 } else { mttr_sum as f64 / total_recovered as f64 };
-        println!(
-            "campaign MTTR: {campaign_mttr:.1} cycles mean over {total_recovered} recovered trials"
-        );
-        all_pass &= total_sdc == 0 && total_unclassified == 0;
-        println!(
-            "recovery gate (0 SDC, 0 unclassified): {}",
-            if total_sdc == 0 && total_unclassified == 0 { "PASS" } else { "FAIL" }
-        );
-    } else {
-        println!("coverage target ≥ 90.0%: {}", if all_pass { "PASS" } else { "FAIL" });
-    }
+        coverage_table(&cspec, &workloads, trials, &mut progress)
+    };
 
     // ── Campaigns 2+3: rate × target sweep (rate 0 = clean false-trap check) ──
     println!("\nRate × target sweep (Bernoulli faults/commit; cell = outcome:faults-injected)");

@@ -10,7 +10,7 @@
 //! metrics as `<dir>/fig4_<workload>_<ext>.jsonl`.
 
 use flexcore::SystemConfig;
-use flexcore_bench::{geomean, run_extension, run_extension_series, series_dir_from_args, ExtKind};
+use flexcore_bench::{geomean, run_extension, series_dir_from_args, ExtKind};
 use flexcore_workloads::Workload;
 
 fn main() {
@@ -28,15 +28,12 @@ fn main() {
         print!("{:<14}", workload.name());
         for (ei, ext) in ExtKind::ALL.into_iter().enumerate() {
             let cfg = SystemConfig::fabric_full_speed();
-            let run = match &series {
-                Some(dir) => {
-                    let stem = format!("fig4_{}_{}", workload.name(), ext.name().to_lowercase());
-                    run_extension_series(&workload, ext, cfg, dir, &stem)
-                }
-                None => run_extension(&workload, ext, cfg),
-            };
-            per_ext[ei].push(run.forwarded_fraction.max(1e-6));
-            print!("{:>9.1}%", run.forwarded_fraction * 100.0);
+            let stem = format!("fig4_{}_{}", workload.name(), ext.name().to_lowercase());
+            let run =
+                run_extension(&workload, ext, cfg, series.as_deref().map(|d| (d, stem.as_str())));
+            let forwarded = run.forward.forwarded_fraction();
+            per_ext[ei].push(forwarded.max(1e-6));
+            print!("{:>9.1}%", forwarded * 100.0);
         }
         println!();
     }

@@ -11,8 +11,7 @@
 //! are most interesting.
 
 use flexcore_bench::{
-    baseline_cycles, geomean, paper_config, run_extension, run_extension_series,
-    series_dir_from_args, ExtKind,
+    baseline_cycles, geomean, paper_config, run_extension, series_dir_from_args, ExtKind,
 };
 use flexcore_workloads::Workload;
 
@@ -46,17 +45,10 @@ fn main() {
                 .iter()
                 .zip(&baselines)
                 .map(|(w, &base)| {
-                    let run = match &series {
-                        Some(dir) => {
-                            let stem = format!(
-                                "fig5_fifo{size}_{}_{}",
-                                ext.name().to_lowercase(),
-                                w.name()
-                            );
-                            run_extension_series(w, ext, cfg, dir, &stem)
-                        }
-                        None => run_extension(w, ext, cfg),
-                    };
+                    let stem =
+                        format!("fig5_fifo{size}_{}_{}", ext.name().to_lowercase(), w.name());
+                    let run =
+                        run_extension(w, ext, cfg, series.as_deref().map(|d| (d, stem.as_str())));
                     run.cycles as f64 / base as f64
                 })
                 .collect();

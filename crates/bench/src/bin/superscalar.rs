@@ -67,7 +67,7 @@ fn main() {
             let ratios: Vec<f64> = workloads
                 .iter()
                 .zip(&baselines)
-                .map(|(w, &b)| run_extension(w, ExtKind::Dift, cfg).cycles as f64 / b as f64)
+                .map(|(w, &b)| run_extension(w, ExtKind::Dift, cfg, None).cycles as f64 / b as f64)
                 .collect();
             print!(" {:>12.3}", geomean(&ratios));
         }

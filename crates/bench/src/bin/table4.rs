@@ -14,8 +14,8 @@
 use flexcore::software::{run_software_monitored, SoftwareMonitor};
 use flexcore::SystemConfig;
 use flexcore_bench::{
-    baseline_cycles, geomean, paper, run_extension, run_extension_series, run_panic_tolerant,
-    series_dir_from_args, ExtKind, MAX_INSTRUCTIONS,
+    baseline_cycles, geomean, paper, run_extension, run_panic_tolerant, series_dir_from_args,
+    ExtKind, MAX_INSTRUCTIONS,
 };
 use flexcore_workloads::Workload;
 
@@ -47,19 +47,14 @@ fn main() {
             for (cname, cfg) in configs {
                 let w = *w;
                 let series = series.clone();
+                let stem = format!(
+                    "table4_{}_{}_{}",
+                    w.name(),
+                    ext.name().to_lowercase(),
+                    cname.to_lowercase()
+                );
                 jobs.push((format!("{} under {} at {cname}", w.name(), ext.name()), move || {
-                    match &series {
-                        Some(dir) => {
-                            let stem = format!(
-                                "table4_{}_{}_{}",
-                                w.name(),
-                                ext.name().to_lowercase(),
-                                cname.to_lowercase()
-                            );
-                            run_extension_series(&w, ext, cfg, dir, &stem)
-                        }
-                        None => run_extension(&w, ext, cfg),
-                    }
+                    run_extension(&w, ext, cfg, series.as_deref().map(|d| (d, stem.as_str())))
                 }));
             }
         }

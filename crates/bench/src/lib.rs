@@ -30,6 +30,6 @@ pub mod trial;
 
 pub use runner::{
     baseline_cycles, geomean, paper_config, run_extension, run_extension_profiled,
-    run_extension_series, run_panic_tolerant, run_panic_tolerant_observed, series_dir_from_args,
-    ExtKind, JobReport, RunSummary, MAX_INSTRUCTIONS,
+    run_panic_tolerant, run_panic_tolerant_observed, series_dir_from_args, ExtKind, JobReport,
+    MAX_INSTRUCTIONS,
 };

@@ -60,21 +60,6 @@ impl ExtKind {
     }
 }
 
-/// Condensed result of one monitored run.
-#[derive(Clone, Copy, Debug)]
-pub struct RunSummary {
-    /// Total cycles.
-    pub cycles: u64,
-    /// Committed instructions.
-    pub instret: u64,
-    /// Fraction of committed instructions forwarded to the fabric.
-    pub forwarded_fraction: f64,
-    /// Meta-data cache miss ratio.
-    pub meta_miss_ratio: f64,
-    /// Commit-stall cycles from FIFO back-pressure.
-    pub fifo_stall_cycles: u64,
-}
-
 /// Runs `workload` on the bare Leon3 model and returns its cycle count.
 ///
 /// # Panics
@@ -116,25 +101,38 @@ fn monitored<S: TraceSink>(
     (r, sys)
 }
 
-fn condense(r: &RunResult) -> RunSummary {
-    RunSummary {
-        cycles: r.cycles,
-        instret: r.instret,
-        forwarded_fraction: r.forward.forwarded_fraction(),
-        meta_miss_ratio: r.meta_cache.miss_ratio(),
-        fifo_stall_cycles: r.forward.fifo_stall_cycles,
-    }
-}
-
 /// Runs `workload` under `ext` with the given system configuration.
+///
+/// With `series = Some((dir, stem))` the run also samples epoch
+/// metrics and writes them as JSONL to `<dir>/<stem>.jsonl` (creating
+/// `dir` as needed), after cross-checking the sampled series against
+/// the run's final aggregate counters.
 ///
 /// # Panics
 ///
 /// Panics if the workload fails its self-check or the monitor raises a
 /// spurious trap (either is a reproduction bug — the workloads are
-/// benign).
-pub fn run_extension(workload: &Workload, ext: ExtKind, config: SystemConfig) -> RunSummary {
-    condense(&monitored(workload, ext, config, NullSink).0)
+/// benign), on an epoch-vs-aggregate mismatch (an instrumentation
+/// bug), and on I/O errors writing the series file.
+pub fn run_extension(
+    workload: &Workload,
+    ext: ExtKind,
+    config: SystemConfig,
+    series: Option<(&Path, &str)>,
+) -> RunResult {
+    let Some((dir, stem)) = series else {
+        return monitored(workload, ext, config, NullSink).0;
+    };
+    let sampler = MetricsRecorder::new(MetricsRecorder::DEFAULT_EPOCH_CYCLES);
+    let (r, sys) = monitored(workload, ext, config, sampler);
+    let m = sys.into_sink();
+    if let Err(e) = m.check_against(&r) {
+        panic!("{stem}: epoch series disagrees with the run result: {e}");
+    }
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    let path = dir.join(format!("{stem}.jsonl"));
+    std::fs::write(&path, m.to_jsonl(&r)).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    r
 }
 
 /// Like [`run_extension`], but with the phase profiler attached:
@@ -169,35 +167,6 @@ pub fn series_dir_from_args() -> Option<PathBuf> {
         }
     }
     None
-}
-
-/// Like [`run_extension`], but samples epoch metrics during the run and
-/// writes them as JSONL to `<dir>/<stem>.jsonl` (creating `dir` as
-/// needed). The sampled series is cross-checked against the run's final
-/// aggregate counters before it is written.
-///
-/// # Panics
-///
-/// Panics on the same conditions as [`run_extension`], on an
-/// epoch-vs-aggregate mismatch (an instrumentation bug), and on I/O
-/// errors writing the series file.
-pub fn run_extension_series(
-    workload: &Workload,
-    ext: ExtKind,
-    config: SystemConfig,
-    dir: &Path,
-    stem: &str,
-) -> RunSummary {
-    let sampler = MetricsRecorder::new(MetricsRecorder::DEFAULT_EPOCH_CYCLES);
-    let (r, sys) = monitored(workload, ext, config, sampler);
-    let m = sys.into_sink();
-    if let Err(e) = m.check_against(&r) {
-        panic!("{stem}: epoch series disagrees with the run result: {e}");
-    }
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
-    let path = dir.join(format!("{stem}.jsonl"));
-    std::fs::write(&path, m.to_jsonl(&r)).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    condense(&r)
 }
 
 /// Result of one named job executed by [`run_panic_tolerant`].

@@ -100,6 +100,4 @@ pub use reconfig::{SwapPolicy, SwapReport, SwapRequest};
 pub use recovery::{FaultOutcome, RecoveryAttempt, RecoveryPolicy, RecoveryReport, Supervisor};
 pub use shadow::ShadowRegFile;
 pub use stats::{ForwardStats, ResilienceStats, RunResult};
-pub use system::{
-    Implementation, OverflowPolicy, RunOutcome, System, SystemConfig, BITSTREAM_RETRY_LIMIT,
-};
+pub use system::{Implementation, RunOutcome, System, SystemConfig, BITSTREAM_RETRY_LIMIT};

@@ -208,9 +208,9 @@ const MAX_CATCHUP_ANNULS: u32 = 4;
 pub struct LockstepChecker {
     golden: RefCore,
     mem: RefMem,
-    window: usize,
-    /// The last `window` commits as `(dut, golden)` pairs: a ring that
-    /// grows to `window` entries, then is overwritten in place.
+    /// The last [`WINDOW`](Self::WINDOW) commits as `(dut, golden)`
+    /// pairs: a ring that grows to `WINDOW` entries, then is
+    /// overwritten in place.
     recent: Vec<(LockstepCommit, LockstepCommit)>,
     /// Slot of the oldest entry once `recent` is full (the next one to
     /// overwrite); 0 while it grows.
@@ -221,12 +221,12 @@ pub struct LockstepChecker {
 impl LockstepChecker {
     /// Ring depth of the per-model recent-commit logs in a
     /// [`DivergenceReport`].
-    pub const DEFAULT_WINDOW: usize = 16;
+    pub const WINDOW: usize = 16;
 
     /// Builds a checker synchronized to the core's current
     /// architectural state, with a private copy of `mem` for the golden
-    /// model. `window` bounds the recent-commit rings (clamped to ≥ 1).
-    pub fn new(core: &Core, mem: &MainMemory, window: usize) -> LockstepChecker {
+    /// model.
+    pub fn new(core: &Core, mem: &MainMemory) -> LockstepChecker {
         let mut regs = [0u32; NUM_REGS];
         for r in Reg::all() {
             regs[r.index()] = core.reg(r);
@@ -234,7 +234,6 @@ impl LockstepChecker {
         LockstepChecker {
             golden: RefCore::synced(regs, core.icc(), core.pc(), core.npc(), core.annul_pending()),
             mem: RefMem(mem.clone()),
-            window: window.max(1),
             recent: Vec::new(),
             head: 0,
             commits_checked: 0,
@@ -256,12 +255,12 @@ impl LockstepChecker {
     }
 
     fn push_recent(&mut self, dut: LockstepCommit, golden: LockstepCommit) {
-        if self.recent.len() < self.window {
+        if self.recent.len() < Self::WINDOW {
             self.recent.push((dut, golden));
         } else {
             self.recent[self.head] = (dut, golden);
             self.head += 1;
-            if self.head == self.window {
+            if self.head == Self::WINDOW {
                 self.head = 0;
             }
         }
@@ -465,7 +464,7 @@ mod tests {
         let mut bus = SystemBus::default();
         let mut core = Core::new(CoreConfig::leon3());
         core.load_program(&program, &mut mem);
-        let mut ck = LockstepChecker::new(&core, &mem, 8);
+        let mut ck = LockstepChecker::new(&core, &mem);
         let mut commits = 0;
         loop {
             match core.step(&mut mem, &mut bus) {
@@ -521,7 +520,7 @@ mod tests {
         let mut bus = SystemBus::default();
         let mut core = Core::new(CoreConfig::leon3());
         core.load_program(&program, &mut mem);
-        let mut ck = LockstepChecker::new(&core, &mem, 8);
+        let mut ck = LockstepChecker::new(&core, &mem);
         let mut commits = 0;
         let mut diverged = None;
         loop {

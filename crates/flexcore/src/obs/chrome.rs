@@ -127,14 +127,11 @@ mod export {
                     .raw("args", Value::object().field("entries", &occupancy).build())
                     .build()
             }
-            TraceEvent::Drop { cycle, class, overflow } => base("drop", "i", cycle, TID_CORE)
+            TraceEvent::Drop { cycle, class } => base("drop", "i", cycle, TID_CORE)
                 .field("s", &"t")
                 .raw(
                     "args",
-                    Value::object()
-                        .field("class", &format!("{class:?}").to_lowercase())
-                        .field("overflow", &overflow)
-                        .build(),
+                    Value::object().field("class", &format!("{class:?}").to_lowercase()).build(),
                 )
                 .build(),
             TraceEvent::MetaMiss { cycle, count } => base("meta-miss", "i", cycle, TID_FABRIC)

@@ -31,17 +31,14 @@ pub enum TraceEvent {
         /// Instruction class.
         class: InstrClass,
     },
-    /// A packet was dropped instead of forwarded.
+    /// A packet was dropped instead of forwarded: its class is
+    /// [`IfNotFull`](crate::ForwardPolicy::IfNotFull) in the CFGR and
+    /// the FIFO was full.
     Drop {
         /// Commit cycle of the dropped instruction.
         cycle: u64,
         /// Instruction class.
         class: InstrClass,
-        /// `true` when dropped by the
-        /// [`DropWithAccounting`](crate::OverflowPolicy::DropWithAccounting)
-        /// overflow policy under an `Always` forward policy; `false`
-        /// for an `IfNotFull` drop.
-        overflow: bool,
     },
     /// An entry was enqueued into the forward FIFO.
     FifoEnqueue {

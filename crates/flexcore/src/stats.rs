@@ -51,9 +51,9 @@ pub struct ResilienceStats {
     ///
     /// [`FaultTarget::FifoPacket`]: crate::faults::FaultTarget::FifoPacket
     pub packets_corrupted: u64,
-    /// Packets dropped by the
-    /// [`DropWithAccounting`](crate::OverflowPolicy::DropWithAccounting)
-    /// FIFO overflow policy.
+    /// Always 0: the only drops are the CFGR's `IfNotFull` ones, counted
+    /// in [`ForwardStats::dropped`]. Kept because the benchmark digests
+    /// hash it and checkpoint format 4 stores it.
     pub dropped_overflow: u64,
     /// Bitstream transfers that failed validation and were retried.
     pub bitstream_retries: u64,

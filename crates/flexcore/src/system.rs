@@ -58,22 +58,6 @@ impl Implementation {
     }
 }
 
-/// What the commit stage does when the forward FIFO is full under an
-/// [`Always`](ForwardPolicy::Always) forwarding policy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum OverflowPolicy {
-    /// Stall the commit stage until a slot frees (the paper's
-    /// mechanism; lossless).
-    #[default]
-    Stall,
-    /// Drop the packet and count it
-    /// ([`ResilienceStats::dropped_overflow`]) — graceful degradation
-    /// for monitors that tolerate gaps.
-    ///
-    /// [`ResilienceStats::dropped_overflow`]: crate::ResilienceStats::dropped_overflow
-    DropWithAccounting,
-}
-
 /// What [`System::try_run_until`] produced: a finished run, or a pause
 /// at a commit boundary (the moment to call [`System::snapshot`]).
 #[derive(Clone, Debug, PartialEq)]
@@ -92,6 +76,12 @@ pub enum RunOutcome {
 }
 
 /// Configuration of a [`System`].
+///
+/// Whether a committed instruction is forwarded, and what happens when
+/// the forward FIFO is full, is not a system setting: the extension's
+/// [`Cfgr`] decides per instruction class. `Always` stalls the commit
+/// stage on a full FIFO, and `IfNotFull` is the only policy that drops
+/// a packet.
 #[derive(Clone, Copy, Debug)]
 pub struct SystemConfig {
     /// Core parameters.
@@ -123,8 +113,6 @@ pub struct SystemConfig {
     /// Optional hard ceiling on core-clock cycles; exceeding it makes
     /// [`System::try_run`] return [`SimError::CycleBudgetExceeded`].
     pub cycle_budget: Option<u64>,
-    /// FIFO overflow behavior under `Always` forwarding.
-    pub overflow_policy: OverflowPolicy,
 }
 
 impl SystemConfig {
@@ -140,7 +128,6 @@ impl SystemConfig {
             masked_meta_writes: true,
             precise_exceptions: false,
             cycle_budget: None,
-            overflow_policy: OverflowPolicy::Stall,
         }
     }
 
@@ -207,12 +194,6 @@ impl SystemConfig {
     /// Returns a copy with a hard core-cycle budget.
     pub fn with_cycle_budget(mut self, budget: u64) -> SystemConfig {
         self.cycle_budget = Some(budget);
-        self
-    }
-
-    /// Returns a copy with the given FIFO overflow policy.
-    pub fn with_overflow_policy(mut self, policy: OverflowPolicy) -> SystemConfig {
-        self.overflow_policy = policy;
         self
     }
 }
@@ -733,7 +714,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             ForwardPolicy::IfNotFull => {
                 if self.fifo.is_full(now) {
                     self.forward.dropped += 1;
-                    self.emit(TraceEvent::Drop { cycle: now, class: pkt.class, overflow: false });
+                    self.emit(TraceEvent::Drop { cycle: now, class: pkt.class });
                     return Ok(());
                 }
                 self.record_forward(pkt);
@@ -743,31 +724,17 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             }
             ForwardPolicy::Always => {
                 let enq = if self.fifo.is_full(now) {
-                    match self.config.overflow_policy {
-                        OverflowPolicy::Stall => {
-                            // Commit stalls until the oldest entry is
-                            // dequeued — unless that slot frees so far
-                            // in the future (a wedged fabric) that the
-                            // system has effectively deadlocked.
-                            let free_at = self.fifo.empty_slot_at(now);
-                            if free_at.saturating_sub(now) > WATCHDOG_CYCLES {
-                                return Err(SimError::Deadlock(self.deadlock_snapshot(now)));
-                            }
-                            self.core.stall_until(free_at);
-                            self.emit(TraceEvent::CommitStall { cycle: now, until: free_at });
-                            free_at
-                        }
-                        OverflowPolicy::DropWithAccounting => {
-                            self.forward.dropped += 1;
-                            self.resilience.dropped_overflow += 1;
-                            self.emit(TraceEvent::Drop {
-                                cycle: now,
-                                class: pkt.class,
-                                overflow: true,
-                            });
-                            return Ok(());
-                        }
+                    // Commit stalls until the oldest entry is dequeued —
+                    // unless that slot frees so far in the future (a
+                    // wedged fabric) that the system has effectively
+                    // deadlocked.
+                    let free_at = self.fifo.empty_slot_at(now);
+                    if free_at.saturating_sub(now) > WATCHDOG_CYCLES {
+                        return Err(SimError::Deadlock(self.deadlock_snapshot(now)));
                     }
+                    self.core.stall_until(free_at);
+                    self.emit(TraceEvent::CommitStall { cycle: now, until: free_at });
+                    free_at
                 } else {
                     now
                 };
@@ -1277,8 +1244,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     /// [`load_program`](System::load_program) (or at any commit
     /// boundary).
     pub fn enable_lockstep(&mut self) {
-        self.lockstep =
-            Some(LockstepChecker::new(&self.core, &self.mem, LockstepChecker::DEFAULT_WINDOW));
+        self.lockstep = Some(LockstepChecker::new(&self.core, &self.mem));
     }
 
     /// The lockstep checker, when enabled (e.g. to read

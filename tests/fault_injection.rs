@@ -1,14 +1,12 @@
 //! End-to-end fault-injection and resilience properties: determinism
 //! of seeded campaigns, deadlock detection instead of hangs, bounded
-//! bitstream reload, and FIFO accounting invariants under drops.
+//! bitstream reload, and lossless FIFO back-pressure.
 
 use flexcore_bench::swap::bitstream_for;
 use flexcore_suite::asm::assemble;
 use flexcore_suite::flexcore::ext::Sec;
 use flexcore_suite::flexcore::faults::{FaultModel, FaultPlan, FaultSchedule, FaultTarget};
-use flexcore_suite::flexcore::{
-    OverflowPolicy, SimError, System, SystemConfig, BITSTREAM_RETRY_LIMIT,
-};
+use flexcore_suite::flexcore::{SimError, System, SystemConfig, BITSTREAM_RETRY_LIMIT};
 use flexcore_suite::pipeline::ExitReason;
 use proptest::prelude::*;
 
@@ -172,15 +170,9 @@ fn unrecoverable_bitstream_corruption_is_reported() {
     }
 }
 
-fn overflow_run(
-    depth: usize,
-    policy: OverflowPolicy,
-    budget: u64,
-) -> flexcore_suite::flexcore::RunResult {
-    let config = SystemConfig::fabric_quarter_speed()
-        .with_fifo_depth(depth)
-        .with_overflow_policy(policy)
-        .with_cycle_budget(budget);
+fn overflow_run(depth: usize) -> flexcore_suite::flexcore::RunResult {
+    let config =
+        SystemConfig::fabric_quarter_speed().with_fifo_depth(depth).with_cycle_budget(10_000_000);
     let mut sys = System::new(config, Sec::new());
     sys.load_program(&alu_loop());
     sys.try_run(1_000_000).expect("benign program completes")
@@ -189,30 +181,16 @@ fn overflow_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Under `DropWithAccounting`, every committed instruction is
-    /// either forwarded or counted as dropped; occupancy never exceeds
-    /// the configured depth; and the drop counters agree.
-    #[test]
-    fn overflow_accounting_is_conserved(depth in 1usize..16) {
-        let r = overflow_run(depth, OverflowPolicy::DropWithAccounting, 10_000_000);
-        prop_assert_eq!(r.exit, ExitReason::Halt(0));
-        prop_assert!(r.monitor_trap.is_none(), "drops must not fake a trap");
-        prop_assert!(r.forward.peak_occupancy <= depth as u64);
-        prop_assert_eq!(r.forward.dropped, r.resilience.dropped_overflow);
-        prop_assert!(r.forward.forwarded + r.forward.dropped <= r.forward.committed);
-        // Sec forwards every ALU op: nothing else may be unaccounted.
-        prop_assert!(r.forward.forwarded + r.forward.dropped > 0);
-    }
-
-    /// The stall policy trades cycles instead of packets: zero drops,
-    /// and shrinking the FIFO never makes the run faster.
+    /// SEC forwards `Always`, which trades cycles instead of packets on
+    /// a full FIFO: zero drops, and shrinking the FIFO never makes the
+    /// run faster.
     #[test]
     fn stall_policy_never_drops(depth in 1usize..16) {
-        let r = overflow_run(depth, OverflowPolicy::Stall, 10_000_000);
+        let r = overflow_run(depth);
         prop_assert_eq!(r.exit, ExitReason::Halt(0));
         prop_assert_eq!(r.forward.dropped, 0);
         prop_assert_eq!(r.resilience.dropped_overflow, 0);
-        let big = overflow_run(64, OverflowPolicy::Stall, 10_000_000);
+        let big = overflow_run(64);
         prop_assert!(r.cycles >= big.cycles, "{} < {}", r.cycles, big.cycles);
         prop_assert_eq!(r.instret, big.instret);
     }

@@ -12,6 +12,7 @@ use flexcore_suite::isa::{IccFlags, InstrClass, Instruction, Opcode, Operand2, R
 use flexcore_suite::mem::{MainMemory, SystemBus};
 use flexcore_suite::pipeline::{Core, CoreConfig, ExitReason, StepResult, Stepped, TracePacket};
 use flexcore_suite::workloads::Workload;
+use proptest::prelude::*;
 
 /// A configurable probe extension: counts what it sees, can be made
 /// arbitrarily slow, answers reads with a constant.
@@ -113,11 +114,10 @@ fn always_policy_forwards_every_matching_instruction() {
     assert_eq!(r.forward.dropped, 0);
 }
 
-#[test]
-fn if_not_full_policy_drops_under_pressure() {
-    // A slow monitor (2 meta ops/packet at 0.25X) with a 2-entry FIFO
-    // and a dense stream of monitored instructions must drop packets —
-    // and must NOT stall the core.
+/// A slow monitor (2 meta ops/packet at 0.25X) behind a `depth`-entry
+/// FIFO, forwarding a dense loop's subcc/bne/nop best-effort
+/// (`IfNotFull`, the only policy that may drop a packet).
+fn best_effort_run(depth: usize) -> (u64, flexcore_suite::flexcore::RunResult) {
     let cfgr = Cfgr::new()
         .with_class(InstrClass::SubCc, ForwardPolicy::IfNotFull)
         .with_class(InstrClass::Nop, ForwardPolicy::IfNotFull)
@@ -127,11 +127,37 @@ fn if_not_full_policy_drops_under_pressure() {
                bne loop
                nop
                ta 0";
-    let cfg = SystemConfig::fabric_quarter_speed().with_fifo_depth(2);
-    let (seen, r) = run_probe(cfgr, 2, cfg, src);
+    run_probe(cfgr, 2, SystemConfig::fabric_quarter_speed().with_fifo_depth(depth), src)
+}
+
+#[test]
+fn if_not_full_policy_drops_under_pressure() {
+    // A dense stream into a 2-entry FIFO must drop packets — and must
+    // NOT stall the core.
+    let (seen, r) = best_effort_run(2);
     assert!(r.forward.dropped > 0, "must drop: {:?}", r.forward);
     assert_eq!(seen + r.forward.dropped, r.forward.forwarded + r.forward.dropped);
     assert_eq!(r.forward.fifo_stall_cycles, 0, "best-effort never stalls the core");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// At any FIFO depth, every committed instruction is forwarded,
+    /// dropped or not monitored; occupancy never exceeds the depth;
+    /// drops never fake a trap; and best-effort forwarding never
+    /// stalls the commit stage.
+    #[test]
+    fn if_not_full_accounting_is_conserved(depth in 1usize..16) {
+        let (seen, r) = best_effort_run(depth);
+        prop_assert_eq!(r.exit, ExitReason::Halt(0));
+        prop_assert!(r.monitor_trap.is_none(), "drops must not fake a trap");
+        prop_assert!(r.forward.peak_occupancy <= depth as u64);
+        prop_assert_eq!(seen, r.forward.forwarded);
+        prop_assert!(r.forward.forwarded + r.forward.dropped <= r.forward.committed);
+        prop_assert!(r.forward.forwarded + r.forward.dropped > 0);
+        prop_assert_eq!(r.forward.fifo_stall_cycles, 0);
+    }
 }
 
 #[test]

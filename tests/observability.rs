@@ -4,13 +4,15 @@
 //! freezes pre-trap context, and VCD dumps match the netlist interface.
 
 use flexcore_suite::asm::assemble;
+use flexcore_suite::fabric::Netlist;
 use flexcore_suite::fabric::{vcd_signal_count, write_vcd};
 use flexcore_suite::flexcore::ext::{Dift, Sec, Umc};
+use flexcore_suite::flexcore::ext::{ExtEnv, ExtensionDescriptor, MonitorTrap};
 use flexcore_suite::flexcore::obs::{
     ChromeRecorder, MetricsRecorder, Observer, PacketTap, TraceSink,
 };
-use flexcore_suite::flexcore::{Extension, OverflowPolicy, RunResult, System, SystemConfig};
-use flexcore_suite::pipeline::ExitReason;
+use flexcore_suite::flexcore::{Cfgr, Extension, ForwardPolicy, RunResult, System, SystemConfig};
+use flexcore_suite::pipeline::{ExitReason, TracePacket};
 use flexcore_suite::workloads::Workload;
 use proptest::prelude::*;
 
@@ -79,14 +81,48 @@ fn epoch_series_sums_to_aggregates_on_every_workload() {
     }
 }
 
-/// Dropped packets (the overflow-accounting path) land in the series
+/// SEC with every class it forwards set to `IfNotFull`: the CFGR's
+/// best-effort drop path on an ALU-dense stream.
+struct BestEffortSec(Sec);
+
+impl Extension for BestEffortSec {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn descriptor(&self) -> ExtensionDescriptor {
+        self.0.descriptor()
+    }
+
+    fn cfgr(&self) -> Cfgr {
+        let sec = self.0.cfgr();
+        Cfgr::new().with_classes(|c| sec.policy(c).forwards(), ForwardPolicy::IfNotFull)
+    }
+
+    fn pipeline_stages(&self) -> u32 {
+        self.0.pipeline_stages()
+    }
+
+    fn process(
+        &mut self,
+        pkt: &TracePacket,
+        env: &mut ExtEnv<'_>,
+    ) -> Result<Option<u32>, MonitorTrap> {
+        self.0.process(pkt, env)
+    }
+
+    fn netlist(&self) -> Netlist {
+        self.0.netlist()
+    }
+}
+
+/// Dropped packets (the CFGR's `IfNotFull` path) land in the series
 /// too, not just the aggregate counter.
 #[test]
 fn drop_accounting_reaches_the_epoch_series() {
-    let config = SystemConfig::fabric_quarter_speed()
-        .with_fifo_depth(2)
-        .with_overflow_policy(OverflowPolicy::DropWithAccounting);
-    let (r, m) = run_with_sink(&alu_loop(), config, Sec::new(), MetricsRecorder::new(100));
+    let config = SystemConfig::fabric_quarter_speed().with_fifo_depth(2);
+    let ext = BestEffortSec(Sec::new());
+    let (r, m) = run_with_sink(&alu_loop(), config, ext, MetricsRecorder::new(100));
     assert_eq!(r.exit, ExitReason::Halt(0));
     assert!(r.forward.dropped > 0, "depth-2 FIFO at 0.25X must overflow");
     let dropped: u64 = m.epochs().iter().map(|e| e.dropped).sum();
