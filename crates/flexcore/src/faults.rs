@@ -61,9 +61,12 @@ impl FaultRng {
         self.state
     }
 
+    /// The SplitMix64 increment: each draw adds it to the state.
+    const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
     /// Next 64 random bits (SplitMix64 step).
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(Self::GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -74,6 +77,12 @@ impl FaultRng {
     pub fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0, "below(0)");
         self.next_u64() % n
+    }
+
+    /// The generator after `n` more draws. The state moves by the same
+    /// increment at every draw, so this costs no draw.
+    fn skipped(&self, n: u64) -> FaultRng {
+        FaultRng { state: self.state.wrapping_add(n.wrapping_mul(Self::GAMMA)) }
     }
 }
 
@@ -154,6 +163,11 @@ impl FaultSchedule {
         }
     }
 }
+
+/// How many commits ahead [`FaultInjector::next_due`] looks for a
+/// `Bernoulli` spec's next firing draw. A longer look costs draws past
+/// the end of a run; a shorter one costs polls that fire nothing.
+const BERNOULLI_LOOKAHEAD: u64 = 256;
 
 /// How the targeted bits are disturbed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -325,6 +339,41 @@ struct SpecState {
     /// `AtCommit` fires once; `FabricStuck` is idempotent but logged
     /// once.
     exhausted: bool,
+    /// For a per-commit `Bernoulli` spec, the commit whose decision
+    /// `rng` drew last; the decisions of later commits up to the next
+    /// poll are drawn when it comes (see [`FaultInjector::poll_commit`]).
+    /// `None` until the first poll after an arm or a restore.
+    drawn_through: Option<u64>,
+}
+
+impl SpecState {
+    fn new(spec: FaultSpec, seed: u64, index: u64) -> SpecState {
+        SpecState {
+            spec,
+            rng: FaultRng::new(seed ^ (index + 1).wrapping_mul(0xa076_1d64_78bd_642f)),
+            exhausted: false,
+            drawn_through: None,
+        }
+    }
+
+    /// Whether this is a live `Bernoulli` spec, which draws a decision
+    /// at every commit.
+    fn draws_per_commit(&self) -> bool {
+        matches!(self.spec.schedule, FaultSchedule::Bernoulli { .. })
+            && !self.exhausted
+            && !matches!(self.spec.target, FaultTarget::Bitstream)
+    }
+
+    /// The generator with the decisions of every commit after
+    /// `drawn_through` up to `commit` drawn.
+    fn rng_at(&self, commit: u64) -> FaultRng {
+        match self.drawn_through {
+            Some(last) if self.draws_per_commit() && commit > last => {
+                self.rng.skipped(commit - last)
+            }
+            _ => self.rng.clone(),
+        }
+    }
 }
 
 /// Complete checkpointable run-time state of a [`FaultInjector`] (see
@@ -354,6 +403,9 @@ pub struct FaultInjector {
     /// replays disarm the plan so the restored run re-executes
     /// fault-free.
     armed: bool,
+    /// No poll before this commit can strike or draw (see
+    /// [`FaultInjector::next_due`]).
+    due: u64,
 }
 
 impl std::fmt::Debug for FaultInjector {
@@ -374,41 +426,93 @@ impl FaultInjector {
             .specs
             .iter()
             .enumerate()
-            .map(|(i, &spec)| SpecState {
-                spec,
-                rng: FaultRng::new(plan.seed ^ (i as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f)),
-                exhausted: false,
-            })
+            .map(|(i, &spec)| SpecState::new(spec, plan.seed, i as u64))
             .collect();
-        FaultInjector {
+        let mut inj = FaultInjector {
             specs,
             seed: plan.seed,
             log: Vec::new(),
             bitstream_log: Vec::new(),
             bitstream_attempts: 0,
             armed: true,
-        }
+            due: 0,
+        };
+        inj.due = inj.horizon(0);
+        inj
     }
 
-    /// Stops deciding faults for good, without touching generator
-    /// state or the logs. A disarmed injector's [`poll_commit`] and
-    /// [`corrupt_bitstream`] strike nothing.
+    /// The first commit after `commit` at which a per-commit spec can
+    /// fire: `AtCommit(n)` at `n` until it is exhausted,
+    /// `EveryCommits(n)` at the next multiple of `n`, `Bitstream` specs
+    /// and a disarmed injector never (`u64::MAX`). A `Bernoulli` spec
+    /// draws ahead from its generator for the first decision that fires,
+    /// at most [`BERNOULLI_LOOKAHEAD`] commits past the last one it drew
+    /// (and fires never at rate 0); before its first poll it asks for
+    /// one at once.
+    fn horizon(&self, commit: u64) -> u64 {
+        if !self.armed {
+            return u64::MAX;
+        }
+        let next = commit.saturating_add(1);
+        self.specs
+            .iter()
+            .filter(|st| !st.exhausted && !matches!(st.spec.target, FaultTarget::Bitstream))
+            .map(|st| match (st.spec.schedule, st.drawn_through) {
+                (FaultSchedule::AtCommit(n), _) if n >= next => n,
+                (FaultSchedule::AtCommit(_) | FaultSchedule::EveryCommits(0), _) => u64::MAX,
+                (FaultSchedule::EveryCommits(n), _) => next.saturating_add(n - 1) / n * n,
+                (FaultSchedule::Bernoulli { .. }, None) => 0,
+                (FaultSchedule::Bernoulli { per_million: 0 }, Some(_)) => u64::MAX,
+                (schedule @ FaultSchedule::Bernoulli { .. }, Some(last)) => {
+                    let mut rng = st.rng.clone();
+                    (1..=BERNOULLI_LOOKAHEAD)
+                        .map(|k| last.saturating_add(k))
+                        .find(|&c| schedule.fires(c, &mut rng))
+                        .unwrap_or(last.saturating_add(BERNOULLI_LOOKAHEAD + 1))
+                }
+            })
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// The first commit at which [`poll_commit`] can strike: polls at
+    /// earlier commits strike nothing, and a `Bernoulli` spec draws the
+    /// decisions of the commits it skipped at the next poll, so a caller
+    /// that polls every commit in order may skip the polls before this
+    /// one and see the same faults and the same
+    /// [`snapshot`](FaultInjector::snapshot)s. Every poll, arm, disarm
+    /// and restore moves it; after an arm or a restore it may lie before
+    /// the next commit, which only costs a poll that finds nothing.
+    ///
+    /// [`poll_commit`]: FaultInjector::poll_commit
+    #[inline]
+    pub fn next_due(&self) -> u64 {
+        self.due
+    }
+
+    /// Stops deciding faults for good after commit `commit`, without
+    /// touching the logs. A disarmed injector's [`poll_commit`] and
+    /// [`corrupt_bitstream`] strike nothing and draw nothing; the
+    /// `Bernoulli` decisions of the commits up to `commit` are drawn
+    /// here.
     ///
     /// [`poll_commit`]: FaultInjector::poll_commit
     /// [`corrupt_bitstream`]: FaultInjector::corrupt_bitstream
-    pub fn disarm(&mut self) {
+    pub fn disarm(&mut self, commit: u64) {
+        for st in &mut self.specs {
+            st.rng = st.rng_at(commit);
+            st.drawn_through = None;
+        }
         self.armed = false;
+        self.due = u64::MAX;
     }
 
     /// Appends a rule to a live injector (its stream derives from the
     /// new spec's index, so existing streams are unperturbed).
     pub fn push_spec(&mut self, spec: FaultSpec) {
         let i = self.specs.len() as u64;
-        self.specs.push(SpecState {
-            spec,
-            rng: FaultRng::new(self.seed ^ (i + 1).wrapping_mul(0xa076_1d64_78bd_642f)),
-            exhausted: false,
-        });
+        self.specs.push(SpecState::new(spec, self.seed, i));
+        self.due = self.horizon(0);
     }
 
     /// Every fault applied so far, in application order.
@@ -423,6 +527,10 @@ impl FaultInjector {
 
     /// Decides the faults striking at commit `commit` (1-based), logs
     /// them, and returns them for the system to apply.
+    ///
+    /// A `Bernoulli` spec draws one decision per commit: the decisions
+    /// of any commits since its last poll are drawn first (skipping
+    /// them costs no draw), then this commit's.
     pub fn poll_commit(&mut self, commit: u64, cycle: u64) -> Vec<FaultAction> {
         let mut actions = Vec::new();
         if !self.armed {
@@ -431,6 +539,10 @@ impl FaultInjector {
         for st in &mut self.specs {
             if st.exhausted || matches!(st.spec.target, FaultTarget::Bitstream) {
                 continue;
+            }
+            if st.draws_per_commit() {
+                st.rng = st.rng_at(commit.saturating_sub(1));
+                st.drawn_through = Some(commit);
             }
             if !st.spec.schedule.fires(commit, &mut st.rng) {
                 continue;
@@ -472,16 +584,19 @@ impl FaultInjector {
             self.log.push(FaultEvent { at: commit, cycle, action });
             actions.push(action);
         }
+        self.due = self.horizon(commit);
         actions
     }
 
-    /// Captures the injector's complete run-time state: per-spec
-    /// generator positions and one-shot flags, both event logs, and the
-    /// bitstream attempt counter. The specs themselves are construction
-    /// state (the re-armed plan supplies them on restore).
-    pub fn snapshot(&self) -> FaultInjectorSnapshot {
+    /// Captures the injector's complete run-time state at commit
+    /// `commit`: per-spec generator positions (with the `Bernoulli`
+    /// decisions of every commit up to `commit` drawn) and one-shot
+    /// flags, both event logs, and the bitstream attempt counter. The
+    /// specs themselves are construction state (the re-armed plan
+    /// supplies them on restore).
+    pub fn snapshot(&self, commit: u64) -> FaultInjectorSnapshot {
         FaultInjectorSnapshot {
-            rng_states: self.specs.iter().map(|s| s.rng.state()).collect(),
+            rng_states: self.specs.iter().map(|s| s.rng_at(commit).state()).collect(),
             exhausted: self.specs.iter().map(|s| s.exhausted).collect(),
             log: self.log.clone(),
             bitstream_log: self.bitstream_log.clone(),
@@ -509,10 +624,12 @@ impl FaultInjector {
         {
             st.rng = FaultRng::new(state);
             st.exhausted = exhausted;
+            st.drawn_through = None;
         }
         self.log = snap.log.clone();
         self.bitstream_log = snap.bitstream_log.clone();
         self.bitstream_attempts = snap.bitstream_attempts;
+        self.due = self.horizon(0);
         Ok(())
     }
 
@@ -590,7 +707,7 @@ mod tests {
         }
         // A disarmed injector decides nothing and leaves its log as it
         // was at the disarm.
-        disarmed.disarm();
+        disarmed.disarm(100);
         for commit in 101..=200 {
             assert!(disarmed.poll_commit(commit, commit).is_empty());
             let mut bytes = [0xffu8; 16];
@@ -662,6 +779,89 @@ mod tests {
                 };
                 assert!((1..32).contains(&reg));
             }
+        }
+    }
+
+    /// Drives `plan` through commits with a spec pushed mid-run, a
+    /// snapshot restored after 40 more commits (a rewind), bitstream
+    /// transfers, a disarm and a re-arm, polling every commit or only
+    /// from [`FaultInjector::next_due`] on. Returns the injector's
+    /// snapshot at the end of each phase and the number of polls.
+    fn drive(plan: &FaultPlan, gated: bool) -> (Vec<FaultInjectorSnapshot>, usize) {
+        let mut polls = 0;
+        let mut run = |inj: &mut FaultInjector, commits: std::ops::RangeInclusive<u64>| {
+            let end = *commits.end();
+            for c in commits {
+                if !gated || c >= inj.next_due() {
+                    polls += 1;
+                    inj.poll_commit(c, 3 * c);
+                }
+                if c % 50 == 0 {
+                    inj.corrupt_bitstream(&mut [0x5a; 32]);
+                }
+            }
+            inj.snapshot(end)
+        };
+        let mut inj = FaultInjector::new(plan);
+        let mut snaps = vec![run(&mut inj, 1..=120)];
+        inj.push_spec(FaultSpec {
+            target: FaultTarget::CommitResult,
+            schedule: FaultSchedule::AtCommit(170),
+            model: FaultModel::Mask(4),
+        });
+        let at_160 = run(&mut inj, 121..=160);
+        snaps.push(run(&mut inj, 161..=200));
+        inj.restore(&at_160).expect("same plan");
+        snaps.push(run(&mut inj, 161..=260));
+        inj.disarm(260);
+        snaps.push(run(&mut inj, 261..=300));
+        let mut inj = FaultInjector::new(plan);
+        snaps.push(run(&mut inj, 301..=450));
+        (snaps, polls)
+    }
+
+    #[test]
+    fn gated_polls_match_polling_every_commit() {
+        let bitstream = FaultSpec {
+            target: FaultTarget::Bitstream,
+            schedule: FaultSchedule::EveryCommits(2),
+            model: FaultModel::BitFlip { bits: 1 },
+        };
+        let stuck = FaultSpec {
+            target: FaultTarget::FabricStuck,
+            schedule: FaultSchedule::EveryCommits(90),
+            model: FaultModel::Mask(0),
+        };
+        let mut sparse = FaultPlan::new(11)
+            .inject(FaultTarget::CommitResult, FaultSchedule::AtCommit(37), FaultModel::Mask(1))
+            .inject(
+                FaultTarget::Register,
+                FaultSchedule::EveryCommits(23),
+                FaultModel::BitFlip { bits: 2 },
+            )
+            .inject(FaultTarget::FifoPacket, FaultSchedule::AtCommit(180), FaultModel::Mask(8));
+        sparse.specs.extend([bitstream, stuck]);
+        // Bernoulli specs at a rate, and at rate 0: the latter never
+        // fires but still draws, which the snapshots must show.
+        let mut dense = sparse.clone();
+        for per_million in [30_000, 0] {
+            dense.specs.push(FaultSpec {
+                target: FaultTarget::Memory { base: 0x8000, len: 0x40 },
+                schedule: FaultSchedule::Bernoulli { per_million },
+                model: FaultModel::BitFlip { bits: 1 },
+            });
+        }
+        for plan in [&sparse, &dense] {
+            let (every, all_polls) = drive(plan, false);
+            let (gated, gated_polls) = drive(plan, true);
+            assert_eq!(every, gated, "{plan:?}");
+            let last = every.last().expect("phases");
+            assert!(last.log.len() > 5 && !last.bitstream_log.is_empty(), "{last:?}");
+            assert!(
+                every[3].log.len() == every[2].log.len(),
+                "a disarmed injector strikes nothing"
+            );
+            assert!(gated_polls * 4 < all_polls, "{gated_polls} of {all_polls}");
         }
     }
 }

@@ -12,6 +12,14 @@
 //! a corrupted store or a flipped data word surfaces as a register
 //! mismatch at the next load that observes it.
 //!
+//! The golden model memoizes decodes as the core does, but validates
+//! them with its own bookkeeping: the private image records which words
+//! the golden model fetched and moves a generation of its own when a
+//! write lands on one. It never consults the core's fetch marks or code
+//! generation, so a bug in the core's memo validation still shows up
+//! as a divergence, and a text fault, which strikes only the core's
+//! image, diverges at the next execution of the word.
+//!
 //! On the first mismatch the system freezes the installed
 //! [`FlightRecorder`](crate::obs::FlightRecorder) ring into a minimized
 //! [`DivergenceReport`] (the last commits of both models plus the state
@@ -25,8 +33,9 @@
 //! results, registers, data or text memory) do.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use flexcore_isa::interp::{Memory32, RefCore, RefStep};
+use flexcore_isa::interp::{Memory32, RefCommit, RefCore, RefStep};
 use flexcore_isa::{Reg, NUM_REGS};
 use flexcore_mem::MainMemory;
 use flexcore_pipeline::{Core, TracePacket};
@@ -35,17 +44,79 @@ use crate::obs::FlightEntry;
 
 /// Adapter implementing the ISA-level [`Memory32`] interface on the
 /// system's [`MainMemory`] (the two crates are independent, so neither
-/// can implement the other's trait directly).
+/// can implement the other's trait directly), with the golden model's
+/// own fetch bookkeeping beside it.
 ///
 /// A halfword or word inside one page costs one page lookup: the
 /// adapter borrows the page through [`MainMemory::page_bytes`] /
 /// [`MainMemory::page_bytes_mut`] and composes or splits the
 /// big-endian bytes itself. It never calls `MainMemory`'s own
-/// halfword/word accessors, so the golden model's word path stays
-/// independent of the core's, and a bug there shows up as a
-/// divergence. Page-straddling (and wrapping) accesses go byte by byte.
+/// halfword/word accessors, fetch or code generation, so the golden
+/// model's word path and its decode-memo validation stay independent
+/// of the core's, and a bug there shows up as a divergence.
+/// Page-straddling (and wrapping) accesses go byte by byte.
 #[derive(Clone, Debug)]
-struct RefMem(MainMemory);
+struct RefMem(MainMemory, FetchLog);
+
+/// Words per page, in `u64` bitmap entries.
+const FETCH_BITS: usize = MainMemory::PAGE_BYTES / 4 / 64;
+
+/// The words the golden model has fetched, and the generation that
+/// names their contents: it moves whenever a write lands on a fetched
+/// word, so a decode memoized under it stays valid while it holds.
+#[derive(Debug)]
+struct FetchLog {
+    /// Pages holding a fetched word, ascending by page index, each
+    /// with one bit per word.
+    pages: Vec<(u32, [u64; FETCH_BITS])>,
+    generation: u64,
+}
+
+/// A generation no fetch log has had before (0 is never one).
+fn fresh_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl FetchLog {
+    fn new() -> FetchLog {
+        FetchLog { pages: Vec::new(), generation: fresh_generation() }
+    }
+
+    /// Marks the word holding byte `addr` fetched.
+    fn mark(&mut self, addr: u32) {
+        let (index, word) =
+            (addr / MainMemory::PAGE_BYTES as u32, (addr as usize % MainMemory::PAGE_BYTES) / 4);
+        let i = match self.pages.binary_search_by_key(&index, |&(p, _)| p) {
+            Ok(i) => i,
+            Err(i) => {
+                self.pages.insert(i, (index, [0; FETCH_BITS]));
+                i
+            }
+        };
+        self.pages[i].1[word / 64] |= 1 << (word % 64);
+    }
+
+    /// Takes a fresh generation if bytes `off..off + len` of page
+    /// `index` overlap a fetched word.
+    fn wrote(&mut self, index: u32, off: usize, len: usize) {
+        let Ok(i) = self.pages.binary_search_by_key(&index, |&(p, _)| p) else {
+            return;
+        };
+        let bits = &self.pages[i].1;
+        if (off / 4..=(off + len - 1) / 4).any(|w| bits[w / 64] >> (w % 64) & 1 != 0) {
+            self.generation = fresh_generation();
+        }
+    }
+}
+
+impl Clone for FetchLog {
+    /// Copies the marks under a fresh generation, so a decode memoized
+    /// against one copy never validates against the other.
+    fn clone(&self) -> FetchLog {
+        FetchLog { pages: self.pages.clone(), generation: fresh_generation() }
+    }
+}
 
 /// Page index and in-page offset of `addr`, or `None` when `N` bytes
 /// from `addr` straddle a page boundary or wrap past the top of memory.
@@ -56,6 +127,10 @@ fn in_page<const N: usize>(addr: u32) -> Option<(u32, usize)> {
 }
 
 impl RefMem {
+    fn new(mem: MainMemory) -> RefMem {
+        RefMem(mem, FetchLog::new())
+    }
+
     fn read_bytes<const N: usize>(&self, addr: u32) -> [u8; N] {
         let mut out = [0; N];
         match in_page::<N>(addr) {
@@ -76,11 +151,12 @@ impl RefMem {
     fn write_bytes<const N: usize>(&mut self, addr: u32, bytes: [u8; N]) {
         match in_page::<N>(addr) {
             Some((index, off)) => {
+                self.1.wrote(index, off, N);
                 self.0.page_bytes_mut(index)[off..off + N].copy_from_slice(&bytes);
             }
             None => {
                 for (i, b) in bytes.into_iter().enumerate() {
-                    self.0.write_u8(addr.wrapping_add(i as u32), b);
+                    self.write_u8(addr.wrapping_add(i as u32), b);
                 }
             }
         }
@@ -93,6 +169,8 @@ impl Memory32 for RefMem {
     }
 
     fn write_u8(&mut self, addr: u32, value: u8) {
+        let page = MainMemory::PAGE_BYTES as u32;
+        self.1.wrote(addr / page, (addr % page) as usize, 1);
         self.0.write_u8(addr, value);
     }
 
@@ -110,6 +188,16 @@ impl Memory32 for RefMem {
 
     fn write_u32(&mut self, addr: u32, value: u32) {
         self.write_bytes(addr, value.to_be_bytes());
+    }
+
+    fn fetch_word(&mut self, addr: u32) -> u32 {
+        self.1.mark(addr);
+        self.1.mark(addr.wrapping_add(3));
+        self.read_u32(addr)
+    }
+
+    fn fetch_generation(&self) -> Option<u64> {
+        Some(self.1.generation)
     }
 }
 
@@ -201,6 +289,16 @@ impl fmt::Display for DivergenceReport {
 /// bound means the models have lost alignment.
 const MAX_CATCHUP_ANNULS: u32 = 4;
 
+/// One commit of both models, as the recent-commit ring keeps it.
+#[derive(Clone, Copy, Debug, Default)]
+struct RecentCommit {
+    index: u64,
+    dut_pc: u32,
+    dut_word: u32,
+    golden_pc: u32,
+    golden_word: u32,
+}
+
 /// Steps an ISA-level [`RefCore`] commit-for-commit against the
 /// cycle-level pipeline and reports the first architectural
 /// disagreement.
@@ -208,13 +306,11 @@ const MAX_CATCHUP_ANNULS: u32 = 4;
 pub struct LockstepChecker {
     golden: RefCore,
     mem: RefMem,
-    /// The last [`WINDOW`](Self::WINDOW) commits as `(dut, golden)`
-    /// pairs: a ring that grows to `WINDOW` entries, then is
-    /// overwritten in place.
-    recent: Vec<(LockstepCommit, LockstepCommit)>,
-    /// Slot of the oldest entry once `recent` is full (the next one to
-    /// overwrite); 0 while it grows.
-    head: usize,
+    /// The last [`WINDOW`](Self::WINDOW) commits of both models: commit
+    /// `n` of the ring lives in slot `n % WINDOW`.
+    recent: [RecentCommit; Self::WINDOW],
+    /// Commits written to `recent` so far.
+    pushed: u64,
     commits_checked: u64,
 }
 
@@ -233,9 +329,9 @@ impl LockstepChecker {
         }
         LockstepChecker {
             golden: RefCore::synced(regs, core.icc(), core.pc(), core.npc(), core.annul_pending()),
-            mem: RefMem(mem.clone()),
-            recent: Vec::new(),
-            head: 0,
+            mem: RefMem::new(mem.clone()),
+            recent: [RecentCommit::default(); Self::WINDOW],
+            pushed: 0,
             commits_checked: 0,
         }
     }
@@ -254,21 +350,12 @@ impl LockstepChecker {
         self.golden.set_reg(r, value);
     }
 
-    fn push_recent(&mut self, dut: LockstepCommit, golden: LockstepCommit) {
-        if self.recent.len() < Self::WINDOW {
-            self.recent.push((dut, golden));
-        } else {
-            self.recent[self.head] = (dut, golden);
-            self.head += 1;
-            if self.head == Self::WINDOW {
-                self.head = 0;
-            }
-        }
-    }
-
     fn report(&self, pkt: &TracePacket, commit_index: u64, reason: String) -> DivergenceReport {
-        let (newest, oldest) = self.recent.split_at(self.head);
-        let oldest_first = || oldest.iter().chain(newest);
+        let window = Self::WINDOW as u64;
+        let oldest_first = || {
+            (self.pushed.saturating_sub(window)..self.pushed)
+                .map(|n| self.recent[(n % window) as usize])
+        };
         DivergenceReport {
             commit_index,
             cycle: pkt.commit_cycle,
@@ -279,8 +366,16 @@ impl LockstepChecker {
             golden_inst_word: 0,
             reg_mismatches: Vec::new(),
             icc_mismatch: None,
-            dut_recent: oldest_first().map(|&(d, _)| d).collect(),
-            golden_recent: oldest_first().map(|&(_, g)| g).collect(),
+            dut_recent: oldest_first()
+                .map(|c| LockstepCommit { index: c.index, pc: c.dut_pc, inst_word: c.dut_word })
+                .collect(),
+            golden_recent: oldest_first()
+                .map(|c| LockstepCommit {
+                    index: c.index,
+                    pc: c.golden_pc,
+                    inst_word: c.golden_word,
+                })
+                .collect(),
             flight: Vec::new(),
         }
     }
@@ -300,7 +395,7 @@ impl LockstepChecker {
         commit_index: u64,
     ) -> Result<(), Box<DivergenceReport>> {
         let mut annuls = 0;
-        let rc = loop {
+        let RefCommit { pc, inst_word } = loop {
             match self.golden.step(&mut self.mem) {
                 RefStep::Committed(rc) => break rc,
                 RefStep::Annulled => {
@@ -325,20 +420,30 @@ impl LockstepChecker {
                 }
             }
         };
-        let dut = LockstepCommit { index: commit_index, pc: pkt.pc, inst_word: pkt.inst_word };
-        let golden = LockstepCommit { index: commit_index, pc: rc.pc, inst_word: rc.inst_word };
-        self.push_recent(dut, golden);
+        // Written field by field from the values in hand: nothing here
+        // reloads a commit record that was just stored.
+        let slot = &mut self.recent[(self.pushed % Self::WINDOW as u64) as usize];
+        slot.index = commit_index;
+        slot.dut_pc = pkt.pc;
+        slot.dut_word = pkt.inst_word;
+        slot.golden_pc = pc;
+        slot.golden_word = inst_word;
+        self.pushed += 1;
 
         // `%g0` (slot 0) is excluded: it is not architectural state.
-        if pkt.pc == rc.pc
-            && pkt.inst_word == rc.inst_word
-            && core.regs()[1..] == self.golden.regs()[1..]
+        // Registers are compared one word at a time: the golden model
+        // has just stored its destination register, and a wide load
+        // over that narrow store (as a slice compare's `memcmp` makes)
+        // waits for the store to retire instead of forwarding it.
+        if pkt.pc == pc
+            && pkt.inst_word == inst_word
+            && core.regs()[1..].iter().zip(&self.golden.regs()[1..]).all(|(d, g)| d == g)
             && core.icc() == self.golden.icc()
         {
             self.commits_checked += 1;
             return Ok(());
         }
-        Err(Box::new(self.mismatch_report(pkt, golden, core)))
+        Err(Box::new(self.mismatch_report(pkt, commit_index, pc, inst_word, core)))
     }
 
     /// The report for a commit whose state differs from the golden
@@ -347,7 +452,9 @@ impl LockstepChecker {
     fn mismatch_report(
         &self,
         pkt: &TracePacket,
-        golden: LockstepCommit,
+        commit_index: u64,
+        golden_pc: u32,
+        golden_word: u32,
         core: &Core,
     ) -> DivergenceReport {
         let mut reg_mismatches = Vec::new();
@@ -359,17 +466,17 @@ impl LockstepChecker {
         }
         let icc_mismatch = (core.icc() != self.golden.icc())
             .then(|| (core.icc().to_bits(), self.golden.icc().to_bits()));
-        let reason = if pkt.pc != golden.pc {
+        let reason = if pkt.pc != golden_pc {
             "program counters diverged".to_string()
-        } else if pkt.inst_word != golden.inst_word {
+        } else if pkt.inst_word != golden_word {
             "instruction words diverged (text image differs)".to_string()
         } else if let Some(m) = reg_mismatches.first() {
             format!("register file diverged (first at r{})", m.reg)
         } else {
             "condition codes diverged".to_string()
         };
-        let mut rep = self.report(pkt, golden.index, reason);
-        rep.golden_inst_word = golden.inst_word;
+        let mut rep = self.report(pkt, commit_index, reason);
+        rep.golden_inst_word = golden_word;
         rep.reg_mismatches = reg_mismatches;
         rep.icc_mismatch = icc_mismatch;
         rep
@@ -443,7 +550,7 @@ mod tests {
         /// reference byte map, across page, leaf and wrap boundaries.
         #[test]
         fn ref_mem_matches_byte_map(ops in prop::collection::vec(mem_op(), 1..80)) {
-            let (mut mem, mut reference) = (RefMem(MainMemory::new()), ByteMap::default());
+            let (mut mem, mut reference) = (RefMem::new(MainMemory::new()), ByteMap::default());
             for op in ops {
                 match op {
                     MemOp::Read { bytes, addr } => {
@@ -456,6 +563,120 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[derive(Clone, Debug)]
+    enum FetchOp {
+        Fetch { addr: u32 },
+        Write { bytes: u32, addr: u32, value: u32 },
+        Clone,
+    }
+
+    fn fetch_op() -> impl Strategy<Value = FetchOp> {
+        prop_oneof![
+            2 => addr().prop_map(|addr| FetchOp::Fetch { addr }),
+            4 => (prop::sample::select(vec![1, 2, 4]), addr(), any::<u32>())
+                .prop_map(|(bytes, addr, value)| FetchOp::Write { bytes, addr, value }),
+            1 => Just(FetchOp::Clone),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `RefMem`'s fetch generation moves exactly when a write lands
+        /// on a word fetched through it, so a decode memoized under an
+        /// unchanged generation still matches the image. A clone takes a
+        /// fresh generation.
+        #[test]
+        fn ref_mem_generation_moves_exactly_on_writes_to_fetched_words(
+            ops in prop::collection::vec(fetch_op(), 1..80)
+        ) {
+            let (mut mem, mut reference) = (RefMem::new(MainMemory::new()), ByteMap::default());
+            let mut fetched = std::collections::BTreeSet::new();
+            // (address, word read, generation) of every fetch so far.
+            let mut fetches: Vec<(u32, u32, u64)> = Vec::new();
+            for op in ops {
+                let before = mem.fetch_generation().expect("RefMem reports a generation");
+                match op {
+                    FetchOp::Fetch { addr } => {
+                        let word = mem.fetch_word(addr);
+                        prop_assert_eq!(word, reference.read_u32(addr), "{:?}", op);
+                        prop_assert_eq!(mem.fetch_generation(), Some(before), "{:?}", op);
+                        fetched.extend([addr & !3, addr.wrapping_add(3) & !3]);
+                        fetches.push((addr, word, before));
+                    }
+                    FetchOp::Write { bytes, addr, value } => {
+                        write(&mut mem, bytes, addr, value);
+                        write(&mut reference, bytes, addr, value);
+                        let hits = (0..bytes).any(|i| fetched.contains(&(addr.wrapping_add(i) & !3)));
+                        prop_assert_eq!(mem.fetch_generation() != Some(before), hits, "{:?}", op);
+                    }
+                    FetchOp::Clone => {
+                        mem = mem.clone();
+                        prop_assert_ne!(mem.fetch_generation(), Some(before));
+                    }
+                }
+                for &(addr, word, generation) in &fetches {
+                    if Some(generation) == mem.fetch_generation() {
+                        prop_assert_eq!(mem.read_u32(addr), word, "fetch at {:#x} after {:?}", addr, op);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Steps `src` on the core under a checker, XORs %o1 with 0x10 right
+    /// after commit `at`, and returns the divergence report with the
+    /// core's `(pc, word)` commits up to it.
+    fn corrupt_o1_after(src: &str, at: u64) -> (Box<DivergenceReport>, Vec<(u32, u32)>) {
+        let program = assemble(src).expect("assembles");
+        let mut mem = MainMemory::new();
+        let mut bus = SystemBus::default();
+        let mut core = Core::new(CoreConfig::leon3());
+        core.load_program(&program, &mut mem);
+        let mut ck = LockstepChecker::new(&core, &mem);
+        let mut commits = Vec::new();
+        loop {
+            match core.step(&mut mem, &mut bus) {
+                StepResult::Committed(pkt) => {
+                    commits.push((pkt.pc, pkt.inst_word));
+                    if commits.len() as u64 == at {
+                        // A soft error lands in %o1 right at commit.
+                        let v = core.reg(Reg::O1);
+                        core.set_reg(Reg::O1, v ^ 0x10);
+                    }
+                    if let Err(rep) = ck.check_commit(&pkt, &core, commits.len() as u64) {
+                        return (rep, commits);
+                    }
+                }
+                StepResult::Annulled => {}
+                StepResult::Exited(e) => panic!("exited ({e:?}) without a divergence"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_ring_holds_the_last_window_of_commits_after_wrapping() {
+        let at = 40;
+        let (rep, commits) = corrupt_o1_after(
+            "start:  mov 30, %o0
+                     mov 0, %o1
+             loop:   add %o1, %o0, %o1
+                     subcc %o0, 1, %o0
+                     bne loop
+                     nop
+                     ta 0",
+            at,
+        );
+        assert_eq!(rep.commit_index, at);
+        let window = LockstepChecker::WINDOW;
+        let expect: Vec<LockstepCommit> = (at - window as u64 + 1..=at)
+            .zip(&commits[commits.len() - window..])
+            .map(|(index, &(pc, inst_word))| LockstepCommit { index, pc, inst_word })
+            .collect();
+        assert_eq!(rep.dut_recent, expect, "oldest first, ending at the divergent commit");
+        assert_eq!(rep.golden_recent, expect, "the golden model fetched the same words");
     }
 
     fn run_lockstep(src: &str) -> (Core, LockstepChecker) {
@@ -509,39 +730,13 @@ mod tests {
 
     #[test]
     fn corrupted_register_is_detected_at_that_commit() {
-        let program = assemble(
+        let (rep, _) = corrupt_o1_after(
             "start:  mov 1, %o0
                      add %o0, 2, %o1
                      add %o1, 3, %o2
                      ta 0",
-        )
-        .expect("assembles");
-        let mut mem = MainMemory::new();
-        let mut bus = SystemBus::default();
-        let mut core = Core::new(CoreConfig::leon3());
-        core.load_program(&program, &mut mem);
-        let mut ck = LockstepChecker::new(&core, &mem);
-        let mut commits = 0;
-        let mut diverged = None;
-        loop {
-            match core.step(&mut mem, &mut bus) {
-                StepResult::Committed(pkt) => {
-                    commits += 1;
-                    if commits == 2 {
-                        // A soft error lands in %o1 right at commit.
-                        let v = core.reg(Reg::O1);
-                        core.set_reg(Reg::O1, v ^ 0x10);
-                    }
-                    if let Err(rep) = ck.check_commit(&pkt, &core, commits) {
-                        diverged = Some(rep);
-                        break;
-                    }
-                }
-                StepResult::Annulled => {}
-                StepResult::Exited(_) => break,
-            }
-        }
-        let rep = diverged.expect("divergence detected");
+            2,
+        );
         assert_eq!(rep.commit_index, 2);
         assert_eq!(rep.reg_mismatches.len(), 1);
         assert_eq!(rep.reg_mismatches[0].reg, Reg::O1.index() as u8);

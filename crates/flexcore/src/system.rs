@@ -651,9 +651,11 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     fn on_commit(&mut self, pkt: &mut TracePacket) -> Result<(), SimError> {
         self.forward.committed += 1;
         if let Some(inj) = &mut self.faults {
-            let actions = inj.poll_commit(self.forward.committed, pkt.commit_cycle);
-            for action in actions {
-                self.apply_fault(action, pkt);
+            if self.forward.committed >= inj.next_due() {
+                let actions = inj.poll_commit(self.forward.committed, pkt.commit_cycle);
+                for action in actions {
+                    self.apply_fault(action, pkt);
+                }
             }
         }
         if S::ENABLED {
@@ -1101,7 +1103,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             forward: self.forward,
             monitor_trap: self.monitor_trap.clone(),
             pending_trap: self.pending_trap,
-            faults: self.faults.as_ref().map(FaultInjector::snapshot),
+            faults: self.faults.as_ref().map(|inj| inj.snapshot(self.forward.committed)),
             resilience: self.resilience,
             fabric_stuck: self.fabric_stuck,
         }
@@ -1259,7 +1261,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     /// fault-free (see [`FaultInjector::disarm`]).
     pub fn disarm_faults(&mut self) {
         if let Some(inj) = &mut self.faults {
-            inj.disarm();
+            inj.disarm(self.forward.committed);
         }
     }
 

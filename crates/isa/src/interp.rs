@@ -10,7 +10,10 @@
 //!
 //! The interpreter is generic over a [`Memory32`] byte store so callers
 //! can run it against any memory image (the lockstep checker keeps its
-//! own private copy of main memory).
+//! own private copy of main memory). A memory that reports a
+//! [`Memory32::fetch_generation`] lets [`RefCore`] memoize decodes
+//! under it; every other memory, [`ByteMap`] included, gets a decode
+//! per step.
 //!
 //! # Example
 //!
@@ -62,6 +65,23 @@ pub trait Memory32 {
     fn write_u32(&mut self, addr: u32, value: u32) {
         self.write_u16(addr, (value >> 16) as u16);
         self.write_u16(addr.wrapping_add(2), value as u16);
+    }
+
+    /// Reads the word at `addr` for instruction fetch. A memory that
+    /// reports a [`fetch_generation`](Memory32::fetch_generation) marks
+    /// the word fetched here; the default is [`read_u32`](Memory32::read_u32).
+    fn fetch_word(&mut self, addr: u32) -> u32 {
+        self.read_u32(addr)
+    }
+
+    /// The generation of the words read through
+    /// [`fetch_word`](Memory32::fetch_word): while it is unchanged,
+    /// every fetched word still reads the value it was fetched with, so
+    /// [`RefCore`] may reuse a decode made under it. `None`, the
+    /// default, means the memory keeps no such bookkeeping, and
+    /// `RefCore` decodes every instruction it steps.
+    fn fetch_generation(&self) -> Option<u64> {
+        None
     }
 }
 
@@ -130,8 +150,6 @@ pub struct RefCommit {
     pub pc: u32,
     /// The fetched instruction word.
     pub inst_word: u32,
-    /// The decoded instruction.
-    pub inst: Instruction,
 }
 
 /// Outcome of a single [`RefCore::step`].
@@ -146,6 +164,39 @@ pub enum RefStep {
     Exited(RefExit),
 }
 
+/// Slots in [`RefCore`]'s decode memo, direct-mapped on `pc >> 2`.
+const MEMO_SLOTS: usize = 1024;
+
+/// A decode-memo entry: the word fetched at a PC under a
+/// [`Memory32::fetch_generation`], and its decode.
+#[derive(Clone, Copy, Debug)]
+struct MemoEntry {
+    pc: u32,
+    word: u32,
+    generation: u64,
+    inst: Instruction,
+}
+
+/// [`RefCore`]'s decodes by PC, empty until the first fetch from a
+/// memory that reports a generation. Derived state: any two memos
+/// compare equal, so a core's equality is its architectural state.
+#[derive(Clone, Default)]
+struct DecodeMemo(Vec<Option<MemoEntry>>);
+
+impl PartialEq for DecodeMemo {
+    fn eq(&self, _: &DecodeMemo) -> bool {
+        true
+    }
+}
+
+impl Eq for DecodeMemo {}
+
+impl std::fmt::Debug for DecodeMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DecodeMemo({} entries)", self.0.iter().flatten().count())
+    }
+}
+
 /// The untimed architectural reference core.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RefCore {
@@ -156,6 +207,10 @@ pub struct RefCore {
     annul_next: bool,
     exited: Option<RefExit>,
     console: Vec<u8>,
+    /// Decodes validated by the memory's own fetch generation (see
+    /// [`Memory32::fetch_generation`]), never by the cycle-level
+    /// core's bookkeeping.
+    memo: DecodeMemo,
 }
 
 impl RefCore {
@@ -173,6 +228,7 @@ impl RefCore {
             annul_next: false,
             exited: None,
             console: Vec::new(),
+            memo: DecodeMemo::default(),
         }
     }
 
@@ -180,7 +236,16 @@ impl RefCore {
     /// architectural state (used to attach a golden model mid-run,
     /// e.g. after a checkpoint restore).
     pub fn synced(regs: [u32; NUM_REGS], icc: IccFlags, pc: u32, npc: u32, annul: bool) -> RefCore {
-        RefCore { regs, icc, pc, npc, annul_next: annul, exited: None, console: Vec::new() }
+        RefCore {
+            regs,
+            icc,
+            pc,
+            npc,
+            annul_next: annul,
+            exited: None,
+            console: Vec::new(),
+            memo: DecodeMemo::default(),
+        }
     }
 
     /// Reads an architectural register (`%g0` reads as zero).
@@ -240,27 +305,50 @@ impl RefCore {
         RefStep::Exited(reason)
     }
 
+    /// The word at `pc` and its decode: from the memo while `mem`'s
+    /// fetch generation is the one the entry was made under, else
+    /// fetched and decoded afresh (and memoized, if `mem` reports a
+    /// generation).
+    fn fetch<M: Memory32>(&mut self, mem: &mut M, pc: u32) -> (u32, Option<Instruction>) {
+        let generation = mem.fetch_generation();
+        let slot = (pc >> 2) as usize % MEMO_SLOTS;
+        if let (Some(generation), Some(Some(e))) = (generation, self.memo.0.get(slot)) {
+            if e.pc == pc && e.generation == generation {
+                return (e.word, Some(e.inst));
+            }
+        }
+        let word = mem.fetch_word(pc);
+        let inst = decode(word).ok();
+        if let (Some(generation), Some(inst)) = (generation, inst) {
+            if self.memo.0.is_empty() {
+                self.memo.0 = vec![None; MEMO_SLOTS];
+            }
+            self.memo.0[slot] = Some(MemoEntry { pc, word, generation, inst });
+        }
+        (word, inst)
+    }
+
     /// Executes one instruction against `mem`.
     pub fn step<M: Memory32>(&mut self, mem: &mut M) -> RefStep {
         if let Some(reason) = self.exited {
             return RefStep::Exited(reason);
         }
         let pc = self.pc;
-        let word = mem.read_u32(pc);
 
         // Default control flow: slide the delay-slot window.
         let next_pc = self.npc;
         let mut next_npc = self.npc.wrapping_add(4);
 
+        // An annulled slot fetches nothing.
         if std::mem::take(&mut self.annul_next) {
             self.pc = next_pc;
             self.npc = next_npc;
             return RefStep::Annulled;
         }
 
-        let inst = match decode(word) {
-            Ok(i) => i,
-            Err(_) => return self.exit(RefExit::IllegalInstruction { pc, word }),
+        let (word, inst) = self.fetch(mem, pc);
+        let Some(inst) = inst else {
+            return self.exit(RefExit::IllegalInstruction { pc, word });
         };
 
         match inst {
@@ -317,7 +405,7 @@ impl RefCore {
 
         self.pc = next_pc;
         self.npc = next_npc;
-        RefStep::Committed(RefCommit { pc, inst_word: word, inst })
+        RefStep::Committed(RefCommit { pc, inst_word: word })
     }
 
     /// Loads and stores. Returns `Some(exit)` on a fault, `None` on

@@ -14,6 +14,11 @@ const DIR_ENTRIES: usize = 1 << (32 - LEAF_SHIFT);
 /// once word `w` has been fetched.
 type FetchBits = [u64; PAGE_SIZE / 4 / 64];
 
+/// Set in a leaf entry once its page holds a fetched word, so a write
+/// to a page without one tests this bit instead of the page's bitmap.
+/// Page slots stay below 2^20, clear of it.
+const HOLDS_FETCHED: u32 = 1 << 31;
+
 /// Index of `addr`'s page within its leaf.
 fn leaf_entry(addr: u32) -> usize {
     ((addr >> PAGE_SHIFT) as usize) & (LEAF_ENTRIES - 1)
@@ -99,7 +104,8 @@ pub struct MainMemory {
     /// Leaf number + 1 for each 4-MB region (0 = no leaf). Empty until
     /// the first write, then `DIR_ENTRIES` long.
     dir: Vec<u16>,
-    /// Page slot + 1 for each page of a region (0 = not resident).
+    /// Page slot + 1 for each page of a region (0 = not resident), with
+    /// [`HOLDS_FETCHED`] set once the page holds a fetched word.
     leaves: Vec<[u32; LEAF_ENTRIES]>,
     /// Resident pages, in creation order.
     pages: Vec<[u8; PAGE_SIZE]>,
@@ -140,15 +146,31 @@ impl MainMemory {
         MainMemory::default()
     }
 
-    /// Arena slot of the page holding `addr`, if resident.
+    /// The leaf entry of the page holding `addr`, if resident.
     #[inline]
-    fn slot(&self, addr: u32) -> Option<usize> {
+    fn entry(&self, addr: u32) -> Option<u32> {
         let leaf = *self.dir.get((addr >> LEAF_SHIFT) as usize)?;
         if leaf == 0 {
             return None;
         }
-        let slot = self.leaves[usize::from(leaf) - 1][leaf_entry(addr)];
-        (slot != 0).then(|| slot as usize - 1)
+        let entry = self.leaves[usize::from(leaf) - 1][leaf_entry(addr)];
+        (entry != 0).then_some(entry)
+    }
+
+    /// [`MainMemory::entry`] for setting [`HOLDS_FETCHED`].
+    fn entry_mut(&mut self, addr: u32) -> Option<&mut u32> {
+        let leaf = *self.dir.get((addr >> LEAF_SHIFT) as usize)?;
+        if leaf == 0 {
+            return None;
+        }
+        let entry = &mut self.leaves[usize::from(leaf) - 1][leaf_entry(addr)];
+        (*entry != 0).then_some(entry)
+    }
+
+    /// Arena slot of the page holding `addr`, if resident.
+    #[inline]
+    fn slot(&self, addr: u32) -> Option<usize> {
+        self.entry(addr).map(|e| (e & !HOLDS_FETCHED) as usize - 1)
     }
 
     #[inline]
@@ -160,14 +182,18 @@ impl MainMemory {
     /// writing, made resident first if needed; takes a fresh generation
     /// if the bytes overlap a fetched word. This is the only path to a
     /// page's bytes for writing, so every write method gets the
-    /// generation check here and nowhere else.
+    /// generation check here and nowhere else. On a page that holds no
+    /// fetched word the check is one flag test.
     fn page_mut(&mut self, addr: u32, len: usize) -> &mut [u8; PAGE_SIZE] {
-        let slot = match self.slot(addr) {
-            Some(s) => s,
-            None => self.allocate(addr),
+        let Some(entry) = self.entry(addr) else {
+            let slot = self.allocate(addr);
+            return &mut self.pages[slot];
         };
+        let slot = (entry & !HOLDS_FETCHED) as usize - 1;
         let off = (addr & PAGE_MASK) as usize;
-        if any_fetched(&self.fetched[slot], off / 4, (off + len - 1) / 4) {
+        if entry & HOLDS_FETCHED != 0
+            && any_fetched(&self.fetched[slot], off / 4, (off + len - 1) / 4)
+        {
             self.generation = fresh_generation();
         }
         &mut self.pages[slot]
@@ -251,7 +277,9 @@ impl MainMemory {
     /// [`MainMemory::code_generation`].
     pub fn fetch_u32(&mut self, addr: u32) -> u32 {
         for a in [addr, addr.wrapping_add(3)] {
-            if let Some(slot) = self.slot(a) {
+            if let Some(entry) = self.entry_mut(a) {
+                *entry |= HOLDS_FETCHED;
+                let slot = (*entry & !HOLDS_FETCHED) as usize - 1;
                 let w = (a & PAGE_MASK) as usize / 4;
                 self.fetched[slot][w / 64] |= 1 << (w % 64);
             }

@@ -90,28 +90,14 @@ fn every_workload_round_trips_at_the_midpoint() {
     }
 }
 
-/// Checkpointing composes with an armed fault campaign: the injector's
-/// generator position rides along, so the resumed run replays the
-/// exact same strikes.
-#[test]
-fn checkpoint_preserves_fault_campaign_determinism() {
+/// Runs bitcount under `plan` whole, and again paused a third of the
+/// way in, snapshotted and resumed in a fresh system: the resumed run
+/// must replay the exact same strikes.
+fn assert_resume_replays_the_campaign(plan: impl Fn() -> FaultPlan) {
     let w = Workload::bitcount();
-    let plan = || {
-        FaultPlan::new(0xf1e2)
-            .inject(
-                FaultTarget::FifoPacket,
-                FaultSchedule::EveryCommits(977),
-                FaultModel::BitFlip { bits: 1 },
-            )
-            .inject(
-                FaultTarget::Register,
-                FaultSchedule::AtCommit(12_345),
-                FaultModel::BitFlip { bits: 1 },
-            )
-    };
-    let mut full = fresh(&w);
-    full.arm_faults(plan());
-    let full = full.try_run(MAX_INSTRUCTIONS).expect("faulted run completes");
+    let mut whole = fresh(&w);
+    whole.arm_faults(plan());
+    let full = whole.try_run(MAX_INSTRUCTIONS).expect("faulted run completes");
     assert!(full.resilience.faults_injected > 0, "the campaign fired");
 
     let mut first = fresh(&w);
@@ -124,11 +110,46 @@ fn checkpoint_preserves_fault_campaign_determinism() {
     let snap = first.snapshot();
     assert!(snap.faults.is_some(), "injector state rides in the snapshot");
 
-    let mut resumed = fresh(&w);
-    resumed.arm_faults(plan());
-    resumed.restore(&snap).expect("restore with the re-armed plan");
-    let resumed = resumed.try_run(MAX_INSTRUCTIONS).expect("resumed faulted run");
+    let mut second = fresh(&w);
+    second.arm_faults(plan());
+    second.restore(&snap).expect("restore with the re-armed plan");
+    let resumed = second.try_run(MAX_INSTRUCTIONS).expect("resumed faulted run");
     assert_eq!(resumed, full, "fault campaign diverged after restore");
+    assert_eq!(second.fault_log(), whole.fault_log(), "the strikes landed elsewhere");
+}
+
+/// Checkpointing composes with an armed fault campaign: the injector's
+/// generator position rides along, so the resumed run replays the
+/// exact same strikes.
+#[test]
+fn checkpoint_preserves_fault_campaign_determinism() {
+    assert_resume_replays_the_campaign(|| {
+        FaultPlan::new(0xf1e2)
+            .inject(
+                FaultTarget::FifoPacket,
+                FaultSchedule::EveryCommits(977),
+                FaultModel::BitFlip { bits: 1 },
+            )
+            .inject(
+                FaultTarget::Register,
+                FaultSchedule::AtCommit(12_345),
+                FaultModel::BitFlip { bits: 1 },
+            )
+    });
+}
+
+/// The same for a Bernoulli spec, which draws one decision per commit
+/// but is polled only where a draw fires: the snapshot falls between
+/// two polls, so it must carry the decisions drawn since the last one.
+#[test]
+fn checkpoint_carries_the_bernoulli_draws_since_the_last_poll() {
+    assert_resume_replays_the_campaign(|| {
+        FaultPlan::new(0xf1e3).inject(
+            FaultTarget::FifoPacket,
+            FaultSchedule::Bernoulli { per_million: 300 },
+            FaultModel::BitFlip { bits: 1 },
+        )
+    });
 }
 
 /// Restoring requires the same construction: a missing fault plan is a

@@ -1,15 +1,19 @@
 //! Code that changes under the core's feet: a store over an instruction
 //! that already executed, a text fault on one, and a checkpoint restore
-//! that rewinds a store over code. The core memoizes decoded
-//! instructions by PC, so each run must show the current encoding,
-//! never one decoded earlier — on the bare core, under lockstep against
-//! the memo-free reference interpreter, against that interpreter with
-//! the same fault applied, and against a fresh run after the restore.
+//! that rewinds a store over code. The core and the lockstep golden
+//! model each memoize decoded instructions by PC, validated by their
+//! own memory's bookkeeping, so each run must show the current
+//! encoding, never one decoded earlier: on the bare core, under
+//! lockstep, against the memo-free reference interpreter with the same
+//! fault applied, and against a fresh run after the restore. A text
+//! fault under lockstep strikes only the core's image, so the golden
+//! model must keep executing the original word and report the
+//! difference.
 
 use flexcore_suite::asm::{assemble, Program};
 use flexcore_suite::flexcore::ext::Nop;
 use flexcore_suite::flexcore::faults::{FaultModel, FaultPlan, FaultSchedule, FaultTarget};
-use flexcore_suite::flexcore::{RunResult, System, SystemConfig};
+use flexcore_suite::flexcore::{RunResult, SimError, System, SystemConfig};
 use flexcore_suite::isa::interp::{ByteMap, Memory32, RefCore, RefExit, RefStep};
 use flexcore_suite::isa::Reg;
 use flexcore_suite::mem::{MainMemory, SystemBus};
@@ -109,10 +113,7 @@ fn text_fault_on_executed_code_matches_the_reference() {
     let program = counted_loop();
     let patch = program.symbol("patch").expect("patch label");
     let alt = program.symbol("alt").expect("alt label");
-    let word = |a: u32| {
-        let i = (a - program.base()) as usize;
-        u32::from_be_bytes(program.image()[i..i + 4].try_into().expect("word in image"))
-    };
+    let word = |a: u32| image_word(&program, a);
     // Turns the add into the sub: after the first pass the loop
     // subtracts, so a fresh decode ends with 5 - 5 - 5 - 5 = -10.
     let mask = word(patch) ^ word(alt);
@@ -133,6 +134,42 @@ fn text_fault_on_executed_code_matches_the_reference() {
     assert_eq!(r.exit, ExitReason::Halt(0));
     assert_eq!(sys.core().reg(Reg::O0), golden_o0);
     assert_eq!(golden_o0, (-10i32) as u32);
+}
+
+/// The word at `addr` of `program`'s image.
+fn image_word(program: &Program, addr: u32) -> u32 {
+    let i = (addr - program.base()) as usize;
+    u32::from_be_bytes(program.image()[i..i + 4].try_into().expect("word in image"))
+}
+
+/// Both memos have decoded `patch` when the fault turns it into the
+/// `alt` encoding in the core's image. The golden model's image is its
+/// own, so its memo stays valid and it executes the original add at
+/// the next pass, while the core refetches the sub.
+#[test]
+fn text_fault_under_lockstep_is_caught_by_the_golden_image() {
+    let program = counted_loop();
+    let patch = program.symbol("patch").expect("patch label");
+    let alt = program.symbol("alt").expect("alt label");
+    let (original, flipped) = (image_word(&program, patch), image_word(&program, alt));
+
+    let mut sys = System::new(SystemConfig::fabric_full_speed(), Nop::new());
+    sys.load_program(&program);
+    sys.enable_lockstep();
+    sys.arm_faults(FaultPlan::new(7).inject(
+        FaultTarget::InstructionWord { base: patch, len: 4 },
+        FaultSchedule::AtCommit(4), // mov, mov, add, subcc
+        FaultModel::Mask(original ^ flipped),
+    ));
+    let Err(SimError::Divergence(rep)) = sys.try_run(BUDGET) else {
+        panic!("the text fault must diverge");
+    };
+    assert_eq!(rep.commit_index, 7, "bne, nop, then `patch` again");
+    assert!(rep.reason.contains("instruction words diverged"), "{}", rep.reason);
+    let golden = rep.golden_recent.last().expect("the divergent commit is in the ring");
+    assert_eq!((rep.dut_pc, golden.pc), (patch, patch));
+    assert_eq!(rep.dut_inst_word, flipped);
+    assert_eq!(rep.golden_inst_word, original);
 }
 
 /// Patches `target` with the `repl` encoding before its only execution
