@@ -18,8 +18,14 @@
 //! extension re-validates per packet (the CFI monitor, for example,
 //! re-checks the edge against its own loaded table), so a stale or
 //! corrupted table can only cost performance, never soundness.
+//!
+//! On disk a table is `{"format", "entries"}`, the entries `[pc, mask]`
+//! pairs in ascending PC order, written and read through the crate's
+//! one codec (see [`crate::checkpoint`] for the other saved type).
 
 use std::collections::BTreeMap;
+
+use crate::codec::{self, codec_object, Codec};
 
 /// Version tag embedded in serialized elision tables; loading rejects
 /// other versions.
@@ -85,68 +91,35 @@ impl ElisionTable {
     }
 }
 
-mod json {
-    use serde::Value;
+/// The saved form of an [`ElisionTable`].
+struct ElisionFile {
+    format: u32,
+    entries: Vec<(u32, u8)>,
+}
 
-    use super::{ElisionTable, ELISION_FORMAT};
+codec_object!(ElisionFile { "format": format, "entries": entries });
 
-    impl serde::Serialize for ElisionTable {
-        fn to_value(&self) -> Value {
-            let entries = self
-                .masks
-                .iter()
-                .map(|(&pc, &m)| {
-                    Value::Array(vec![Value::U64(u64::from(pc)), Value::U64(u64::from(m))])
-                })
-                .collect();
-            Value::object()
-                .raw("format", Value::U64(u64::from(ELISION_FORMAT)))
-                .raw("entries", Value::Array(entries))
-                .build()
-        }
+impl ElisionTable {
+    /// Serializes the table to one-line JSON.
+    pub fn to_json(&self) -> String {
+        let file = ElisionFile { format: ELISION_FORMAT, entries: self.entries().collect() };
+        serde::to_string(&file.enc())
     }
 
-    impl ElisionTable {
-        /// Serializes the table to one-line JSON.
-        pub fn to_json(&self) -> String {
-            serde::to_string(self)
+    /// Parses a table serialized by [`ElisionTable::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on malformed JSON, a missing or mistyped
+    /// field, a PC or mask out of range, or a format-version mismatch
+    /// (checked first).
+    pub fn from_json(s: &str) -> Result<ElisionTable, String> {
+        let file: ElisionFile = codec::from_json(s, "elision", ELISION_FORMAT)?;
+        let mut table = ElisionTable::new();
+        for (pc, mask) in file.entries {
+            table.set(pc, mask);
         }
-
-        /// Parses a table serialized by [`ElisionTable::to_json`].
-        ///
-        /// # Errors
-        ///
-        /// Returns a message on malformed JSON, a missing or mistyped
-        /// field, or a format-version mismatch.
-        pub fn from_json(s: &str) -> Result<ElisionTable, String> {
-            let v = serde::from_str(s).map_err(|e| format!("invalid elision JSON: {e}"))?;
-            let format = v
-                .get("format")
-                .and_then(Value::as_u64)
-                .ok_or("missing elision table format version")?;
-            if format != u64::from(ELISION_FORMAT) {
-                return Err(format!(
-                    "unsupported elision format {format} (this build reads {ELISION_FORMAT})"
-                ));
-            }
-            let entries = v
-                .get("entries")
-                .and_then(Value::as_array)
-                .ok_or("elision table has no entries array")?;
-            let mut table = ElisionTable::new();
-            for item in entries {
-                let parts = item.as_array().ok_or("elision entry is not an array")?;
-                let [pc, mask] = parts else {
-                    return Err("elision entry needs exactly 2 fields".to_string());
-                };
-                let pc = pc.as_u64().ok_or("elision entry pc is not an integer")?;
-                let mask = mask.as_u64().ok_or("elision entry mask is not an integer")?;
-                let pc = u32::try_from(pc).map_err(|_| "elision pc does not fit in 32 bits")?;
-                let mask = u8::try_from(mask).map_err(|_| "elision mask does not fit in 8 bits")?;
-                table.set(pc, mask);
-            }
-            Ok(table)
-        }
+        Ok(table)
     }
 }
 
@@ -181,8 +154,9 @@ mod tests {
         let mut t = ElisionTable::new();
         t.set(0x1000, ELIDE_UMC | ELIDE_DIFT);
         t.set(0x1010, ELIDE_CFI);
-        let back = ElisionTable::from_json(&t.to_json()).unwrap();
-        assert_eq!(back, t);
+        let json = t.to_json();
+        assert_eq!(json, r#"{"format":1,"entries":[[4096,3],[4112,4]]}"#);
+        assert_eq!(ElisionTable::from_json(&json).unwrap(), t);
     }
 
     #[test]

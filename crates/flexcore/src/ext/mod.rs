@@ -261,9 +261,10 @@ pub trait Extension {
 
     /// Restores state captured by
     /// [`snapshot_state`](Extension::snapshot_state). Called on an
-    /// extension constructed the same way as the one snapshotted; a
-    /// mismatched vector indicates a foreign checkpoint and may be
-    /// ignored or partially applied. Default: nothing.
+    /// extension constructed the same way as the one snapshotted, with
+    /// a vector of the length its own `snapshot_state` returns
+    /// ([`System::restore`](crate::System::restore) refuses any other).
+    /// Default: nothing.
     fn restore_state(&mut self, _state: &[u64]) {}
 
     /// Which [`ElisionTable`](crate::ElisionTable) bit covers this

@@ -299,7 +299,9 @@ pub enum PacketField {
     StoreValue,
 }
 
-const PACKET_FIELDS: [PacketField; 5] = [
+/// The packet fields in draw order, which is also their index in a
+/// checkpoint's `corrupt-packet` action.
+pub(crate) const PACKET_FIELDS: [PacketField; 5] = [
     PacketField::Result,
     PacketField::Srcv1,
     PacketField::Srcv2,
@@ -612,13 +614,7 @@ impl FaultInjector {
     /// Returns a message when the snapshot's spec count does not match
     /// this injector's (the plans differ).
     pub fn restore(&mut self, snap: &FaultInjectorSnapshot) -> Result<(), String> {
-        if snap.rng_states.len() != self.specs.len() || snap.exhausted.len() != self.specs.len() {
-            return Err(format!(
-                "fault plan mismatch: snapshot has {} spec(s), injector has {}",
-                snap.rng_states.len(),
-                self.specs.len()
-            ));
-        }
+        self.check(snap)?;
         for (st, (&state, &exhausted)) in
             self.specs.iter_mut().zip(snap.rng_states.iter().zip(&snap.exhausted))
         {
@@ -630,6 +626,19 @@ impl FaultInjector {
         self.bitstream_log = snap.bitstream_log.clone();
         self.bitstream_attempts = snap.bitstream_attempts;
         self.due = self.horizon(0);
+        Ok(())
+    }
+
+    /// The check [`FaultInjector::restore`] makes before it changes
+    /// anything: one generator position and one flag per spec.
+    pub(crate) fn check(&self, snap: &FaultInjectorSnapshot) -> Result<(), String> {
+        if snap.rng_states.len() != self.specs.len() || snap.exhausted.len() != self.specs.len() {
+            return Err(format!(
+                "fault plan mismatch: snapshot has {} spec(s), injector has {}",
+                snap.rng_states.len(),
+                self.specs.len()
+            ));
+        }
         Ok(())
     }
 

@@ -83,6 +83,7 @@ pub mod reconfig;
 pub mod recovery;
 pub mod software;
 
+mod codec;
 mod elide;
 mod error;
 mod serde_impls;

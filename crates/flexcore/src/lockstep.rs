@@ -243,7 +243,9 @@ pub struct DivergenceReport {
     pub reason: String,
     /// The cycle-level core's PC at the divergent commit.
     pub dut_pc: u32,
-    /// The golden model's PC at the divergent commit.
+    /// The PC of the golden model's commit that the divergent commit
+    /// was compared with. When the golden model committed nothing (it
+    /// exited, or annulled too many slots in a row), its current PC.
     pub golden_pc: u32,
     /// The instruction word the cycle-level core committed.
     pub dut_inst_word: u32,
@@ -476,6 +478,7 @@ impl LockstepChecker {
             "condition codes diverged".to_string()
         };
         let mut rep = self.report(pkt, commit_index, reason);
+        rep.golden_pc = golden_pc;
         rep.golden_inst_word = golden_word;
         rep.reg_mismatches = reg_mismatches;
         rep.icc_mismatch = icc_mismatch;

@@ -1125,9 +1125,13 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     ///
     /// Returns [`RestoreError`] when the snapshot does not match this
     /// system's construction (format version, the extension live at the
-    /// snapshot's commit count, FIFO depth, fault-plan shape). Every
-    /// check runs before anything changes, so a rejected snapshot
-    /// leaves the system unmodified, its swap schedule included.
+    /// snapshot's commit count and the length of its state, FIFO depth,
+    /// fault-plan shape) or its own shape is malformed (cache tag arrays
+    /// of another geometry, meta-data lines that are not resident or not
+    /// line-sized, more FIFO or store-buffer entries than their depth,
+    /// memory diffs outside their page). Every check runs before
+    /// anything changes, so a rejected snapshot leaves the system
+    /// unmodified, its swap schedule included.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), RestoreError> {
         if snap.format != SNAPSHOT_FORMAT {
             return Err(RestoreError::new(format!(
@@ -1144,13 +1148,22 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         let committed = snap.forward.committed;
         let k = self.swaps.iter().filter(|s| s.at_commit <= committed).count();
         let live = match k.cmp(&self.fired) {
-            Ordering::Equal => self.ext.name(),
-            Ordering::Greater => self.swaps[k - 1].ext.name(),
-            Ordering::Less => self.swaps[k].ext.name(),
+            Ordering::Equal => &self.ext,
+            Ordering::Greater => &self.swaps[k - 1].ext,
+            Ordering::Less => &self.swaps[k].ext,
         };
-        if snap.ext_name != live {
+        if snap.ext_name != live.name() {
             return Err(RestoreError::new(format!(
-                "snapshot was taken with extension `{}`, this system runs `{live}`",
+                "snapshot was taken with extension `{}`, this system runs `{}`",
+                snap.ext_name,
+                live.name()
+            )));
+        }
+        let words = live.snapshot_state().len();
+        if snap.ext_state.len() != words {
+            return Err(RestoreError::new(format!(
+                "snapshot has {} words of `{}` state, the extension keeps {words}",
+                snap.ext_state.len(),
                 snap.ext_name
             )));
         }
@@ -1161,6 +1174,13 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 self.fifo.depth()
             )));
         }
+        if snap.fifo.dequeues.len() > self.fifo.depth() {
+            return Err(RestoreError::new(format!(
+                "snapshot has {} FIFO entries, more than the depth {}",
+                snap.fifo.dequeues.len(),
+                self.fifo.depth()
+            )));
+        }
         if snap.shadow.len() != flexcore_isa::NUM_REGS {
             return Err(RestoreError::new(format!(
                 "snapshot has {} shadow tags, expected {}",
@@ -1168,8 +1188,20 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 flexcore_isa::NUM_REGS
             )));
         }
-        match (&snap.faults, &mut self.faults) {
-            (Some(fs), Some(inj)) => inj.restore(fs).map_err(RestoreError::new)?,
+        let page = MainMemory::PAGE_BYTES;
+        if let Some(p) = snap.mem_pages.iter().find(|p| {
+            !(p.base as usize).is_multiple_of(page)
+                || p.words
+                    .iter()
+                    .any(|&(off, _)| !off.is_multiple_of(4) || usize::from(off) >= page)
+        }) {
+            return Err(RestoreError::new(format!(
+                "memory diff of page {:#010x} is not word-aligned in its page",
+                p.base
+            )));
+        }
+        match (&snap.faults, &self.faults) {
+            (Some(fs), Some(inj)) => inj.check(fs).map_err(RestoreError::new)?,
             (None, None) => {}
             (Some(_), None) => {
                 return Err(RestoreError::new(
@@ -1183,17 +1215,26 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 ))
             }
         }
+        // The meta-data cache is restored into a copy, so that the
+        // core's own checks can still refuse the snapshot.
+        let mut meta = self.meta.clone();
+        meta.restore(&snap.meta).map_err(RestoreError::new)?;
+        let cycle = self.core.cycle();
+        self.core.restore(&snap.core).map_err(RestoreError::new)?;
+        // Nothing below can fail.
+        self.meta = meta;
+        if let (Some(fs), Some(inj)) = (&snap.faults, &mut self.faults) {
+            inj.restore(fs).expect("the injector checked this snapshot above");
+        }
         self.realign_swaps(k, committed);
         // Entries still in flight toward the fabric are discarded by
         // the rollback without ever being processed; account for them
         // before the FIFO state is replaced. The accumulator survives
         // the restore by design.
-        self.fifo_drained_on_restore += self.fifo.occupancy(self.core.cycle()) as u64;
+        self.fifo_drained_on_restore += self.fifo.occupancy(cycle) as u64;
         let mut mem = self.baseline_mem.clone().unwrap_or_default();
         checkpoint::apply_delta(&mut mem, &snap.mem_pages);
         self.mem = mem;
-        self.core.restore(&snap.core);
-        self.meta.restore(&snap.meta);
         self.bus.restore(snap.bus_busy_until, snap.bus_stats);
         for (r, &tag) in flexcore_isa::Reg::all().zip(&snap.shadow) {
             self.shadow.set_tag(r, tag);

@@ -126,19 +126,8 @@ impl fmt::Display for CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u32,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp (bigger = more recent).
-    lru: u64,
-}
-
-const INVALID: Line = Line { tag: 0, valid: false, dirty: false, lru: 0 };
-
-/// One cache line's replacement state, as captured by
-/// [`TimingCache::snapshot`].
+/// One cache line's replacement state: what [`TimingCache`] keeps per
+/// slot, and what [`TimingCache::snapshot`] captures.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LineState {
     /// Stored tag.
@@ -150,6 +139,8 @@ pub struct LineState {
     /// LRU timestamp (bigger = more recent).
     pub lru: u64,
 }
+
+const INVALID: LineState = LineState { tag: 0, valid: false, dirty: false, lru: 0 };
 
 /// Complete checkpointable state of a [`TimingCache`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -193,7 +184,7 @@ pub struct TimingCache {
     line_shift: u32,
     /// `log2(sets)`: address bits selecting the set.
     set_bits: u32,
-    lines: Vec<Line>,
+    lines: Vec<LineState>,
     stamp: u64,
     stats: CacheStats,
 }
@@ -310,7 +301,7 @@ impl TimingCache {
             .expect("at least one way");
         let slot = first + way;
         let writeback_of = (victim.valid && victim.dirty).then(|| self.line_base(slot, victim.tag));
-        self.lines[slot] = Line {
+        self.lines[slot] = LineState {
             tag,
             valid: true,
             dirty: is_write && policy == WritePolicy::WriteBackAllocate,
@@ -325,15 +316,7 @@ impl TimingCache {
     /// Captures the complete replacement state (tags, valid/dirty bits,
     /// LRU stamps, statistics) for checkpointing.
     pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            lines: self
-                .lines
-                .iter()
-                .map(|l| LineState { tag: l.tag, valid: l.valid, dirty: l.dirty, lru: l.lru })
-                .collect(),
-            stamp: self.stamp,
-            stats: self.stats,
-        }
+        CacheSnapshot { lines: self.lines.clone(), stamp: self.stamp, stats: self.stats }
     }
 
     /// Restores state captured by [`TimingCache::snapshot`].
@@ -344,14 +327,7 @@ impl TimingCache {
     /// geometry (snapshots only restore onto an identically configured
     /// cache).
     pub fn restore(&mut self, snap: &CacheSnapshot) {
-        assert_eq!(
-            snap.lines.len(),
-            self.lines.len(),
-            "cache snapshot line count does not match geometry"
-        );
-        for (line, s) in self.lines.iter_mut().zip(&snap.lines) {
-            *line = Line { tag: s.tag, valid: s.valid, dirty: s.dirty, lru: s.lru };
-        }
+        self.lines.copy_from_slice(&snap.lines);
         self.stamp = snap.stamp;
         self.stats = snap.stats;
     }

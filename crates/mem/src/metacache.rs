@@ -198,19 +198,41 @@ impl MetaDataCache {
 
     /// Restores state captured by [`MetaDataCache::snapshot`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the snapshot does not match this cache's geometry, or
-    /// carries data for a line its tag array does not hold.
-    pub fn restore(&mut self, snap: &MetaCacheSnapshot) {
-        self.tags.restore(&snap.tags);
-        self.data.fill(0);
-        for (base, line) in &snap.lines {
-            assert_eq!(line.len(), self.line_bytes as usize, "meta line size mismatch");
-            let slot = self.tags.slot_of(*base).expect("meta line resident in the tag snapshot");
-            let range = self.line_range(slot);
-            self.data[range].copy_from_slice(line);
+    /// Refuses a snapshot whose tag array has another line count than
+    /// this cache, or that carries a line its tag array does not hold
+    /// or of another size than a line. A refused snapshot leaves the
+    /// cache unchanged.
+    pub fn restore(&mut self, snap: &MetaCacheSnapshot) -> Result<(), String> {
+        let config = self.tags.config();
+        let slots = (config.sets() * config.ways) as usize;
+        if snap.tags.lines.len() != slots {
+            return Err(format!(
+                "the meta-data tag array holds {slots} lines, the snapshot {}",
+                snap.tags.lines.len()
+            ));
         }
+        let mut tags = self.tags.clone();
+        tags.restore(&snap.tags);
+        let mut data = vec![0; self.data.len()];
+        for (base, line) in &snap.lines {
+            let slot =
+                tags.slot_of(*base).filter(|_| base.is_multiple_of(self.line_bytes)).ok_or_else(
+                    || format!("meta-data line {base:#010x} is not a line the tag array holds"),
+                )?;
+            if line.len() != self.line_bytes as usize {
+                return Err(format!(
+                    "meta-data line {base:#010x} holds {} bytes, not {}",
+                    line.len(),
+                    self.line_bytes
+                ));
+            }
+            data[self.line_range(slot)].copy_from_slice(line);
+        }
+        self.tags = tags;
+        self.data = data;
+        Ok(())
     }
 
     /// Writes every resident line back to memory and empties the cache.
@@ -436,7 +458,7 @@ mod props {
                         let snap = cache.snapshot();
                         prop_assert!(snap.lines.windows(2).all(|w| w[0].0 < w[1].0));
                         let mut fresh = MetaDataCache::new(CFG);
-                        fresh.restore(&snap);
+                        fresh.restore(&snap).expect("a snapshot restores into the same geometry");
                         prop_assert_eq!(&fresh.snapshot(), &snap);
                         cache = fresh;
                     }

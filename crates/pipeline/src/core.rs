@@ -312,7 +312,29 @@ impl Core {
 
     /// Restores state captured by [`Core::snapshot`] on a core built
     /// with the same [`CoreConfig`].
-    pub fn restore(&mut self, snap: &CoreSnapshot) {
+    ///
+    /// # Errors
+    ///
+    /// Refuses a snapshot whose L1 tag arrays have another line count
+    /// than the caches, or that holds more pending stores than the
+    /// store buffer's depth. A refused snapshot leaves the core
+    /// unchanged.
+    pub fn restore(&mut self, snap: &CoreSnapshot) -> Result<(), String> {
+        let lines = (L1.sets() * L1.ways) as usize;
+        for (name, cache) in [("I", &snap.icache), ("D", &snap.dcache)] {
+            if cache.lines.len() != lines {
+                return Err(format!(
+                    "the {name}-cache holds {lines} lines, the snapshot {}",
+                    cache.lines.len()
+                ));
+            }
+        }
+        if snap.storebuf_pending.len() > STORE_BUFFER_DEPTH {
+            return Err(format!(
+                "the store buffer holds {STORE_BUFFER_DEPTH} stores, the snapshot {}",
+                snap.storebuf_pending.len()
+            ));
+        }
         self.regs = snap.regs;
         self.icc = IccFlags::from_bits(snap.icc);
         self.pc = snap.pc;
@@ -326,6 +348,7 @@ impl Core {
         self.console = snap.console.clone();
         self.exited = snap.exited;
         self.commit_slot = snap.commit_slot;
+        Ok(())
     }
 
     fn operand2(&self, op2: Operand2) -> u32 {

@@ -13,11 +13,19 @@
 
 use std::sync::OnceLock;
 
-use flexcore_suite::flexcore::checkpoint::Snapshot;
-use flexcore_suite::flexcore::ext::Umc;
-use flexcore_suite::flexcore::faults::{FaultModel, FaultPlan, FaultSchedule, FaultTarget};
-use flexcore_suite::flexcore::{RunOutcome, RunResult, SimError, System, SystemConfig};
-use flexcore_suite::pipeline::ExitReason;
+use flexcore_bench::{paper_config, ExtKind};
+use flexcore_suite::flexcore::checkpoint::{PageDelta, Snapshot, SNAPSHOT_FORMAT};
+use flexcore_suite::flexcore::ext::{MonitorTrap, Sec, Umc};
+use flexcore_suite::flexcore::faults::{
+    BitstreamStrike, FaultAction, FaultEvent, FaultInjectorSnapshot, FaultModel, FaultPlan,
+    FaultSchedule, FaultTarget, PacketField,
+};
+use flexcore_suite::flexcore::interface::FifoSnapshot;
+use flexcore_suite::flexcore::{
+    ForwardStats, ResilienceStats, RunOutcome, RunResult, SimError, System, SystemConfig,
+};
+use flexcore_suite::mem::{BusStats, CacheSnapshot, CacheStats, LineState, MetaCacheSnapshot};
+use flexcore_suite::pipeline::{CoreSnapshot, CoreStats, ExitReason};
 use flexcore_suite::workloads::Workload;
 use proptest::prelude::*;
 
@@ -152,6 +160,229 @@ fn checkpoint_carries_the_bernoulli_draws_since_the_last_poll() {
     });
 }
 
+/// 64-bit FNV-1a, for pinning long outputs by hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// One seeded Bernoulli campaign, pinned: SEC at its paper clock with
+/// result and register flips at 1000 ppm each, on every paper kernel.
+/// Each run stops at commit 1500, between polls (a register flip has
+/// fired at 1190, the next strike is due at 3478), goes through the
+/// checkpoint JSON into a fresh system, and finishes there at SEC's
+/// trap. The draws depend on the commit index alone, so the kernels
+/// strike the same commits at different cycles. The fault log must
+/// equal the one recorded when the pin was taken: a generator that
+/// draws differently fails here, not only one that disagrees with
+/// itself across a restore.
+#[test]
+fn seeded_bernoulli_campaign_matches_its_pinned_fault_log() {
+    let plan = || {
+        FaultPlan::new(0x5ec_1000)
+            .inject(
+                FaultTarget::CommitResult,
+                FaultSchedule::Bernoulli { per_million: 1000 },
+                FaultModel::BitFlip { bits: 1 },
+            )
+            .inject(
+                FaultTarget::Register,
+                FaultSchedule::Bernoulli { per_million: 1000 },
+                FaultModel::BitFlip { bits: 1 },
+            )
+    };
+    let system = |w: &Workload| {
+        let mut sys = System::new(paper_config(ExtKind::Sec), Sec::new());
+        sys.load_program(&w.program().expect("assembles"));
+        sys.arm_faults(plan());
+        sys
+    };
+    let mut events = Vec::new();
+    for w in &Workload::all() {
+        let mut first = system(w);
+        match first.try_run_until(MAX_INSTRUCTIONS, 1500).expect("run to the pause point") {
+            RunOutcome::Paused { .. } => {}
+            RunOutcome::Done(r) => {
+                panic!("{} finished before the pause point: {:?}", w.name(), r.exit)
+            }
+        }
+        let json = first.snapshot().to_json();
+        let mut second = system(w);
+        second.restore(&Snapshot::from_json(&json).expect("parses")).expect("restores");
+        let r = second.try_run(MAX_INSTRUCTIONS).expect("the faulted run ends");
+        assert!(r.monitor_trap.is_some(), "{}: SEC catches a result flip", w.name());
+        events.extend(second.fault_log().iter().map(|e| format!("{} {e:?}", w.name())));
+    }
+    assert_eq!(events.len(), 14, "{events:#?}");
+    assert_eq!(
+        events[..3],
+        [
+            "sha FaultEvent { at: 1190, cycle: 3014, action: FlipRegister { reg: 15, mask: 536870912 } }",
+            "sha FaultEvent { at: 3478, cycle: 9669, action: FlipResult { mask: 8 } }",
+            "gmac FaultEvent { at: 1190, cycle: 2565, action: FlipRegister { reg: 15, mask: 536870912 } }",
+        ]
+    );
+    assert_eq!(fnv1a(events[3..].join("\n").as_bytes()), 0x43af_ed35_a18f_0f28, "{events:#?}");
+}
+
+/// A hand-built snapshot that sets every field to a distinct value.
+/// `variant` picks the exit reason (`None` and each kind in turn) and
+/// alternates `Some`/`None` for the monitor trap, the pending trap and
+/// the fault-injector state.
+fn pinned_snapshot(variant: usize) -> Snapshot {
+    let exits = [
+        None,
+        Some(ExitReason::Halt(7)),
+        Some(ExitReason::IllegalInstruction { pc: 0x1004, word: 0xdead_beef }),
+        Some(ExitReason::MisalignedAccess { pc: 0x1008, addr: 0x8003 }),
+        Some(ExitReason::DivideByZero { pc: 0x100c }),
+        Some(ExitReason::InstructionLimit),
+        Some(ExitReason::MonitorTrap { pc: 0x1010 }),
+    ];
+    let some = variant % 2 == 1;
+    let cache = |seed: u64| CacheSnapshot {
+        lines: vec![
+            LineState { tag: 0x12, valid: true, dirty: false, lru: seed + 1 },
+            LineState { tag: 0x34, valid: false, dirty: true, lru: seed + 2 },
+        ],
+        stamp: seed + 3,
+        stats: CacheStats {
+            read_hits: seed + 4,
+            read_misses: seed + 5,
+            write_hits: seed + 6,
+            write_misses: seed + 7,
+            writebacks: seed + 8,
+        },
+    };
+    let fields = [
+        PacketField::Result,
+        PacketField::Srcv1,
+        PacketField::Srcv2,
+        PacketField::Addr,
+        PacketField::StoreValue,
+    ];
+    let mut actions = vec![
+        FaultAction::FlipResult { mask: 1 },
+        FaultAction::FlipRegister { reg: 9, mask: 2 },
+        FaultAction::FlipMemory { addr: 0x8000, mask: 4 },
+        FaultAction::FlipText { addr: 0x1000, mask: 8 },
+        FaultAction::PoisonMeta { addr: 0x40, mask: 16 },
+        FaultAction::StickFabric,
+    ];
+    actions.extend(fields.map(|field| FaultAction::CorruptPacket { field, mask: 32 }));
+    let mut per_class = [0; flexcore_suite::isa::NUM_INSTR_CLASSES];
+    for (i, n) in per_class.iter_mut().enumerate() {
+        *n = i as u64 * 3;
+    }
+    Snapshot {
+        format: SNAPSHOT_FORMAT,
+        ext_name: "SEC".to_string(),
+        fifo_depth: 64,
+        core: CoreSnapshot {
+            regs: std::array::from_fn(|i| i as u32 * 0x0101_0101),
+            icc: 0b1010,
+            pc: 0x1000,
+            npc: 0x1004,
+            annul_next: some,
+            cycle: 12_345,
+            icache: cache(100),
+            dcache: cache(200),
+            storebuf_pending: vec![50, 60],
+            storebuf_stalls: 70,
+            stats: CoreStats {
+                instret: 4000,
+                annulled: 12,
+                per_class,
+                external_stall_cycles: 90,
+                store_stall_cycles: 91,
+            },
+            console: b"ok\n".to_vec(),
+            exited: exits[variant],
+            commit_slot: 1,
+        },
+        mem_pages: vec![
+            PageDelta { base: 0x1000, words: vec![(0, 1), (4092, u32::MAX)] },
+            PageDelta { base: 0x8000, words: vec![(8, 0xabcd)] },
+        ],
+        meta: MetaCacheSnapshot { tags: cache(300), lines: vec![(0x40, vec![1, 2, 3, 255])] },
+        bus_busy_until: 777,
+        bus_stats: BusStats {
+            busy_cycles: 1,
+            core_transfers: 2,
+            fabric_transfers: 3,
+            core_wait_cycles: 4,
+            fabric_wait_cycles: 5,
+        },
+        shadow: (0..32).collect(),
+        ext_state: vec![11, 22],
+        fifo: FifoSnapshot { dequeues: vec![12_400, 12_410], stall_cycles: 33, peak_occupancy: 9 },
+        fabric_free_at: 12_390,
+        forward: ForwardStats {
+            committed: 4000,
+            forwarded: 1500,
+            dropped: 2,
+            per_class,
+            fifo_stall_cycles: 44,
+            peak_occupancy: 10,
+        },
+        monitor_trap: some.then(|| MonitorTrap { pc: 0x1010, reason: "ALU \"result\"".into() }),
+        pending_trap: some.then_some((12_500, 3999)),
+        faults: some.then(|| FaultInjectorSnapshot {
+            rng_states: vec![u64::MAX, 0],
+            exhausted: vec![true, false],
+            log: actions
+                .into_iter()
+                .enumerate()
+                .map(|(i, action)| FaultEvent { at: i as u64 + 1, cycle: i as u64 * 10, action })
+                .collect(),
+            bitstream_log: vec![BitstreamStrike { attempt: 1, offset: 300, mask: 0x80 }],
+            bitstream_attempts: 2,
+        }),
+        resilience: ResilienceStats {
+            faults_injected: 1,
+            packets_corrupted: 2,
+            dropped_overflow: 3,
+            bitstream_retries: 4,
+            bitstream_reloads: 5,
+            unmonitored_commits: 6,
+            suppressed_checks: 7,
+            swaps_completed: 8,
+            swap_drained_packets: 9,
+            swap_stall_cycles: 10,
+            elided_checks: 11,
+        },
+        fabric_stuck: some,
+    }
+}
+
+/// The checkpoint format is pinned: every saved shape (each exit
+/// reason, each fault action and packet field, both sides of every
+/// optional field) round-trips, and the encoder's output hashes to the
+/// values recorded when the pin was taken.
+#[test]
+fn snapshot_json_format_is_pinned() {
+    let mut hashes = Vec::new();
+    for variant in 0..7 {
+        let snap = pinned_snapshot(variant);
+        let json = snap.to_json();
+        assert_eq!(Snapshot::from_json(&json).as_ref(), Ok(&snap), "variant {variant}: {json}");
+        hashes.push(fnv1a(json.as_bytes()));
+    }
+    assert_eq!(
+        hashes,
+        [
+            0x78cc_750b_2896_c694,
+            0x4d5a_31db_4e6a_8ae9,
+            0x5856_dd98_0ea1_7b10,
+            0xca6c_7ab6_9ec8_28c6,
+            0x5001_a5fc_199d_1ce5,
+            0x7033_ddb9_07bd_74f3,
+            0x9f03_e8a2_70bd_927c,
+        ]
+    );
+}
+
 /// Restoring requires the same construction: a missing fault plan is a
 /// typed error, not silent corruption.
 #[test]
@@ -178,6 +409,85 @@ fn restore_rejects_mismatched_construction() {
     wrong_depth.load_program(&w.program().expect("assembles"));
     let err = wrong_depth.restore(&snap).expect_err("mismatched FIFO depth must fail");
     assert!(err.to_string().contains("depth"), "unhelpful error: {err}");
+}
+
+/// Runs `sha` under UMC to `pause` commits.
+fn sha_paused_at(pause: u64) -> System<Umc> {
+    let mut sys = fresh(&Workload::sha());
+    match sys.try_run_until(MAX_INSTRUCTIONS, pause).expect("run to the pause point") {
+        RunOutcome::Paused { .. } => sys,
+        RunOutcome::Done(r) => panic!("finished before the pause point: {:?}", r.exit),
+    }
+}
+
+/// Takes a checkpoint of `sha` under UMC, malforms it with `tamper`,
+/// and restores it into a system paused elsewhere: the restore must be
+/// refused with an error mentioning `needle`, and leave the system as
+/// it was.
+fn assert_refused(tamper: impl FnOnce(&mut Snapshot), needle: &str) {
+    let mut snap = sha_paused_at(20_000).snapshot();
+    assert!(!snap.meta.lines.is_empty() && !snap.fifo.dequeues.is_empty(), "a busy checkpoint");
+    tamper(&mut snap);
+    let mut sys = sha_paused_at(5_000);
+    let before = sys.snapshot();
+    let err = sys.restore(&snap).expect_err("a malformed snapshot is refused");
+    assert!(err.to_string().contains(needle), "unhelpful error: {err}");
+    assert_eq!(sys.snapshot(), before, "the refused restore changed the system");
+}
+
+#[test]
+fn restore_refuses_an_icache_of_another_geometry() {
+    assert_refused(|s| s.core.icache.lines.truncate(1000), "I-cache");
+}
+
+#[test]
+fn restore_refuses_a_dcache_of_another_geometry() {
+    assert_refused(|s| s.core.dcache.lines.push(s.core.dcache.lines[0]), "D-cache");
+}
+
+#[test]
+fn restore_refuses_a_meta_tag_array_of_another_geometry() {
+    assert_refused(|s| s.meta.tags.lines.truncate(100), "meta-data tag array");
+}
+
+#[test]
+fn restore_refuses_a_meta_line_that_is_not_resident() {
+    assert_refused(
+        |s| {
+            let resident: Vec<u32> = s.meta.lines.iter().map(|&(base, _)| base).collect();
+            let stray = (0..).map(|i| i * 32).find(|b| !resident.contains(b)).expect("a free base");
+            s.meta.lines[0].0 = stray;
+        },
+        "is not a line the tag array holds",
+    );
+}
+
+#[test]
+fn restore_refuses_a_meta_line_of_another_size() {
+    assert_refused(|s| s.meta.lines[0].1.push(0), "bytes, not 32");
+}
+
+#[test]
+fn restore_refuses_more_fifo_entries_than_its_depth() {
+    assert_refused(
+        |s| s.fifo.dequeues = (0..=s.fifo_depth).map(|i| s.fabric_free_at + i).collect(),
+        "FIFO entries",
+    );
+}
+
+#[test]
+fn restore_refuses_more_pending_stores_than_the_store_buffer_holds() {
+    assert_refused(|s| s.core.storebuf_pending = vec![s.core.cycle + 1; 9], "store buffer");
+}
+
+#[test]
+fn restore_refuses_extension_state_of_another_length() {
+    assert_refused(|s| s.ext_state.push(0), "words of `UMC` state");
+}
+
+#[test]
+fn restore_refuses_a_memory_diff_outside_its_page() {
+    assert_refused(|s| s.mem_pages[0].words.push((4096, 1)), "not word-aligned in its page");
 }
 
 /// A small all-ALU kernel where commit `4 + 4k` is always the `add`

@@ -166,8 +166,7 @@ fn text_fault_under_lockstep_is_caught_by_the_golden_image() {
     };
     assert_eq!(rep.commit_index, 7, "bne, nop, then `patch` again");
     assert!(rep.reason.contains("instruction words diverged"), "{}", rep.reason);
-    let golden = rep.golden_recent.last().expect("the divergent commit is in the ring");
-    assert_eq!((rep.dut_pc, golden.pc), (patch, patch));
+    assert_eq!((rep.dut_pc, rep.golden_pc), (patch, patch));
     assert_eq!(rep.dut_inst_word, flipped);
     assert_eq!(rep.golden_inst_word, original);
 }
