@@ -23,7 +23,8 @@
 //! [`flexcore_bench::journal`].
 //!
 //! Options: `--seed N` (default 0xf1ec), `--trials N` per workload for
-//! campaign 1 (default 100).
+//! campaign 1 (default 100). An unknown argument exits 2 with a usage
+//! line.
 //!
 //! Campaign robustness options:
 //!
@@ -31,16 +32,15 @@
 //!   model; architectural corruption the extension misses is caught as
 //!   a lockstep divergence and counted as detected.
 //! * `--progress FILE` — append one JSONL record per finished trial,
-//!   each in a single write, after a header line stamping the campaign
-//!   parameters.
+//!   each in a single fsynced write as its worker thread is joined,
+//!   after a header line stamping the campaign parameters.
 //! * `--resume` — with `--progress`, skip trials already recorded in
 //!   the file (deterministic seeds make the skip exact), so an
-//!   interrupted campaign continues from its last checkpoint instead
-//!   of starting over. A trailing record torn by a crash mid-append is
-//!   dropped with a warning (it is re-run), not a fatal parse error,
-//!   and a file stamped with different parameters is refused.
-//! * `--checkpoint-every N` — fsync the progress file every N recorded
-//!   trials (default 25).
+//!   interrupted campaign continues from its last recorded trial
+//!   instead of starting over. A trailing record torn by a crash
+//!   mid-append is dropped with a warning (it is re-run), not a fatal
+//!   parse error, and a file stamped with different parameters is
+//!   refused.
 //! * `--recover` — run every campaign-1 trial under the
 //!   rollback-and-replay [`Supervisor`](flexcore::Supervisor) and
 //!   triage it against a clean reference run of the same workload:
@@ -68,11 +68,10 @@ use std::collections::HashMap;
 use flexcore::recovery::FaultOutcome;
 use flexcore::RunResult;
 use flexcore_bench::journal::{Journal, JournalError};
-use flexcore_bench::rate::RateMeter;
 use flexcore_bench::trial::{
     self, CampaignSpec, TrialOutcome, TrialSpec, SWEEP_RATES, SWEEP_TARGETS,
 };
-use flexcore_bench::{run_panic_tolerant_observed, ExtKind};
+use flexcore_bench::{run_panic_tolerant, ExtKind};
 use flexcore_workloads::Workload;
 
 /// The `--progress` journal plus the trials it recovered on resume.
@@ -108,10 +107,10 @@ fn or_exit<T>(r: Result<T, JournalError>) -> T {
     })
 }
 
-/// [`run_panic_tolerant`](flexcore_bench::run_panic_tolerant) with a
-/// resume cache: trials already in the progress log come back
-/// instantly; fresh trials run and are recorded. Reports keep
-/// submission order either way.
+/// [`run_panic_tolerant`] with a resume cache: trials already in the
+/// progress log come back instantly; fresh trials run and each is
+/// recorded as its thread is joined. Reports keep submission order
+/// either way.
 fn run_with_progress(
     jobs: Vec<TrialSpec>,
     reference: Option<&flexcore::RunResult>,
@@ -132,19 +131,12 @@ fn run_with_progress(
             fresh.push((label, move || trial::run_trial(&spec, reference.as_ref())));
         }
     }
-    // Rate/ETA progress goes to stderr: CI tees and diffs stdout
-    // between runs, and wall-clock rates legitimately differ.
-    let meter = RateMeter::start();
-    let reports = run_panic_tolerant_observed(fresh, |done, total, _| {
-        eprintln!(
-            "faultsweep: {done}/{total} fresh trials  {}",
-            meter.progress_column(done as u64, total as u64)
-        );
-    });
-    for (i, rep) in fresh_slots.into_iter().zip(reports) {
+    let reports = run_panic_tolerant(fresh, |rep| {
         if let (Some(journal), Ok(o)) = (&mut progress.journal, &rep.outcome) {
             or_exit(journal.append_trial(&rep.label, o));
         }
+    });
+    for (i, rep) in fresh_slots.into_iter().zip(reports) {
         slots[i] = Some(rep);
     }
     slots.into_iter().map(|s| s.expect("every slot filled")).collect()
@@ -291,52 +283,68 @@ fn coverage_table(
     all_pass
 }
 
-/// Fsyncs the progress journal once the campaign is done.
-fn finish(progress: &mut Progress) {
-    if let Some(journal) = &mut progress.journal {
-        or_exit(journal.sync());
-    }
+/// The command line.
+struct Args {
+    seed: u64,
+    trials: usize,
+    lockstep: bool,
+    resume: bool,
+    recover: bool,
+    reconfig: bool,
+    progress: Option<String>,
 }
 
-fn arg_value(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == name)?;
-    let Some(v) = args.get(i + 1) else {
-        eprintln!("faultsweep: {name} requires a value");
-        std::process::exit(2);
-    };
-    let parsed = match v.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    };
-    if parsed.is_none() {
-        eprintln!("faultsweep: invalid value for {name}: {v} (expected decimal or 0x-hex)");
-        std::process::exit(2);
-    }
-    parsed
+/// Prints `msg` and the usage line, and exits with status 2.
+fn usage_exit(msg: &str) -> ! {
+    eprintln!(
+        "faultsweep: {msg}\nusage: faultsweep [--seed N] [--trials N] [--lockstep] \
+         [--recover [--reconfig]] [--progress FILE [--resume]]"
+    );
+    std::process::exit(2);
 }
 
-fn arg_string(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) => Some(v.clone()),
-        None => {
-            eprintln!("faultsweep: {name} requires a value");
-            std::process::exit(2);
+/// Parses the command line in one pass; anything unknown exits 2.
+fn parse_args() -> Args {
+    let mut a = Args {
+        seed: 0xf1ec,
+        trials: 100,
+        lockstep: false,
+        resume: false,
+        recover: false,
+        reconfig: false,
+        progress: None,
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value =
+            || args.next().unwrap_or_else(|| usage_exit(&format!("{arg} requires a value")));
+        let mut number = || {
+            let v = value();
+            let parsed = match v.strip_prefix("0x") {
+                Some(hex) => u64::from_str_radix(hex, 16).ok(),
+                None => v.parse().ok(),
+            };
+            parsed.unwrap_or_else(|| {
+                usage_exit(&format!("invalid value for {arg}: {v} (expected decimal or 0x-hex)"))
+            })
+        };
+        match arg.as_str() {
+            "--seed" => a.seed = number(),
+            "--trials" => a.trials = number() as usize,
+            "--lockstep" => a.lockstep = true,
+            "--resume" => a.resume = true,
+            "--recover" => a.recover = true,
+            "--reconfig" => a.reconfig = true,
+            "--progress" => a.progress = Some(value()),
+            _ => usage_exit(&format!("unknown argument `{arg}`")),
         }
     }
+    a
 }
 
 fn main() {
-    let seed = arg_value("--seed").unwrap_or(0xf1ec);
-    let trials = arg_value("--trials").unwrap_or(100) as usize;
-    let lockstep = std::env::args().any(|a| a == "--lockstep");
-    let resume = std::env::args().any(|a| a == "--resume");
-    let recover = std::env::args().any(|a| a == "--recover");
-    let reconfig = std::env::args().any(|a| a == "--reconfig");
-    let progress_path = arg_string("--progress");
-    let sync_every = arg_value("--checkpoint-every").unwrap_or(25) as usize;
+    let Args { seed, trials, lockstep, resume, recover, reconfig, progress: progress_path } =
+        parse_args();
     if resume && progress_path.is_none() {
         eprintln!("faultsweep: --resume needs --progress FILE to resume from");
         std::process::exit(2);
@@ -352,7 +360,7 @@ fn main() {
     if let Some(path) = &progress_path {
         let path = std::path::Path::new(path);
         let header = header(seed, trials, lockstep, recover, reconfig);
-        let (journal, recovery) = or_exit(Journal::open(path, &header, resume, sync_every));
+        let (journal, recovery) = or_exit(Journal::open(path, &header, resume));
         if let Some(partial) = &recovery.dropped_partial {
             eprintln!(
                 "faultsweep: {}: dropped truncated trailing record `{partial}` \
@@ -390,7 +398,6 @@ fn main() {
             " (each MTTR spans the replayed swap window)",
             |w| (trial::swap_reference_run(w), trial::reconfig_trials(&cspec, &[*w])),
         );
-        finish(&mut progress);
         if progress.reused > 0 {
             println!("resumed: {} trials reused from the progress file", progress.reused);
         }
@@ -476,7 +483,6 @@ fn main() {
         clean_false_traps,
         if clean_false_traps == 0 { "PASS" } else { "FAIL" }
     );
-    finish(&mut progress);
     if progress.reused > 0 {
         println!("resumed: {} trials reused from the progress file", progress.reused);
     }

@@ -40,6 +40,7 @@ fn main() {
                 (format!("{} baseline", w.name()), move || baseline_cycles(&w))
             })
             .collect(),
+        |_| {},
     );
     let mut jobs = Vec::new();
     for w in &workloads {
@@ -59,7 +60,7 @@ fn main() {
             }
         }
     }
-    let runs = run_panic_tolerant(jobs);
+    let runs = run_panic_tolerant(jobs, |_| {});
 
     println!("Table IV: normalized execution time (measured, with paper values in parentheses)");
     println!("{}", "=".repeat(118));

@@ -8,8 +8,9 @@
 //! * **Single-write append.** Every trial record is appended, newline
 //!   included, in one `write`, so a crash can tear at most the final
 //!   line.
-//! * **Fsync cadence.** The file is fsynced at open, every `sync_every`
-//!   records, and whenever [`Journal::sync`] is called.
+//! * **Fsync per record.** The file is fsynced at open and after every
+//!   append. `faultsweep` appends each trial as its worker thread is
+//!   joined, so every record is fsynced as its trial is joined.
 //! * **Tolerant tail.** On resume a torn final line is dropped,
 //!   reported, and cut from the file; that trial is simply re-run.
 //!   Corruption before the final line stays a hard error.
@@ -89,8 +90,6 @@ pub struct Recovery {
 pub struct Journal {
     path: PathBuf,
     file: std::fs::File,
-    sync_every: usize,
-    since_sync: usize,
 }
 
 fn io_err(path: &Path, error: std::io::Error) -> JournalError {
@@ -103,13 +102,11 @@ impl Journal {
     /// Without `resume`, or when nothing intact is on disk, the file is
     /// truncated and restamped. With `resume`, a torn tail is repaired,
     /// the stamp is checked against `header`, and every recorded trial
-    /// is returned for reuse. The file is fsynced every `sync_every`
-    /// appended records.
+    /// is returned for reuse.
     pub fn open(
         path: &Path,
         header: &Value,
         resume: bool,
-        sync_every: usize,
     ) -> Result<(Journal, Recovery), JournalError> {
         let header = serde::to_string(header);
         let mut recovery = Recovery::default();
@@ -173,31 +170,14 @@ impl Journal {
             }
         }
         file.sync_all().map_err(|e| io_err(path, e))?;
-        let journal = Journal {
-            path: path.to_path_buf(),
-            file,
-            sync_every: sync_every.max(1),
-            since_sync: 0,
-        };
-        Ok((journal, recovery))
+        Ok((Journal { path: path.to_path_buf(), file }, recovery))
     }
 
-    /// Appends one finished trial in a single write, and fsyncs when
-    /// the cadence is due.
+    /// Appends one finished trial in a single write and fsyncs it.
     pub fn append_trial(&mut self, label: &str, o: &TrialOutcome) -> Result<(), JournalError> {
         let mut line = serde::to_string(&trial::outcome_record(label, o));
         line.push('\n');
         self.file.write_all(line.as_bytes()).map_err(|e| io_err(&self.path, e))?;
-        self.since_sync += 1;
-        if self.since_sync >= self.sync_every {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Forces every appended record to disk.
-    pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.since_sync = 0;
         self.file.sync_all().map_err(|e| io_err(&self.path, e))
     }
 }
@@ -292,14 +272,13 @@ mod tests {
     #[test]
     fn journal_roundtrips_trials() {
         let path = tmpfile("roundtrip");
-        let (mut j, rec) = Journal::open(&path, &header(1), false, 2).expect("create");
+        let (mut j, rec) = Journal::open(&path, &header(1), false).expect("create");
         assert!(rec.done.is_empty());
         j.append_trial("sha trial 0", &outcome(1)).expect("append");
         j.append_trial("sha trial 1", &outcome(2)).expect("append");
-        j.sync().expect("sync");
         drop(j);
 
-        let (_, rec) = Journal::open(&path, &header(1), true, 2).expect("resume");
+        let (_, rec) = Journal::open(&path, &header(1), true).expect("resume");
         assert_eq!(rec.done.len(), 2);
         assert_eq!(rec.done.get("sha trial 1"), Some(&outcome(2)));
         assert!(rec.dropped_partial.is_none());
@@ -308,14 +287,14 @@ mod tests {
     #[test]
     fn truncated_tail_is_dropped_repaired_and_the_rest_reused() {
         let path = tmpfile("tail");
-        let (mut j, _) = Journal::open(&path, &header(1), false, 1).expect("create");
+        let (mut j, _) = Journal::open(&path, &header(1), false).expect("create");
         j.append_trial("sha trial 0", &outcome(1)).expect("append");
         j.append_trial("sha trial 1", &outcome(2)).expect("append");
         drop(j);
         let text = std::fs::read_to_string(&path).expect("read");
         std::fs::write(&path, &text[..text.len() - 25]).expect("truncate");
 
-        let (mut j, rec) = Journal::open(&path, &header(1), true, 1).expect("resume");
+        let (mut j, rec) = Journal::open(&path, &header(1), true).expect("resume");
         assert!(rec.dropped_partial.is_some(), "torn tail reported");
         assert_eq!(rec.done.len(), 1, "only the intact record is reused");
         j.append_trial("sha trial 1", &outcome(2)).expect("append after repair");
@@ -330,8 +309,8 @@ mod tests {
     #[test]
     fn header_mismatch_is_refused_with_both_headers() {
         let path = tmpfile("mismatch");
-        Journal::open(&path, &header(1), false, 1).expect("create");
-        let err = Journal::open(&path, &header(99), true, 1).expect_err("wrong campaign");
+        Journal::open(&path, &header(1), false).expect("create");
+        let err = Journal::open(&path, &header(99), true).expect_err("wrong campaign");
         let msg = err.to_string();
         assert!(msg.contains("stamped:   {\"seed\":1}"), "shows the stamped header: {msg}");
         assert!(msg.contains("requested: {\"seed\":99}"), "shows the requested header: {msg}");
@@ -340,10 +319,10 @@ mod tests {
     #[test]
     fn non_resume_open_truncates_an_existing_journal() {
         let path = tmpfile("truncate");
-        let (mut j, _) = Journal::open(&path, &header(1), false, 1).expect("create");
+        let (mut j, _) = Journal::open(&path, &header(1), false).expect("create");
         j.append_trial("sha trial 0", &outcome(1)).expect("append");
         drop(j);
-        let (_, rec) = Journal::open(&path, &header(1), false, 1).expect("recreate");
+        let (_, rec) = Journal::open(&path, &header(1), false).expect("recreate");
         assert!(rec.done.is_empty(), "fresh open discards history");
         assert_eq!(std::fs::read_to_string(&path).expect("read"), "{\"seed\":1}\n");
     }

@@ -23,13 +23,11 @@
 pub mod elide;
 pub mod journal;
 pub mod paper;
-pub mod rate;
 mod runner;
 pub mod swap;
 pub mod trial;
 
 pub use runner::{
     baseline_cycles, geomean, paper_config, run_extension, run_extension_profiled,
-    run_panic_tolerant, run_panic_tolerant_observed, series_dir_from_args, ExtKind, JobReport,
-    MAX_INSTRUCTIONS,
+    run_panic_tolerant, series_dir_from_args, ExtKind, JobReport, MAX_INSTRUCTIONS,
 };

@@ -194,31 +194,19 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// an entire sweep down with it.
 ///
 /// At most `available_parallelism()` jobs run at a time, and reports
-/// come back in submission order.
-pub fn run_panic_tolerant<T, F>(jobs: Vec<(String, F)>) -> Vec<JobReport<T>>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    run_panic_tolerant_observed(jobs, |_, _, _| {})
-}
-
-/// [`run_panic_tolerant`] with a completion callback: `on_done(done,
-/// total, report)` fires on the calling thread as each job is joined
-/// (in submission order within a batch), which is where `faultsweep`
-/// hangs its rate/ETA progress line.
-pub fn run_panic_tolerant_observed<T, F, C>(
+/// come back in submission order. `on_done` sees each report on the
+/// calling thread as its job is joined, also in submission order, which
+/// is where `faultsweep` appends the trial to its progress journal.
+pub fn run_panic_tolerant<T, F>(
     jobs: Vec<(String, F)>,
-    mut on_done: C,
+    mut on_done: impl FnMut(&JobReport<T>),
 ) -> Vec<JobReport<T>>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
-    C: FnMut(usize, usize, &JobReport<T>),
 {
     let width = std::thread::available_parallelism().map_or(4, usize::from).max(1);
-    let total = jobs.len();
-    let mut reports = Vec::with_capacity(total);
+    let mut reports = Vec::with_capacity(jobs.len());
     let mut queue = jobs.into_iter();
     loop {
         let handles: Vec<_> = queue
@@ -230,9 +218,9 @@ where
             break;
         }
         for (label, handle) in handles {
-            let outcome = handle.join().map_err(panic_message);
-            reports.push(JobReport { label, outcome });
-            on_done(reports.len(), total, reports.last().expect("just pushed"));
+            let report = JobReport { label, outcome: handle.join().map_err(panic_message) };
+            on_done(&report);
+            reports.push(report);
         }
     }
     reports
@@ -276,19 +264,34 @@ mod tests {
         // intentionally-crashing job.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let jobs: Vec<(String, Box<dyn FnOnce() -> u32 + Send>)> = vec![
+        // More jobs than any pool is wide, so the callback spans
+        // several join batches.
+        let width = std::thread::available_parallelism().map_or(4, usize::from).max(1);
+        let mut jobs: Vec<(String, Box<dyn FnOnce() -> u32 + Send>)> = vec![
             ("first".to_string(), Box::new(|| 1)),
             ("crash".to_string(), Box::new(|| panic!("sha under DIFT died"))),
-            ("last".to_string(), Box::new(|| 3)),
         ];
-        let reports = run_panic_tolerant(jobs);
+        for i in 2..=2 * width as u32 + 1 {
+            jobs.push((format!("job {i}"), Box::new(move || i + 1)));
+        }
+        let n = jobs.len();
+        let mut seen = Vec::new();
+        let reports = run_panic_tolerant(jobs, |rep| seen.push(rep.clone()));
         std::panic::set_hook(prev);
 
-        assert_eq!(reports.len(), 3);
+        assert_eq!(reports.len(), n);
         assert_eq!(reports[0].outcome, Ok(1));
         assert_eq!(reports[1].label, "crash");
         let err = reports[1].outcome.as_ref().unwrap_err();
         assert!(err.contains("sha under DIFT died"), "got: {err}");
-        assert_eq!(reports[2].outcome, Ok(3));
+        for (i, rep) in reports.iter().enumerate().skip(2) {
+            assert_eq!(rep.outcome, Ok(i as u32 + 1), "{}", rep.label);
+        }
+        // The callback saw every report once, in submission order,
+        // the panicked job included.
+        let pairs = |r: &[JobReport<u32>]| {
+            r.iter().map(|r| (r.label.clone(), r.outcome.clone())).collect::<Vec<_>>()
+        };
+        assert_eq!(pairs(&seen), pairs(&reports));
     }
 }

@@ -1,7 +1,7 @@
 //! `faultsweep --resume` after a kill that lands between a record and
 //! its newline: the resumed log must not weld the next record onto the
 //! unterminated line, and must end byte-identical to an uninterrupted
-//! run.
+//! run. Unknown arguments are refused.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -45,4 +45,19 @@ fn resume_closes_an_unterminated_last_record() {
         );
     }
     assert_eq!(std::fs::read_to_string(&path).expect("resumed log"), clean);
+}
+
+#[test]
+fn unknown_arguments_exit_2_and_are_named() {
+    for args in [&["--trails", "8"][..], &["--checkpoint-every", "1"]] {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_faultsweep"))
+            .args(args)
+            .output()
+            .expect("faultsweep runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("`{}`", args[0])), "{args:?} not named: {stderr}");
+        assert!(stderr.contains("usage: faultsweep"), "{args:?}: no usage line: {stderr}");
+        assert!(run.stdout.is_empty(), "{args:?} started a campaign");
+    }
 }

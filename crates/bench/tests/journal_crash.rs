@@ -44,11 +44,10 @@ type Trials = Vec<(String, TrialOutcome)>;
 
 /// Writes the uninterrupted journal for `trials` and returns its bytes.
 fn clean_journal(path: &Path, trials: &Trials) -> Vec<u8> {
-    let (mut j, _) = Journal::open(path, &header(), false, 1).expect("create");
+    let (mut j, _) = Journal::open(path, &header(), false).expect("create");
     for (label, o) in trials {
         j.append_trial(label, o).expect("append");
     }
-    j.sync().expect("sync");
     drop(j);
     std::fs::read(path).expect("read")
 }
@@ -60,7 +59,7 @@ fn clean_journal(path: &Path, trials: &Trials) -> Vec<u8> {
 /// outcome set.
 fn check_cut(path: &Path, trials: &Trials, clean: &[u8], cut: usize) -> Result<(), String> {
     std::fs::write(path, &clean[..cut]).map_err(|e| e.to_string())?;
-    let (mut j, rec) = Journal::open(path, &header(), true, 1)
+    let (mut j, rec) = Journal::open(path, &header(), true)
         .map_err(|e| format!("cut at {cut}: open failed: {e}"))?;
     let want: HashMap<String, TrialOutcome> = trials.iter().cloned().collect();
     for (label, o) in &rec.done {
@@ -73,7 +72,6 @@ fn check_cut(path: &Path, trials: &Trials, clean: &[u8], cut: usize) -> Result<(
             j.append_trial(label, o).map_err(|e| e.to_string())?;
         }
     }
-    j.sync().map_err(|e| e.to_string())?;
     drop(j);
 
     let finished = std::fs::read(path).map_err(|e| e.to_string())?;
@@ -84,7 +82,7 @@ fn check_cut(path: &Path, trials: &Trials, clean: &[u8], cut: usize) -> Result<(
             String::from_utf8_lossy(clean)
         ));
     }
-    let (_, rec) = Journal::open(path, &header(), true, 1)
+    let (_, rec) = Journal::open(path, &header(), true)
         .map_err(|e| format!("cut at {cut}: reopen failed: {e}"))?;
     if rec.done != want {
         return Err(format!("cut at {cut}: resumed state diverged"));

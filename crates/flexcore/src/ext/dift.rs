@@ -5,7 +5,8 @@ use flexcore_isa::{InstrClass, Instruction};
 use flexcore_pipeline::TracePacket;
 
 use crate::ext::{
-    range_words, word_tag_mask, ExtEnv, Extension, ExtensionDescriptor, MonitorTrap, META_BASE,
+    check_state_len, range_words, word_tag_mask, ExtEnv, Extension, ExtensionDescriptor,
+    MonitorTrap, META_BASE,
 };
 use crate::interface::{Cfgr, ForwardPolicy};
 
@@ -93,6 +94,15 @@ impl Extension for Dift {
         // The policy register is software-writable at run time (the
         // SET_POLICY cpop), so it is run-time state, not configuration.
         vec![u64::from(self.policy), self.checks]
+    }
+
+    fn check_state(&self, state: &[u64]) -> Result<(), String> {
+        match *state {
+            [policy, _] if policy > u64::from(u32::MAX) => Err(format!(
+                "snapshot DIFT policy {policy:#x} does not fit the 32-bit policy register"
+            )),
+            _ => check_state_len(self, state),
+        }
     }
 
     fn restore_state(&mut self, state: &[u64]) {

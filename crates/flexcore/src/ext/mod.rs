@@ -259,11 +259,19 @@ pub trait Extension {
         Vec::new()
     }
 
+    /// Whether `state` is one [`restore_state`](Extension::restore_state)
+    /// can take. [`System::restore`](crate::System::restore) asks before
+    /// it changes anything and refuses the snapshot on `Err`. Default:
+    /// the length its own `snapshot_state` returns; an extension whose
+    /// words have a narrower range checks that too.
+    fn check_state(&self, state: &[u64]) -> Result<(), String> {
+        check_state_len(self, state)
+    }
+
     /// Restores state captured by
     /// [`snapshot_state`](Extension::snapshot_state). Called on an
     /// extension constructed the same way as the one snapshotted, with
-    /// a vector of the length its own `snapshot_state` returns
-    /// ([`System::restore`](crate::System::restore) refuses any other).
+    /// a vector [`check_state`](Extension::check_state) accepted.
     /// Default: nothing.
     fn restore_state(&mut self, _state: &[u64]) {}
 
@@ -343,6 +351,9 @@ impl<T: Extension + ?Sized> Extension for Box<T> {
     fn snapshot_state(&self) -> Vec<u64> {
         (**self).snapshot_state()
     }
+    fn check_state(&self, state: &[u64]) -> Result<(), String> {
+        (**self).check_state(state)
+    }
     fn restore_state(&mut self, state: &[u64]) {
         (**self).restore_state(state)
     }
@@ -358,6 +369,20 @@ impl<T: Extension + ?Sized> Extension for Box<T> {
     fn vcd_stimulus(&self, pkt: &TracePacket) -> Vec<bool> {
         (**self).vcd_stimulus(pkt)
     }
+}
+
+/// The default [`Extension::check_state`]: `state` has as many words as
+/// `ext` keeps.
+pub(crate) fn check_state_len<E: Extension + ?Sized>(ext: &E, state: &[u64]) -> Result<(), String> {
+    let words = ext.snapshot_state().len();
+    if state.len() != words {
+        return Err(format!(
+            "snapshot has {} words of `{}` state, the extension keeps {words}",
+            state.len(),
+            ext.name()
+        ));
+    }
+    Ok(())
 }
 
 /// Pushes the low `n` bits of `v`, LSB first (the bit order of

@@ -178,8 +178,7 @@ pub enum FaultModel {
         /// Number of random bits to flip.
         bits: u32,
     },
-    /// Flip exactly the bits in `mask` (deterministic placement; used
-    /// by `System::inject_result_fault`).
+    /// Flip exactly the bits in `mask` (deterministic placement).
     Mask(u32),
 }
 
@@ -397,7 +396,6 @@ pub struct FaultInjectorSnapshot {
 /// Executes a [`FaultPlan`] deterministically and logs every strike.
 pub struct FaultInjector {
     specs: Vec<SpecState>,
-    seed: u64,
     log: Vec<FaultEvent>,
     bitstream_log: Vec<BitstreamStrike>,
     bitstream_attempts: u64,
@@ -413,7 +411,6 @@ pub struct FaultInjector {
 impl std::fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultInjector")
-            .field("seed", &self.seed)
             .field("specs", &self.specs.len())
             .field("events", &self.log.len())
             .finish()
@@ -432,7 +429,6 @@ impl FaultInjector {
             .collect();
         let mut inj = FaultInjector {
             specs,
-            seed: plan.seed,
             log: Vec::new(),
             bitstream_log: Vec::new(),
             bitstream_attempts: 0,
@@ -507,14 +503,6 @@ impl FaultInjector {
         }
         self.armed = false;
         self.due = u64::MAX;
-    }
-
-    /// Appends a rule to a live injector (its stream derives from the
-    /// new spec's index, so existing streams are unperturbed).
-    pub fn push_spec(&mut self, spec: FaultSpec) {
-        let i = self.specs.len() as u64;
-        self.specs.push(SpecState::new(spec, self.seed, i));
-        self.due = self.horizon(0);
     }
 
     /// Every fault applied so far, in application order.
@@ -791,8 +779,8 @@ mod tests {
         }
     }
 
-    /// Drives `plan` through commits with a spec pushed mid-run, a
-    /// snapshot restored after 40 more commits (a rewind), bitstream
+    /// Drives `plan` through commits with a snapshot taken at commit
+    /// 160 and restored after 40 more (a rewind), bitstream
     /// transfers, a disarm and a re-arm, polling every commit or only
     /// from [`FaultInjector::next_due`] on. Returns the injector's
     /// snapshot at the end of each phase and the number of polls.
@@ -813,11 +801,6 @@ mod tests {
         };
         let mut inj = FaultInjector::new(plan);
         let mut snaps = vec![run(&mut inj, 1..=120)];
-        inj.push_spec(FaultSpec {
-            target: FaultTarget::CommitResult,
-            schedule: FaultSchedule::AtCommit(170),
-            model: FaultModel::Mask(4),
-        });
         let at_160 = run(&mut inj, 121..=160);
         snaps.push(run(&mut inj, 161..=200));
         inj.restore(&at_160).expect("same plan");
@@ -848,7 +831,8 @@ mod tests {
                 FaultSchedule::EveryCommits(23),
                 FaultModel::BitFlip { bits: 2 },
             )
-            .inject(FaultTarget::FifoPacket, FaultSchedule::AtCommit(180), FaultModel::Mask(8));
+            .inject(FaultTarget::FifoPacket, FaultSchedule::AtCommit(180), FaultModel::Mask(8))
+            .inject(FaultTarget::CommitResult, FaultSchedule::AtCommit(170), FaultModel::Mask(4));
         sparse.specs.extend([bitstream, stuck]);
         // Bernoulli specs at a rate, and at rate 0: the latter never
         // fires but still draws, which the snapshots must show.

@@ -448,6 +448,7 @@ impl<E: Extension, S: TraceSink> Supervisor<E, S> {
 mod tests {
     use super::*;
     use crate::ext::Umc;
+    use crate::faults::{FaultModel, FaultPlan, FaultSchedule, FaultTarget};
     use crate::SystemConfig;
     use flexcore_asm::assemble;
 
@@ -496,7 +497,11 @@ mod tests {
         let mut sys = System::new(SystemConfig::fabric_half_speed(), Umc::new());
         sys.load_program(&loopy());
         sys.enable_lockstep();
-        sys.inject_result_fault(1000, 5);
+        sys.arm_faults(FaultPlan::new(0).inject(
+            FaultTarget::CommitResult,
+            FaultSchedule::AtCommit(1000),
+            FaultModel::Mask(1 << 5),
+        ));
         let mut sup = Supervisor::new(sys, RecoveryPolicy { checkpoint_every: 256 });
         let recovered = sup.run(MAX).expect("supervisor recovers the divergence");
 

@@ -11,10 +11,7 @@ use flexcore_telemetry::PhaseProfiler;
 use crate::checkpoint::{self, RestoreError, Snapshot, SNAPSHOT_FORMAT};
 use crate::error::{DeadlockSnapshot, SimError};
 use crate::ext::{ExtEnv, Extension, MonitorTrap};
-use crate::faults::{
-    FaultAction, FaultEvent, FaultInjector, FaultModel, FaultPlan, FaultSchedule, FaultSpec,
-    FaultTarget, PacketField,
-};
+use crate::faults::{FaultAction, FaultEvent, FaultInjector, FaultPlan, PacketField};
 use crate::interface::{Cfgr, ForwardFifo, ForwardPolicy};
 use crate::lockstep::LockstepChecker;
 use crate::obs::{NullSink, TraceEvent, TraceSink};
@@ -475,28 +472,6 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     /// Fault-injection and graceful-degradation counters so far.
     pub fn resilience(&self) -> ResilienceStats {
         self.resilience
-    }
-
-    /// Arranges for a single transient fault: the `nth` committed
-    /// instruction's result has `bit` flipped — in the forwarded packet
-    /// *and* in architectural state, like a real ALU soft error. Used
-    /// to demonstrate SEC.
-    ///
-    /// Sugar for arming (or extending) a [`FaultPlan`] with a
-    /// [`CommitResult`](FaultTarget::CommitResult) spec at
-    /// [`AtCommit(nth)`](FaultSchedule::AtCommit) with a fixed mask.
-    pub fn inject_result_fault(&mut self, nth: u64, bit: u32) {
-        let spec = FaultSpec {
-            target: FaultTarget::CommitResult,
-            schedule: FaultSchedule::AtCommit(nth),
-            model: FaultModel::Mask(1 << bit),
-        };
-        match &mut self.faults {
-            Some(inj) => inj.push_spec(spec),
-            None => {
-                self.faults = Some(FaultInjector::new(&FaultPlan { seed: 0, specs: vec![spec] }))
-            }
-        }
     }
 
     fn align_up(&self, t: u64) -> u64 {
@@ -1125,7 +1100,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
     ///
     /// Returns [`RestoreError`] when the snapshot does not match this
     /// system's construction (format version, the extension live at the
-    /// snapshot's commit count and the length of its state, FIFO depth,
+    /// snapshot's commit count and the state it accepts, FIFO depth,
     /// fault-plan shape) or its own shape is malformed (cache tag arrays
     /// of another geometry, meta-data lines that are not resident or not
     /// line-sized, more FIFO or store-buffer entries than their depth,
@@ -1159,14 +1134,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
                 live.name()
             )));
         }
-        let words = live.snapshot_state().len();
-        if snap.ext_state.len() != words {
-            return Err(RestoreError::new(format!(
-                "snapshot has {} words of `{}` state, the extension keeps {words}",
-                snap.ext_state.len(),
-                snap.ext_name
-            )));
-        }
+        live.check_state(&snap.ext_state).map_err(RestoreError::new)?;
         if snap.fifo_depth != self.fifo.depth() as u64 {
             return Err(RestoreError::new(format!(
                 "snapshot FIFO depth {} != configured depth {}",

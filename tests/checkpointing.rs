@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 
 use flexcore_bench::{paper_config, ExtKind};
 use flexcore_suite::flexcore::checkpoint::{PageDelta, Snapshot, SNAPSHOT_FORMAT};
-use flexcore_suite::flexcore::ext::{MonitorTrap, Sec, Umc};
+use flexcore_suite::flexcore::ext::{Dift, Extension, MonitorTrap, Sec, Umc};
 use flexcore_suite::flexcore::faults::{
     BitstreamStrike, FaultAction, FaultEvent, FaultInjectorSnapshot, FaultModel, FaultPlan,
     FaultSchedule, FaultTarget, PacketField,
@@ -411,24 +411,26 @@ fn restore_rejects_mismatched_construction() {
     assert!(err.to_string().contains("depth"), "unhelpful error: {err}");
 }
 
-/// Runs `sha` under UMC to `pause` commits.
-fn sha_paused_at(pause: u64) -> System<Umc> {
-    let mut sys = fresh(&Workload::sha());
+/// Runs `sha` under `ext` to `pause` commits.
+fn sha_paused_at<E: Extension>(ext: E, pause: u64) -> System<E> {
+    let program = Workload::sha().program().expect("sha assembles");
+    let mut sys = System::new(SystemConfig::fabric_half_speed(), ext);
+    sys.load_program(&program);
     match sys.try_run_until(MAX_INSTRUCTIONS, pause).expect("run to the pause point") {
         RunOutcome::Paused { .. } => sys,
         RunOutcome::Done(r) => panic!("finished before the pause point: {:?}", r.exit),
     }
 }
 
-/// Takes a checkpoint of `sha` under UMC, malforms it with `tamper`,
-/// and restores it into a system paused elsewhere: the restore must be
-/// refused with an error mentioning `needle`, and leave the system as
-/// it was.
-fn assert_refused(tamper: impl FnOnce(&mut Snapshot), needle: &str) {
-    let mut snap = sha_paused_at(20_000).snapshot();
+/// Takes a checkpoint of `sha` under the extension `ext` builds,
+/// malforms it with `tamper`, and restores it into a system paused
+/// elsewhere: the restore must be refused with an error mentioning
+/// `needle`, and leave the system as it was.
+fn assert_refused<E: Extension>(ext: fn() -> E, tamper: impl FnOnce(&mut Snapshot), needle: &str) {
+    let mut snap = sha_paused_at(ext(), 20_000).snapshot();
     assert!(!snap.meta.lines.is_empty() && !snap.fifo.dequeues.is_empty(), "a busy checkpoint");
     tamper(&mut snap);
-    let mut sys = sha_paused_at(5_000);
+    let mut sys = sha_paused_at(ext(), 5_000);
     let before = sys.snapshot();
     let err = sys.restore(&snap).expect_err("a malformed snapshot is refused");
     assert!(err.to_string().contains(needle), "unhelpful error: {err}");
@@ -437,22 +439,23 @@ fn assert_refused(tamper: impl FnOnce(&mut Snapshot), needle: &str) {
 
 #[test]
 fn restore_refuses_an_icache_of_another_geometry() {
-    assert_refused(|s| s.core.icache.lines.truncate(1000), "I-cache");
+    assert_refused(Umc::new, |s| s.core.icache.lines.truncate(1000), "I-cache");
 }
 
 #[test]
 fn restore_refuses_a_dcache_of_another_geometry() {
-    assert_refused(|s| s.core.dcache.lines.push(s.core.dcache.lines[0]), "D-cache");
+    assert_refused(Umc::new, |s| s.core.dcache.lines.push(s.core.dcache.lines[0]), "D-cache");
 }
 
 #[test]
 fn restore_refuses_a_meta_tag_array_of_another_geometry() {
-    assert_refused(|s| s.meta.tags.lines.truncate(100), "meta-data tag array");
+    assert_refused(Umc::new, |s| s.meta.tags.lines.truncate(100), "meta-data tag array");
 }
 
 #[test]
 fn restore_refuses_a_meta_line_that_is_not_resident() {
     assert_refused(
+        Umc::new,
         |s| {
             let resident: Vec<u32> = s.meta.lines.iter().map(|&(base, _)| base).collect();
             let stray = (0..).map(|i| i * 32).find(|b| !resident.contains(b)).expect("a free base");
@@ -464,12 +467,13 @@ fn restore_refuses_a_meta_line_that_is_not_resident() {
 
 #[test]
 fn restore_refuses_a_meta_line_of_another_size() {
-    assert_refused(|s| s.meta.lines[0].1.push(0), "bytes, not 32");
+    assert_refused(Umc::new, |s| s.meta.lines[0].1.push(0), "bytes, not 32");
 }
 
 #[test]
 fn restore_refuses_more_fifo_entries_than_its_depth() {
     assert_refused(
+        Umc::new,
         |s| s.fifo.dequeues = (0..=s.fifo_depth).map(|i| s.fabric_free_at + i).collect(),
         "FIFO entries",
     );
@@ -477,17 +481,30 @@ fn restore_refuses_more_fifo_entries_than_its_depth() {
 
 #[test]
 fn restore_refuses_more_pending_stores_than_the_store_buffer_holds() {
-    assert_refused(|s| s.core.storebuf_pending = vec![s.core.cycle + 1; 9], "store buffer");
+    assert_refused(
+        Umc::new,
+        |s| s.core.storebuf_pending = vec![s.core.cycle + 1; 9],
+        "store buffer",
+    );
 }
 
 #[test]
 fn restore_refuses_extension_state_of_another_length() {
-    assert_refused(|s| s.ext_state.push(0), "words of `UMC` state");
+    assert_refused(Umc::new, |s| s.ext_state.push(0), "words of `UMC` state");
 }
 
 #[test]
 fn restore_refuses_a_memory_diff_outside_its_page() {
-    assert_refused(|s| s.mem_pages[0].words.push((4096, 1)), "not word-aligned in its page");
+    assert_refused(
+        Umc::new,
+        |s| s.mem_pages[0].words.push((4096, 1)),
+        "not word-aligned in its page",
+    );
+}
+
+#[test]
+fn restore_refuses_a_dift_policy_wider_than_its_register() {
+    assert_refused(Dift::new, |s| s.ext_state[0] += 1 << 32, "32-bit policy register");
 }
 
 /// A small all-ALU kernel where commit `4 + 4k` is always the `add`
@@ -516,7 +533,11 @@ fn injected_result_fault_diverges_under_lockstep() {
     let mut sys = alu_system();
     sys.enable_lockstep();
     // Commit 40 is an `add %o0, 1, %o0`: flip bit 3 of its result.
-    sys.inject_result_fault(40, 3);
+    sys.arm_faults(FaultPlan::new(0).inject(
+        FaultTarget::CommitResult,
+        FaultSchedule::AtCommit(40),
+        FaultModel::Mask(1 << 3),
+    ));
     match sys.try_run(MAX_INSTRUCTIONS) {
         Err(SimError::Divergence(report)) => {
             assert_eq!(report.commit_index, 40, "caught at the faulted commit");

@@ -5,6 +5,7 @@
 
 use flexcore_suite::asm::assemble;
 use flexcore_suite::flexcore::ext::{bc, dift, Bc, Dift, Extension, Sec, Umc};
+use flexcore_suite::flexcore::faults::{FaultModel, FaultPlan, FaultSchedule, FaultTarget};
 use flexcore_suite::flexcore::{System, SystemConfig};
 use flexcore_suite::isa::Reg;
 use flexcore_suite::pipeline::ExitReason;
@@ -200,7 +201,11 @@ fn sec_detects_injected_faults_at_every_bit_position() {
         let mut sys = System::new(SystemConfig::fabric_quarter_speed(), Sec::new());
         sys.load_program(&program);
         // Instruction 7 is the second loop `add`.
-        sys.inject_result_fault(7, bit);
+        sys.arm_faults(FaultPlan::new(0).inject(
+            FaultTarget::CommitResult,
+            FaultSchedule::AtCommit(7),
+            FaultModel::Mask(1 << bit),
+        ));
         let r = sys.try_run(100_000).expect("simulation error");
         assert!(r.monitor_trap.is_some(), "bit {bit} escaped");
     }

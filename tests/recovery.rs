@@ -17,6 +17,7 @@
 use std::sync::OnceLock;
 
 use flexcore_suite::flexcore::ext::Umc;
+use flexcore_suite::flexcore::faults::{FaultModel, FaultPlan, FaultSchedule, FaultTarget};
 use flexcore_suite::flexcore::obs::{TraceEvent, VecSink};
 use flexcore_suite::flexcore::recovery::{
     FaultOutcome, RecoveryPolicy, RecoveryReport, Supervisor,
@@ -54,7 +55,11 @@ fn supervised_trial(idx: usize, frac: f64, bit: u32) -> (RunResult, RecoveryRepo
     let site = ((reference(idx).instret as f64 * frac) as u64).max(1);
     let mut sys = fresh(w);
     sys.enable_lockstep();
-    sys.inject_result_fault(site, bit);
+    sys.arm_faults(FaultPlan::new(0).inject(
+        FaultTarget::CommitResult,
+        FaultSchedule::AtCommit(site),
+        FaultModel::Mask(1 << bit),
+    ));
     let mut sup = Supervisor::new(sys, RecoveryPolicy { checkpoint_every: 5_000 });
     let r = sup.run(MAX_INSTRUCTIONS).expect("supervised run completes");
     (r, sup.report().clone())
