@@ -23,8 +23,8 @@
 //! [`flexcore_bench::journal`].
 //!
 //! Options: `--seed N` (default 0xf1ec), `--trials N` per workload for
-//! campaign 1 (default 100). An unknown argument exits 2 with a usage
-//! line.
+//! campaign 1 (default 100, at least 1). An unknown argument or
+//! `--trials 0` exits 2 with a usage line.
 //!
 //! Campaign robustness options:
 //!
@@ -32,8 +32,9 @@
 //!   model; architectural corruption the extension misses is caught as
 //!   a lockstep divergence and counted as detected.
 //! * `--progress FILE` — append one JSONL record per finished trial,
-//!   each in a single fsynced write as its worker thread is joined,
-//!   after a header line stamping the campaign parameters.
+//!   each in a single fsynced write once it and every trial before it
+//!   have finished, after a header line stamping the campaign
+//!   parameters.
 //! * `--resume` — with `--progress`, skip trials already recorded in
 //!   the file (deterministic seeds make the skip exact), so an
 //!   interrupted campaign continues from its last recorded trial
@@ -71,7 +72,7 @@ use flexcore_bench::journal::{Journal, JournalError};
 use flexcore_bench::trial::{
     self, CampaignSpec, TrialOutcome, TrialSpec, SWEEP_RATES, SWEEP_TARGETS,
 };
-use flexcore_bench::{run_panic_tolerant, ExtKind};
+use flexcore_bench::{run_panic_tolerant, ExtKind, JobReport};
 use flexcore_workloads::Workload;
 
 /// The `--progress` journal plus the trials it recovered on resume.
@@ -108,38 +109,30 @@ fn or_exit<T>(r: Result<T, JournalError>) -> T {
 }
 
 /// [`run_panic_tolerant`] with a resume cache: trials already in the
-/// progress log come back instantly; fresh trials run and each is
-/// recorded as its thread is joined. Reports keep submission order
-/// either way.
+/// progress log come back instantly; fresh trials run against their
+/// clean reference run (if any) and each is recorded once it and every
+/// trial before it have finished. Reports keep submission order either
+/// way.
 fn run_with_progress(
-    jobs: Vec<TrialSpec>,
-    reference: Option<&flexcore::RunResult>,
+    jobs: Vec<(TrialSpec, Option<&RunResult>)>,
     progress: &mut Progress,
-) -> Vec<flexcore_bench::JobReport<TrialOutcome>> {
-    let mut slots: Vec<Option<flexcore_bench::JobReport<TrialOutcome>>> = Vec::new();
-    let mut fresh = Vec::new();
-    let mut fresh_slots = Vec::new();
-    for (i, spec) in jobs.into_iter().enumerate() {
-        if let Some(&o) = progress.done.get(&spec.label) {
-            progress.reused += 1;
-            slots.push(Some(flexcore_bench::JobReport { label: spec.label, outcome: Ok(o) }));
-        } else {
-            let reference = reference.cloned();
-            slots.push(None);
-            fresh_slots.push(i);
+) -> Vec<JobReport<TrialOutcome>> {
+    let Progress { journal, done, reused } = progress;
+    let jobs = jobs
+        .into_iter()
+        .map(|(spec, reference)| {
+            let recorded = done.get(&spec.label).copied();
             let label = spec.label.clone();
-            fresh.push((label, move || trial::run_trial(&spec, reference.as_ref())));
-        }
-    }
-    let reports = run_panic_tolerant(fresh, |rep| {
-        if let (Some(journal), Ok(o)) = (&mut progress.journal, &rep.outcome) {
+            (label, move || recorded.unwrap_or_else(|| trial::run_trial(&spec, reference)))
+        })
+        .collect();
+    run_panic_tolerant(jobs, |rep| {
+        if done.contains_key(&rep.label) {
+            *reused += 1;
+        } else if let (Some(journal), Ok(o)) = (journal.as_mut(), &rep.outcome) {
             or_exit(journal.append_trial(&rep.label, o));
         }
-    });
-    for (i, rep) in fresh_slots.into_iter().zip(reports) {
-        slots[i] = Some(rep);
-    }
-    slots.into_iter().map(|s| s.expect("every slot filled")).collect()
+    })
 }
 
 /// One supervised triage table: for each workload, runs its trials
@@ -163,13 +156,19 @@ fn triage_table(
     let mut total_unclassified = 0u64;
     let mut total_recovered = 0u64;
     let mut mttr_sum = 0u64;
-    for workload in workloads {
-        let (reference, jobs) = campaign(workload);
-        let reports = run_with_progress(jobs, Some(&reference), progress);
+    let (references, specs): (Vec<RunResult>, Vec<Vec<TrialSpec>>) =
+        workloads.iter().map(campaign).unzip();
+    let jobs = references
+        .iter()
+        .zip(specs)
+        .flat_map(|(reference, specs)| specs.into_iter().map(move |s| (s, Some(reference))))
+        .collect();
+    let reports = run_with_progress(jobs, progress);
+    for (workload, reports) in workloads.iter().zip(reports.chunks(trials)) {
         let mut counts: HashMap<FaultOutcome, u64> = HashMap::new();
         let mut unclassified = 0u64;
         let mut workload_mttr = 0u64;
-        for rep in &reports {
+        for rep in reports {
             match &rep.outcome {
                 Ok(o) => match o.triage {
                     Some(t) => {
@@ -232,15 +231,15 @@ fn coverage_table(
         "benchmark", "trials", "detected", "silent", "hung", "coverage", "mean skid"
     );
     let mut all_pass = true;
-    for workload in workloads {
-        let jobs = trial::campaign1_trials(cspec, &[*workload]);
-        let reports = run_with_progress(jobs, None, progress);
+    let jobs = trial::campaign1_trials(cspec, workloads).into_iter().map(|s| (s, None)).collect();
+    let reports = run_with_progress(jobs, progress);
+    for (workload, reports) in workloads.iter().zip(reports.chunks(trials)) {
         let mut detected = 0u64;
         let mut diverged = 0u64;
         let mut silent = 0u64;
         let mut hung = 0u64;
         let mut skids = Vec::new();
-        for rep in &reports {
+        for rep in reports {
             match &rep.outcome {
                 Ok(o) if o.detected() => {
                     detected += 1;
@@ -330,7 +329,12 @@ fn parse_args() -> Args {
         };
         match arg.as_str() {
             "--seed" => a.seed = number(),
-            "--trials" => a.trials = number() as usize,
+            "--trials" => {
+                a.trials = number() as usize;
+                if a.trials == 0 {
+                    usage_exit("`--trials` must be at least 1");
+                }
+            }
             "--lockstep" => a.lockstep = true,
             "--resume" => a.resume = true,
             "--recover" => a.recover = true,
@@ -429,7 +433,13 @@ fn main() {
     println!("\nRate × target sweep (Bernoulli faults/commit; cell = outcome:faults-injected)");
     println!("  outcome key: trap / div (lockstep divergence) / ok (ran clean) / dead / budget");
     let mut clean_false_traps = 0u64;
-    for workload in &workloads {
+    // sweep_trials yields workload → extension → target → rate, so
+    // each workload's reports split into one (ext, target) row per
+    // SWEEP_RATES.len() trials, in ExtKind::ALL × SWEEP_TARGETS order.
+    let sweep = trial::sweep_trials(&cspec, &workloads).into_iter().map(|s| (s, None)).collect();
+    let reports = run_with_progress(sweep, &mut progress);
+    let per_workload = ExtKind::ALL.len() * SWEEP_TARGETS.len() * SWEEP_RATES.len();
+    for (workload, reports) in workloads.iter().zip(reports.chunks(per_workload)) {
         println!(
             "\n{} ({} per-million rates: {:?})",
             workload.name(),
@@ -441,18 +451,12 @@ fn main() {
             print!("{:>16}", format!("rate {r}"));
         }
         println!();
-        // sweep_trials yields workload → extension → target → rate;
-        // chunks of SWEEP_RATES.len() are therefore one (ext, target)
-        // row each, in ExtKind::ALL × SWEEP_TARGETS order.
-        let sweep = trial::sweep_trials(&cspec, &[*workload]);
-        let mut rows = ExtKind::ALL
+        let rows = ExtKind::ALL
             .iter()
             .flat_map(|ext| SWEEP_TARGETS.iter().map(move |(tname, _)| (*ext, *tname)));
-        for row in sweep.chunks(SWEEP_RATES.len()) {
-            let (ext, tname) = rows.next().expect("one (ext, target) row per chunk");
-            let reports = run_with_progress(row.to_vec(), None, &mut progress);
+        for ((ext, tname), row) in rows.zip(reports.chunks(SWEEP_RATES.len())) {
             print!("{:<6}{:<11}", ext.name(), tname);
-            for (ri, rep) in reports.iter().enumerate() {
+            for (ri, rep) in row.iter().enumerate() {
                 let cell = match &rep.outcome {
                     Ok(o) => {
                         if SWEEP_RATES[ri] == 0 && o.detected() {

@@ -5,7 +5,8 @@
 //! flexsim [OPTIONS] <program.s | workload-name>
 //!
 //! OPTIONS:
-//!   --ext <NAME|none>                    monitoring extension (default: none); NAME is
+//!   --ext <NAME|none>                    monitoring extension (default: none, the
+//!                                        unmodified core: the registry's `nop`); NAME is
 //!                                        any entry of the `swap::SWAPPABLE` registry
 //!   --swap-at <COMMIT:ext[:policy]>      hot-swap the fabric bitstream to `ext` at the
 //!                                        given commit boundary (repeatable; policy is
@@ -16,14 +17,15 @@
 //!                                        discharged checks are never enqueued
 //!   --clock <1x|0.5x|0.25x>              fabric clock ratio (default: 0.5x)
 //!   --fifo <N>                           forward-FIFO depth (default: 64)
-//!   --max <N>                            instruction budget (default: 200M)
+//!   --max <N>                            instruction budget (default: 200M; 0 commits
+//!                                        nothing)
 //!   --metrics <file>                     epoch-bucketed metrics as JSONL
 //!   --epoch <N>                          metrics epoch width in cycles (default: 1000)
 //!   --trace <file>                       Chrome trace-event JSON (open in Perfetto)
 //!   --flight-recorder <N>                keep the last N commits for diagnostics
 //!   --vcd <file>                         fabric waveform from the first forwarded packets
 //!   --json                               print the full run result as JSON
-//!   --commits                            print every committed instruction (bare core)
+//!   --commits                            print every committed instruction
 //!   --disasm                             print the assembled listing and exit
 //!   --checkpoint-every <N>               write a checkpoint every N committed instructions
 //!   --checkpoint-path <file>             where checkpoints go (default: flexsim.ckpt.json)
@@ -53,12 +55,17 @@
 //!     --swap-at 5000:cfi
 //! ```
 //!
-//! The observability outputs (`--metrics`, `--trace`, `--flight-recorder`,
-//! `--vcd`, `--json`) require a monitoring extension: they observe the
-//! [`System`] commit/forward path, which the bare core does not have.
-//! The same goes for `--checkpoint-every`/`--resume`/`--lockstep`:
-//! checkpointing and golden-model lockstep are [`System`]-level
-//! machinery.
+//! Every run, `--ext none` included, is one [`System`] run: `none` builds
+//! the registry's `nop`, whose CFGR forwards nothing, so the core runs
+//! exactly as the unmodified Leon3 of Table IV. Every option therefore
+//! works without a monitor too (observability sinks, `--json`,
+//! checkpoints, lockstep, recovery, `--swap-at` into a monitor). The
+//! only difference `none` makes is the text report: one `[core]` line
+//! instead of the monitored run's summary.
+//!
+//! Every file flexsim writes, checkpoints included, is replaced
+//! atomically (written beside it, fsynced, then renamed over it), so a
+//! run killed mid-write keeps the previous checkpoint.
 //!
 //! A `--resume`d run must be built the same way as the one that wrote
 //! the checkpoint: same program, same `--ext`, `--clock`, and `--fifo`.
@@ -66,18 +73,22 @@
 //! uninterrupted run, so `flexsim sha --ext umc --json` and the pair
 //! "checkpoint, then resume" can be `diff`ed directly (CI does).
 
+use std::fs::File;
+use std::io::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
 
 use flexcore::checkpoint::Snapshot;
 use flexcore::ext::Extension;
-use flexcore::obs::{ChromeRecorder, MetricsRecorder, Observer, TraceSink};
+use flexcore::obs::{
+    ChromeRecorder, FlightEntry, MetricsRecorder, Observer, TraceEvent, TraceSink,
+};
 use flexcore::recovery::{RecoveryPolicy, Supervisor};
 use flexcore::{RunOutcome, RunResult, SimError, System, SystemConfig};
 use flexcore_asm::{assemble, Program};
 use flexcore_bench::swap::{self, SwapPoint, SWAPPABLE};
 use flexcore_fabric::write_vcd;
-use flexcore_mem::{MainMemory, SystemBus};
-use flexcore_pipeline::{Core, CoreConfig, ExitReason, Stepped, TracePacket};
+use flexcore_pipeline::{ExitReason, TracePacket};
 use flexcore_workloads::Workload;
 
 /// How many forwarded packets feed the `--vcd` waveform. One packet is
@@ -107,23 +118,6 @@ struct Options {
     recover: bool,
     swaps: Vec<SwapPoint>,
     elide: Option<String>,
-}
-
-impl Options {
-    /// Whether any flag that needs a [`System`]-level sink is set.
-    fn wants_observability(&self) -> bool {
-        self.metrics.is_some()
-            || self.trace.is_some()
-            || self.flight > 0
-            || self.vcd.is_some()
-            || self.json
-    }
-
-    /// Whether any flag that needs [`System`]-level checkpoint or
-    /// lockstep machinery is set.
-    fn wants_system(&self) -> bool {
-        self.checkpoint_every.is_some() || self.resume.is_some() || self.lockstep || self.recover
-    }
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -226,31 +220,6 @@ fn parse_args() -> Result<Options, String> {
     if opts.ext != "none" && !SWAPPABLE.contains(&opts.ext.as_str()) {
         return Err(format!("unknown extension `{}` (one of {})", opts.ext, SWAPPABLE.join(" ")));
     }
-    let any = SWAPPABLE.join("|");
-    if opts.ext == "none" && opts.wants_observability() {
-        return Err(format!(
-            "--metrics/--trace/--flight-recorder/--vcd/--json observe the monitored commit \
-             path; pick an extension with --ext {any}"
-        ));
-    }
-    if opts.ext == "none" && opts.wants_system() {
-        return Err(format!(
-            "--checkpoint-every/--resume/--lockstep need the full system model; pick an \
-             extension with --ext {any}"
-        ));
-    }
-    if opts.ext == "none" && opts.elide.is_some() {
-        return Err(format!(
-            "--elide filters the monitored forward path; pick an extension with --ext {}",
-            swap::elidable().join("|")
-        ));
-    }
-    if opts.ext == "none" && !opts.swaps.is_empty() {
-        return Err(format!(
-            "--swap-at reprograms the monitored fabric; pick a starting extension with \
-             --ext {any}"
-        ));
-    }
     if opts.quit_after_checkpoint && opts.checkpoint_every.is_none() {
         return Err("--quit-after-checkpoint needs --checkpoint-every".into());
     }
@@ -281,27 +250,59 @@ fn config(opts: &Options) -> Result<SystemConfig, String> {
     Ok(base.with_fifo_depth(opts.fifo))
 }
 
-fn report_exit(exit: &ExitReason) -> i32 {
-    match exit {
-        ExitReason::Halt(0) => 0,
-        ExitReason::Halt(n) => {
-            eprintln!("program failed its own check (ta {n})");
-            *n as i32
-        }
-        other => {
-            eprintln!("abnormal exit: {other:?}");
-            2
-        }
-    }
-}
-
+/// Writes `contents` to `path` (exit code 0) or reports why not (2).
+/// The file is replaced atomically, so a kill at any point leaves the
+/// old file or the new one, never a truncated mix: the bytes go to
+/// `<path>.tmp` beside it, are fsynced, and are renamed over `path`;
+/// syncing the directory then makes the rename durable.
 fn write_file(path: &str, contents: &str) -> i32 {
-    match std::fs::write(path, contents) {
+    let tmp = format!("{path}.tmp");
+    let dir = match Path::new(path).parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    let written = File::create(&tmp)
+        .and_then(|mut f| f.write_all(contents.as_bytes()).and_then(|()| f.sync_all()))
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .and_then(|()| File::open(dir)?.sync_all());
+    match written {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("error: {path}: {e}");
             2
         }
+    }
+}
+
+/// flexsim's trace sink: the [`Observer`] exporters plus the
+/// `--commits` listing, one line per committed instruction.
+struct Sink {
+    obs: Observer,
+    commits: bool,
+}
+
+impl TraceSink for Sink {
+    fn event(&mut self, ev: TraceEvent) {
+        self.obs.event(ev);
+    }
+
+    fn commit_packet(&mut self, pkt: &TracePacket) {
+        if self.commits {
+            println!("{:>10}  {:#010x}  {}", pkt.commit_cycle, pkt.pc, pkt.inst);
+        }
+        self.obs.commit_packet(pkt);
+    }
+
+    fn forward_packet(&mut self, pkt: &TracePacket) {
+        self.obs.forward_packet(pkt);
+    }
+
+    fn flight_log(&self) -> Vec<FlightEntry> {
+        self.obs.flight_log()
+    }
+
+    fn rearm_flight(&mut self) {
+        self.obs.rearm_flight();
     }
 }
 
@@ -328,10 +329,9 @@ fn drive<E: Extension, S: TraceSink>(
         match sys.try_run_until(opts.max, next) {
             Ok(RunOutcome::Done(r)) => return Ok(Ok(Driven::Finished(r))),
             Ok(RunOutcome::Paused { instret, cycle }) => {
-                let json = sys.snapshot().to_json();
-                if let Err(e) = std::fs::write(&opts.checkpoint_path, json) {
-                    eprintln!("error: {}: {e}", opts.checkpoint_path);
-                    return Err(2);
+                let code = write_file(&opts.checkpoint_path, &sys.snapshot().to_json());
+                if code != 0 {
+                    return Err(code);
                 }
                 eprintln!(
                     "[{name}] checkpoint at instret {instret} (cycle {cycle}) -> {}",
@@ -370,7 +370,7 @@ fn run_monitored(program: &Program, opts: &Options, ext: Box<dyn Extension>) -> 
         obs = obs.with_packet_tap(VCD_PACKET_CAP);
     }
 
-    let mut sys = System::with_sink(cfg, ext, obs);
+    let mut sys = System::with_sink(cfg, ext, Sink { obs, commits: opts.commits });
     sys.load_program(program);
     if let Some(path) = &opts.elide {
         let json = match std::fs::read_to_string(path) {
@@ -489,6 +489,7 @@ fn run_monitored(program: &Program, opts: &Options, ext: Box<dyn Extension>) -> 
     if let Some(path) = &opts.vcd {
         let stimulus: Vec<Vec<bool>> = sys
             .sink()
+            .obs
             .packets
             .as_ref()
             .map(|tap| tap.packets().iter().map(|p| sys.extension().vcd_stimulus(p)).collect())
@@ -506,7 +507,7 @@ fn run_monitored(program: &Program, opts: &Options, ext: Box<dyn Extension>) -> 
         eprintln!("[{name}] wrote {} fabric cycles to {path}", stimulus.len());
     }
 
-    let obs = sys.into_sink();
+    let obs = sys.into_sink().obs;
     if let (Some(path), Some(m)) = (&opts.metrics, &obs.metrics) {
         // A recovered run replays rolled-back windows, so the epoch
         // series legitimately holds more commits than the final result;
@@ -533,51 +534,36 @@ fn run_monitored(program: &Program, opts: &Options, ext: Box<dyn Extension>) -> 
 
     if opts.json {
         println!("{}", serde::to_string_pretty(&r));
+    } else if opts.ext == "none" {
+        println!(
+            "[core] {} instructions, {} cycles (CPI {:.3}); icache {}; dcache {}",
+            r.instret,
+            r.cycles,
+            r.cycles as f64 / r.instret.max(1) as f64,
+            r.icache,
+            r.dcache
+        );
     } else {
         print!("{}", r.summary());
-        if !r.console.is_empty() {
-            println!("--- console ---\n{}", String::from_utf8_lossy(&r.console));
-        }
+    }
+    if !opts.json && !r.console.is_empty() {
+        println!("--- console ---\n{}", String::from_utf8_lossy(&r.console));
     }
     if let Some(trap) = &r.monitor_trap {
         eprintln!("[{name}] {trap}");
         return 3;
     }
-    report_exit(&r.exit)
-}
-
-fn run_bare(program: &Program, opts: &Options) -> i32 {
-    let mut mem = MainMemory::new();
-    let mut bus = SystemBus::default();
-    let mut core = Core::new(CoreConfig::leon3());
-    core.load_program(program, &mut mem);
-    let mut pkt = TracePacket::EMPTY;
-    let exit = loop {
-        match core.step_into(&mut mem, &mut bus, &mut pkt) {
-            Stepped::Committed => {
-                if opts.commits {
-                    println!("{:>10}  {:#010x}  {}", pkt.commit_cycle, pkt.pc, pkt.inst);
-                }
-                if core.stats().instret >= opts.max {
-                    core.halt(ExitReason::InstructionLimit);
-                }
-            }
-            Stepped::Annulled => {}
-            Stepped::Exited(e) => break e,
+    match r.exit {
+        ExitReason::Halt(0) => 0,
+        ExitReason::Halt(n) => {
+            eprintln!("program failed its own check (ta {n})");
+            n as i32
         }
-    };
-    println!(
-        "[core] {} instructions, {} cycles (CPI {:.3}); icache {}; dcache {}",
-        core.stats().instret,
-        core.quiesced_at(),
-        core.quiesced_at() as f64 / core.stats().instret.max(1) as f64,
-        core.icache_stats(),
-        core.dcache_stats()
-    );
-    if !core.console().is_empty() {
-        println!("--- console ---\n{}", String::from_utf8_lossy(core.console()));
+        other => {
+            eprintln!("abnormal exit: {other:?}");
+            2
+        }
     }
-    report_exit(&exit)
 }
 
 fn main() -> ExitCode {
@@ -594,7 +580,9 @@ fn main() -> ExitCode {
                  \x20              [--checkpoint-every N] [--checkpoint-path FILE]\n\
                  \x20              [--quit-after-checkpoint] [--resume FILE] [--lockstep]\n\
                  \x20              [--recover] [--swap-at COMMIT:ext[:policy]] [--elide FILE]\n\
-                 \x20              [--json] [--commits] [--disasm] <program.s | workload>",
+                 \x20              [--json] [--commits] [--disasm] <program.s | workload>\n\
+                 `--ext none` (the default) is the unmodified core, the registry's `nop`;\n\
+                 every option works with it. `--max 0` commits nothing.",
                 SWAPPABLE.join("|")
             );
             return ExitCode::from(2);
@@ -611,10 +599,10 @@ fn main() -> ExitCode {
         print!("{}", program.listing());
         return ExitCode::SUCCESS;
     }
-    // `parse_args` admitted only registry names and `none`, the bare core.
-    let code = match swap::build_extension(&opts.ext, &program) {
-        Some(ext) => run_monitored(&program, &opts, ext),
-        None => run_bare(&program, &opts),
-    };
+    // `parse_args` admitted only registry names and `none`, the
+    // unmodified core: `nop`, whose CFGR forwards nothing.
+    let key = if opts.ext == "none" { "nop" } else { opts.ext.as_str() };
+    let ext = swap::build_extension(key, &program).expect("parse_args admits registry names");
+    let code = run_monitored(&program, &opts, ext);
     ExitCode::from(code.clamp(0, 255) as u8)
 }

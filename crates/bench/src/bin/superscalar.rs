@@ -14,21 +14,10 @@
 //! cargo run --release -p flexcore-bench --bin superscalar
 //! ```
 
-use flexcore::SystemConfig;
-use flexcore_bench::{geomean, run_extension, ExtKind};
-use flexcore_mem::{MainMemory, SystemBus};
-use flexcore_pipeline::{Core, CoreConfig, ExitReason};
+use flexcore::{RunResult, SystemConfig};
+use flexcore_bench::{geomean, run_baseline, run_extension, ExtKind};
+use flexcore_pipeline::CoreConfig;
 use flexcore_workloads::Workload;
-
-fn baseline(w: &Workload, core: CoreConfig) -> u64 {
-    let program = w.program().expect("assembles");
-    let mut mem = MainMemory::new();
-    let mut bus = SystemBus::default();
-    let mut c = Core::new(core);
-    c.load_program(&program, &mut mem);
-    assert_eq!(c.run(&mut mem, &mut bus, 200_000_000), ExitReason::Halt(0));
-    c.quiesced_at()
-}
 
 fn main() {
     let workloads = [Workload::sha(), Workload::fft(), Workload::bitcount()];
@@ -41,21 +30,10 @@ fn main() {
     println!("{}", "-".repeat(66));
     for width in [1u32, 2, 4] {
         let core = CoreConfig::superscalar(width);
-        let baselines: Vec<u64> = workloads.iter().map(|w| baseline(w, core)).collect();
+        let base = SystemConfig { core, ..SystemConfig::fabric_full_speed() };
+        let baselines: Vec<RunResult> = workloads.iter().map(|w| run_baseline(w, base)).collect();
         // Base IPC (geomean) for context.
-        let ipcs: Vec<f64> = workloads
-            .iter()
-            .zip(&baselines)
-            .map(|(w, &b)| {
-                let program = w.program().unwrap();
-                let mut mem = MainMemory::new();
-                let mut bus = SystemBus::default();
-                let mut c = Core::new(core);
-                c.load_program(&program, &mut mem);
-                c.run(&mut mem, &mut bus, 200_000_000);
-                c.stats().instret as f64 / b as f64
-            })
-            .collect();
+        let ipcs: Vec<f64> = baselines.iter().map(|b| b.instret as f64 / b.cycles as f64).collect();
         print!("{:>6} {:>10.2}", width, geomean(&ipcs));
         for cfg in [
             SystemConfig::fabric_full_speed(),
@@ -67,7 +45,9 @@ fn main() {
             let ratios: Vec<f64> = workloads
                 .iter()
                 .zip(&baselines)
-                .map(|(w, &b)| run_extension(w, ExtKind::Dift, cfg, None).cycles as f64 / b as f64)
+                .map(|(w, b)| {
+                    run_extension(w, ExtKind::Dift, cfg, None).cycles as f64 / b.cycles as f64
+                })
                 .collect();
             print!(" {:>12.3}", geomean(&ratios));
         }

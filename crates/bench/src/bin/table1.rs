@@ -3,23 +3,23 @@
 //! operations) from the extension descriptors, and — with
 //! `--interface` — **Table II** (the core–fabric interface fields).
 
-use flexcore::ext::{Bc, Dift, Extension, Mprot, Sec, Umc};
 use flexcore::interface::{ffifo_entry_bits, FieldDirection, FIELDS};
+use flexcore_asm::assemble;
+use flexcore_bench::swap::build_extension;
+use flexcore_bench::ExtKind;
 
 fn print_table1(extended: bool) {
     println!("Table I: example FlexCore co-processing extensions");
     println!("{}", "=".repeat(78));
-    let umc = Umc::new();
-    let dift = Dift::new();
-    let bc = Bc::new();
-    let sec = Sec::new();
-    let mprot = Mprot::new();
-    let mut exts: Vec<&dyn Extension> = vec![&umc, &dift, &bc, &sec];
+    let mut keys: Vec<&str> = ExtKind::ALL.iter().map(|k| k.key()).collect();
     if extended {
         // Beyond the paper: extensions this reproduction adds.
-        exts.push(&mprot);
+        keys.push("mprot");
     }
-    for ext in exts {
+    // Only CFI reads the program (for its edge table).
+    let program = assemble("start: ta 0").expect("one-instruction program assembles");
+    for key in keys {
+        let ext = build_extension(key, &program).expect("table extensions are registered");
         let d = ext.descriptor();
         println!("\n[{}] {}", d.abbrev, d.name);
         println!("  Meta-data:");

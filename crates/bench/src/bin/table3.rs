@@ -5,8 +5,10 @@
 //! models in `flexcore-fabric`, with the paper's published numbers
 //! printed alongside.
 
-use flexcore::ext::{Bc, Dift, Extension, Sec, Umc};
-use flexcore_bench::paper;
+use flexcore::ext::Extension;
+use flexcore_asm::assemble;
+use flexcore_bench::swap::build_extension;
+use flexcore_bench::{paper, ExtKind};
 use flexcore_fabric::{calib, AsicCost, FpgaCost, MacroBlock, MacroCost};
 
 /// The 4-KB meta-data cache as an SRAM macro: 32 Kbit of data plus
@@ -101,8 +103,12 @@ fn main() {
         base_power,
     );
 
-    let exts: [Box<dyn Extension>; 4] =
-        [Box::new(Umc::new()), Box::new(Dift::new()), Box::new(Bc::new()), Box::new(Sec::new())];
+    // Only CFI reads the program (for its edge table).
+    let program = assemble("start: ta 0").expect("one-instruction program assembles");
+    let exts: Vec<Box<dyn Extension>> = ExtKind::ALL
+        .iter()
+        .map(|k| build_extension(k.key(), &program).expect("paper extensions are registered"))
+        .collect();
 
     // --- Full-ASIC integrations -------------------------------------
     println!("\nFull ASIC (extension as dedicated hardware at the core clock):");

@@ -35,19 +35,15 @@ fn main() {
     let baselines = run_panic_tolerant(
         workloads
             .iter()
-            .map(|w| {
-                let w = *w;
-                (format!("{} baseline", w.name()), move || baseline_cycles(&w))
-            })
+            .map(|w| (format!("{} baseline", w.name()), || baseline_cycles(w)))
             .collect(),
         |_| {},
     );
+    let series = series.as_deref();
     let mut jobs = Vec::new();
     for w in &workloads {
         for ext in ExtKind::ALL {
             for (cname, cfg) in configs {
-                let w = *w;
-                let series = series.clone();
                 let stem = format!(
                     "table4_{}_{}_{}",
                     w.name(),
@@ -55,7 +51,7 @@ fn main() {
                     cname.to_lowercase()
                 );
                 jobs.push((format!("{} under {} at {cname}", w.name(), ext.name()), move || {
-                    run_extension(&w, ext, cfg, series.as_deref().map(|d| (d, stem.as_str())))
+                    run_extension(w, ext, cfg, series.map(|d| (d, stem.as_str())))
                 }));
             }
         }

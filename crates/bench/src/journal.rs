@@ -9,8 +9,8 @@
 //!   included, in one `write`, so a crash can tear at most the final
 //!   line.
 //! * **Fsync per record.** The file is fsynced at open and after every
-//!   append. `faultsweep` appends each trial as its worker thread is
-//!   joined, so every record is fsynced as its trial is joined.
+//!   append. `faultsweep` appends each trial as the worker pool reports
+//!   it, so every record is fsynced as its trial is reported.
 //! * **Tolerant tail.** On resume a torn final line is dropped,
 //!   reported, and cut from the file; that trial is simply re-run.
 //!   Corruption before the final line stays a hard error.

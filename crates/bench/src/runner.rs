@@ -1,12 +1,13 @@
 //! Shared simulation runners for the table/figure binaries.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Mutex};
 
 use flexcore::ext::Extension;
 use flexcore::obs::{MetricsRecorder, NullSink, TraceSink};
 use flexcore::{RunResult, System, SystemConfig};
-use flexcore_mem::{MainMemory, SystemBus};
-use flexcore_pipeline::{Core, CoreConfig, ExitReason};
+use flexcore_pipeline::ExitReason;
 use flexcore_telemetry::{PhaseProfiler, PhaseStats};
 use flexcore_workloads::Workload;
 
@@ -60,40 +61,40 @@ impl ExtKind {
     }
 }
 
-/// Runs `workload` on the bare Leon3 model and returns its cycle count.
+/// Runs `workload` on the unmodified Leon3 (Table IV's baseline): the
+/// registry's `nop` extension, whose CFGR forwards nothing, under
+/// `config`. Only `config.core` matters; no packet reaches the fabric.
 ///
 /// # Panics
 ///
 /// Panics if the workload fails its self-check (a reproduction bug).
-pub fn baseline_cycles(workload: &Workload) -> u64 {
-    let program = workload.program().expect("workload assembles");
-    let mut mem = MainMemory::new();
-    let mut bus = SystemBus::default();
-    let mut core = Core::new(CoreConfig::leon3());
-    core.load_program(&program, &mut mem);
-    let exit = core.run(&mut mem, &mut bus, MAX_INSTRUCTIONS);
-    assert_eq!(exit, ExitReason::Halt(0), "{} baseline failed", workload.name());
-    core.quiesced_at()
+pub fn run_baseline(workload: &Workload, config: SystemConfig) -> RunResult {
+    monitored(workload, "nop", config, NullSink).0
 }
 
-/// Runs `workload` under the registry-built `ext` with `sink`
+/// The cycle count of [`run_baseline`] on the paper's Leon3.
+pub fn baseline_cycles(workload: &Workload) -> u64 {
+    run_baseline(workload, SystemConfig::fabric_full_speed()).cycles
+}
+
+/// Runs `workload` under the registry entry `key` with `sink`
 /// attached, returning the result and the finished system (for its
 /// sink).
 fn monitored<S: TraceSink>(
     workload: &Workload,
-    ext: ExtKind,
+    key: &str,
     config: SystemConfig,
     sink: S,
 ) -> (RunResult, System<Box<dyn Extension>, S>) {
     let program = workload.program().expect("workload assembles");
-    let monitor = build_extension(ext.key(), &program).expect("paper extensions are registered");
+    let monitor = build_extension(key, &program).expect("runner extensions are registered");
     let mut sys = System::with_sink(config, monitor, sink);
     sys.load_program(&program);
     let r = sys.try_run(MAX_INSTRUCTIONS).expect("simulation error");
     assert_eq!(
         r.exit,
         ExitReason::Halt(0),
-        "{} under monitoring failed: {:?} / {:?}",
+        "{} under {key} failed: {:?} / {:?}",
         workload.name(),
         r.exit,
         r.monitor_trap
@@ -121,10 +122,10 @@ pub fn run_extension(
     series: Option<(&Path, &str)>,
 ) -> RunResult {
     let Some((dir, stem)) = series else {
-        return monitored(workload, ext, config, NullSink).0;
+        return monitored(workload, ext.key(), config, NullSink).0;
     };
     let sampler = MetricsRecorder::new(MetricsRecorder::DEFAULT_EPOCH_CYCLES);
-    let (r, sys) = monitored(workload, ext, config, sampler);
+    let (r, sys) = monitored(workload, ext.key(), config, sampler);
     let m = sys.into_sink();
     if let Err(e) = m.check_against(&r) {
         panic!("{stem}: epoch series disagrees with the run result: {e}");
@@ -143,7 +144,7 @@ pub fn run_extension_profiled(
     ext: ExtKind,
     config: SystemConfig,
 ) -> (RunResult, PhaseStats) {
-    let (r, sys) = monitored(workload, ext, config, PhaseProfiler::new());
+    let (r, sys) = monitored(workload, ext.key(), config, PhaseProfiler::new());
     (r, sys.into_sink().into_stats())
 }
 
@@ -188,42 +189,58 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs every `(label, job)` pair on its own worker thread, converting
-/// worker panics into `Err(message)` reports instead of propagating
-/// them — one crashing benchmark/extension combination no longer takes
-/// an entire sweep down with it.
+/// Runs every `(label, job)` pair on a pool of worker threads,
+/// converting job panics into `Err(message)` reports instead of
+/// propagating them — one crashing benchmark/extension combination no
+/// longer takes an entire sweep down with it.
 ///
-/// At most `available_parallelism()` jobs run at a time, and reports
-/// come back in submission order. `on_done` sees each report on the
-/// calling thread as its job is joined, also in submission order, which
-/// is where `faultsweep` appends the trial to its progress journal.
+/// `available_parallelism()` scoped workers pull jobs from one shared
+/// queue, so no core idles while a job is still queued, and jobs may
+/// borrow from the caller. Reports come back in submission order.
+/// `on_done` sees each report on the calling thread as soon as it and
+/// every earlier job have finished, also in submission order, which is
+/// where `faultsweep` appends the trial to its progress journal.
 pub fn run_panic_tolerant<T, F>(
     jobs: Vec<(String, F)>,
     mut on_done: impl FnMut(&JobReport<T>),
 ) -> Vec<JobReport<T>>
 where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
+    T: Send,
+    F: FnOnce() -> T + Send,
 {
     let width = std::thread::available_parallelism().map_or(4, usize::from).max(1);
-    let mut reports = Vec::with_capacity(jobs.len());
-    let mut queue = jobs.into_iter();
-    loop {
-        let handles: Vec<_> = queue
-            .by_ref()
-            .take(width)
-            .map(|(label, job)| (label, std::thread::spawn(job)))
-            .collect();
-        if handles.is_empty() {
-            break;
+    let workers = width.min(jobs.len());
+    // Each job carries the sending end of its own result channel.
+    let (queue, pending): (Vec<_>, Vec<_>) = jobs
+        .into_iter()
+        .map(|(label, job)| {
+            let (done, result) = mpsc::channel();
+            ((job, done), (label, result))
+        })
+        .unzip();
+    let queue = Mutex::new(queue.into_iter());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                // The guard drops at the end of this statement: a job
+                // never runs, or panics, with the queue locked.
+                let next = queue.lock().expect("no job runs with the queue locked").next();
+                let Some((job, done)) = next else { break };
+                let outcome = panic::catch_unwind(AssertUnwindSafe(job)).map_err(panic_message);
+                // The receiving end lives until the scope ends.
+                let _ = done.send(outcome);
+            });
         }
-        for (label, handle) in handles {
-            let report = JobReport { label, outcome: handle.join().map_err(panic_message) };
-            on_done(&report);
-            reports.push(report);
-        }
-    }
-    reports
+        pending
+            .into_iter()
+            .map(|(label, result)| {
+                let outcome = result.recv().expect("every dequeued job sends its outcome");
+                let report = JobReport { label, outcome };
+                on_done(&report);
+                report
+            })
+            .collect()
+    })
 }
 
 /// Geometric mean of a slice of ratios.
@@ -264,8 +281,8 @@ mod tests {
         // intentionally-crashing job.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        // More jobs than any pool is wide, so the callback spans
-        // several join batches.
+        // More jobs than the pool has workers, so each worker takes
+        // several jobs from the queue.
         let width = std::thread::available_parallelism().map_or(4, usize::from).max(1);
         let mut jobs: Vec<(String, Box<dyn FnOnce() -> u32 + Send>)> = vec![
             ("first".to_string(), Box::new(|| 1)),
@@ -293,5 +310,28 @@ mod tests {
             r.iter().map(|r| (r.label.clone(), r.outcome.clone())).collect::<Vec<_>>()
         };
         assert_eq!(pairs(&seen), pairs(&reports));
+    }
+
+    #[test]
+    fn a_free_worker_takes_the_next_queued_job() {
+        // Job 0 blocks until job `width` runs. A pool that ran fixed
+        // batches of `width` jobs would start job `width` only after
+        // job 0 gave up waiting.
+        let width = std::thread::available_parallelism().map_or(4, usize::from).max(1);
+        if width == 1 {
+            return;
+        }
+        let (signal, wait) = mpsc::channel();
+        let mut jobs: Vec<(String, Box<dyn FnOnce() -> bool + Send>)> = vec![(
+            "waits".to_string(),
+            Box::new(move || wait.recv_timeout(std::time::Duration::from_secs(5)).is_ok()),
+        )];
+        for i in 1..width {
+            jobs.push((format!("job {i}"), Box::new(|| true)));
+        }
+        jobs.push(("signals".to_string(), Box::new(move || signal.send(()).is_ok())));
+        let reports = run_panic_tolerant(jobs, |_| {});
+        assert_eq!(reports[0].outcome, Ok(true), "job 0 never saw job {width} run");
+        assert!(reports.iter().all(|r| r.outcome == Ok(true)));
     }
 }

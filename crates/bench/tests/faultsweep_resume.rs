@@ -1,7 +1,7 @@
 //! `faultsweep --resume` after a kill that lands between a record and
 //! its newline: the resumed log must not weld the next record onto the
 //! unterminated line, and must end byte-identical to an uninterrupted
-//! run. Unknown arguments are refused.
+//! run. Unknown arguments and a campaign of zero trials are refused.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -48,8 +48,8 @@ fn resume_closes_an_unterminated_last_record() {
 }
 
 #[test]
-fn unknown_arguments_exit_2_and_are_named() {
-    for args in [&["--trails", "8"][..], &["--checkpoint-every", "1"]] {
+fn malformed_arguments_exit_2_and_are_named() {
+    for args in [&["--trails", "8"][..], &["--checkpoint-every", "1"], &["--trials", "0"]] {
         let run = std::process::Command::new(env!("CARGO_BIN_EXE_faultsweep"))
             .args(args)
             .output()

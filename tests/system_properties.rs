@@ -1,13 +1,16 @@
 //! System-level properties on random programs: monitoring is
 //! *transparent* (architectural results identical to the bare core)
 //! and never free (monitored cycles >= baseline cycles), for every
-//! extension, on arbitrary straight-line programs.
+//! extension, on arbitrary straight-line programs. And the unmonitored
+//! baseline every tool runs, the registry's `nop` under [`System`], is
+//! the bare core on every kernel.
 
 use flexcore_suite::flexcore::ext::{Bc, Dift, Extension, Mprot, Sec, Umc};
 use flexcore_suite::flexcore::{System, SystemConfig};
 use flexcore_suite::isa::{encode, Cond, Instruction, Opcode, Operand2, Reg};
 use flexcore_suite::mem::{MainMemory, SystemBus};
 use flexcore_suite::pipeline::{Core, CoreConfig, ExitReason};
+use flexcore_suite::workloads::Workload;
 use proptest::prelude::*;
 
 const SCRATCH: u32 = 0x0003_0000;
@@ -139,5 +142,40 @@ proptest! {
         let (regs_umc, cycles_umc) = run_monitored2(&prefixed, Umc::new());
         prop_assert_eq!(&regs_base, &regs_umc);
         prop_assert!(cycles_umc >= cycles_base);
+    }
+}
+
+/// `flexcore_bench::run_baseline` (the registry's `nop`, whose CFGR
+/// forwards nothing) against a bare `Core::run` of `workload` on `core`.
+fn assert_nop_is_the_bare_core(workload: &Workload, core: CoreConfig) {
+    let program = workload.program().expect("workload assembles");
+    let mut mem = MainMemory::new();
+    let mut bus = SystemBus::default();
+    let mut bare = Core::new(core);
+    bare.load_program(&program, &mut mem);
+    let exit = bare.run(&mut mem, &mut bus, flexcore_bench::MAX_INSTRUCTIONS);
+
+    let config = SystemConfig { core, ..SystemConfig::fabric_half_speed() };
+    let r = flexcore_bench::run_baseline(workload, config);
+    let at = format!("{} at commit width {}", workload.name(), core.commit_width);
+    assert_eq!(r.exit, exit, "{at}");
+    assert_eq!(r.instret, bare.stats().instret, "{at}");
+    assert_eq!(r.cycles, bare.quiesced_at(), "{at}");
+    assert_eq!(r.icache, bare.icache_stats(), "{at}");
+    assert_eq!(r.dcache, bare.dcache_stats(), "{at}");
+    assert_eq!(r.console, bare.console(), "{at}");
+    assert_eq!(r.forward.forwarded, 0, "{at}");
+}
+
+#[test]
+fn nop_system_is_the_bare_core_on_every_kernel() {
+    for w in Workload::all().into_iter().chain(Workload::extra()) {
+        assert_nop_is_the_bare_core(&w, CoreConfig::leon3());
+    }
+    // The superscalar study's kernels at its wider commit widths.
+    for w in [Workload::sha(), Workload::fft(), Workload::bitcount()] {
+        for width in [2, 4] {
+            assert_nop_is_the_bare_core(&w, CoreConfig::superscalar(width));
+        }
     }
 }
