@@ -74,7 +74,7 @@
 //! "checkpoint, then resume" can be `diff`ed directly (CI does).
 
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{self, BufWriter, ErrorKind, StdoutLock, Write as _};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -274,11 +274,42 @@ fn write_file(path: &str, contents: &str) -> i32 {
     }
 }
 
+/// Ends the process if a write to stdout failed: quietly with exit 0
+/// when the reader has gone (`flexsim ... --commits | head`), else with
+/// the error and exit 2.
+fn exit_on_stdout_error(written: io::Result<()>) {
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: stdout: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// `print!` that ends the process like [`exit_on_stdout_error`] when
+/// stdout is gone, instead of panicking.
+fn print_out(args: std::fmt::Arguments<'_>) {
+    exit_on_stdout_error(io::stdout().write_fmt(args));
+}
+
 /// flexsim's trace sink: the [`Observer`] exporters plus the
-/// `--commits` listing, one line per committed instruction.
+/// `--commits` listing, one line per committed instruction, written
+/// through a locked, buffered stdout.
 struct Sink {
     obs: Observer,
-    commits: bool,
+    commits: Option<BufWriter<StdoutLock<'static>>>,
+}
+
+impl Sink {
+    /// Writes out the buffered `--commits` listing, so that whatever is
+    /// printed next, on stdout or stderr, follows it.
+    fn flush_commits(&mut self) {
+        if let Some(out) = &mut self.commits {
+            exit_on_stdout_error(out.flush());
+        }
+    }
 }
 
 impl TraceSink for Sink {
@@ -287,8 +318,9 @@ impl TraceSink for Sink {
     }
 
     fn commit_packet(&mut self, pkt: &TracePacket) {
-        if self.commits {
-            println!("{:>10}  {:#010x}  {}", pkt.commit_cycle, pkt.pc, pkt.inst);
+        if let Some(out) = &mut self.commits {
+            let line = writeln!(out, "{:>10}  {:#010x}  {}", pkt.commit_cycle, pkt.pc, pkt.inst);
+            exit_on_stdout_error(line);
         }
         self.obs.commit_packet(pkt);
     }
@@ -316,8 +348,8 @@ enum Driven {
 
 /// Runs the system, writing a checkpoint every `--checkpoint-every`
 /// commits (if requested).
-fn drive<E: Extension, S: TraceSink>(
-    sys: &mut System<E, S>,
+fn drive<E: Extension>(
+    sys: &mut System<E, Sink>,
     opts: &Options,
     name: &str,
 ) -> Result<Result<Driven, SimError>, i32> {
@@ -329,6 +361,7 @@ fn drive<E: Extension, S: TraceSink>(
         match sys.try_run_until(opts.max, next) {
             Ok(RunOutcome::Done(r)) => return Ok(Ok(Driven::Finished(r))),
             Ok(RunOutcome::Paused { instret, cycle }) => {
+                sys.sink_mut().flush_commits();
                 let code = write_file(&opts.checkpoint_path, &sys.snapshot().to_json());
                 if code != 0 {
                     return Err(code);
@@ -370,7 +403,8 @@ fn run_monitored(program: &Program, opts: &Options, ext: Box<dyn Extension>) -> 
         obs = obs.with_packet_tap(VCD_PACKET_CAP);
     }
 
-    let mut sys = System::with_sink(cfg, ext, Sink { obs, commits: opts.commits });
+    let commits = opts.commits.then(|| BufWriter::new(io::stdout().lock()));
+    let mut sys = System::with_sink(cfg, ext, Sink { obs, commits });
     sys.load_program(program);
     if let Some(path) = &opts.elide {
         let json = match std::fs::read_to_string(path) {
@@ -431,6 +465,7 @@ fn run_monitored(program: &Program, opts: &Options, ext: Box<dyn Extension>) -> 
         let outcome = sup.run(opts.max);
         let report = sup.report().clone();
         sys = sup.into_system();
+        sys.sink_mut().flush_commits();
         recoveries = report.errors_detected;
         if report.errors_detected > 0 || report.checkpoints_taken > 0 {
             eprintln!("[{name}] recovery report:");
@@ -438,7 +473,9 @@ fn run_monitored(program: &Program, opts: &Options, ext: Box<dyn Extension>) -> 
         }
         Ok(outcome.map(Driven::Finished))
     } else {
-        drive(&mut sys, opts, name)
+        let driven = drive(&mut sys, opts, name);
+        sys.sink_mut().flush_commits();
+        driven
     };
     let r = match driven {
         Err(code) => return code,
@@ -533,21 +570,21 @@ fn run_monitored(program: &Program, opts: &Options, ext: Box<dyn Extension>) -> 
     }
 
     if opts.json {
-        println!("{}", serde::to_string_pretty(&r));
+        print_out(format_args!("{}\n", serde::to_string_pretty(&r)));
     } else if opts.ext == "none" {
-        println!(
-            "[core] {} instructions, {} cycles (CPI {:.3}); icache {}; dcache {}",
+        print_out(format_args!(
+            "[core] {} instructions, {} cycles (CPI {:.3}); icache {}; dcache {}\n",
             r.instret,
             r.cycles,
             r.cycles as f64 / r.instret.max(1) as f64,
             r.icache,
             r.dcache
-        );
+        ));
     } else {
-        print!("{}", r.summary());
+        print_out(format_args!("{}", r.summary()));
     }
     if !opts.json && !r.console.is_empty() {
-        println!("--- console ---\n{}", String::from_utf8_lossy(&r.console));
+        print_out(format_args!("--- console ---\n{}\n", String::from_utf8_lossy(&r.console)));
     }
     if let Some(trap) = &r.monitor_trap {
         eprintln!("[{name}] {trap}");
@@ -596,7 +633,7 @@ fn main() -> ExitCode {
         }
     };
     if opts.disasm {
-        print!("{}", program.listing());
+        print_out(format_args!("{}", program.listing()));
         return ExitCode::SUCCESS;
     }
     // `parse_args` admitted only registry names and `none`, the

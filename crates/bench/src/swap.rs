@@ -158,6 +158,38 @@ mod tests {
         assert!(build_extension("sdram", &p).is_none());
     }
 
+    /// 64-bit FNV-1a, for pinning bitstreams by hash.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// Every registry bitstream, and so every Table III LUT count and
+    /// depth, is pinned: a mapper or netlist change that moves one
+    /// fails here first.
+    #[test]
+    fn every_swappable_bitstream_is_pinned() {
+        // (name, FNV-1a of `bitstream_for`, LUT count, depth)
+        const PINNED: [(&str, u64, usize, usize); 7] = [
+            ("umc", 0x2539_dff6_fb02_9c87, 216, 7),
+            ("dift", 0x90ef_9b1d_aa1a_ba66, 252, 7),
+            ("bc", 0x998a_240c_c43c_b1a9, 424, 7),
+            ("sec", 0xda99_ee8f_c4ef_edcf, 629, 10),
+            ("mprot", 0x1666_ee15_7685_14e0, 151, 7),
+            ("cfi", 0xa310_030b_ee39_af3a, 172, 5),
+            ("nop", 0xcbf1_fe25_567d_799a, 0, 0),
+        ];
+        let p = program();
+        assert_eq!(PINNED.map(|(name, ..)| name), SWAPPABLE);
+        for (name, hash, luts, depth) in PINNED {
+            let bytes = bitstream_for(build_extension(name, &p).expect(name).as_ref());
+            let mapping = flexcore_fabric::from_bitstream(&bytes).expect("own bitstream decodes");
+            let got = (fnv1a(&bytes), mapping.lut_count(), mapping.depth());
+            assert_eq!(got, (hash, luts, depth), "{name}");
+        }
+    }
+
     #[test]
     fn registry_is_the_single_source_of_extension_names() {
         let p = program();

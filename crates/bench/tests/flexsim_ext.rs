@@ -4,10 +4,12 @@
 //! two cannot drift apart. `none` is the registry's `nop`, and every
 //! option works with it. `--fifo` rejects a zero depth and accepts any
 //! larger one without allocating it up front. A checkpoint that cannot
-//! be written leaves the previous one intact.
+//! be written leaves the previous one intact, and a reader that closes
+//! stdout early ends the run quietly.
 
+use std::io::{BufRead as _, BufReader};
 use std::path::PathBuf;
-use std::process::Output;
+use std::process::{Output, Stdio};
 
 use flexcore_bench::swap::SWAPPABLE;
 
@@ -142,4 +144,42 @@ fn a_failed_checkpoint_write_keeps_the_previous_checkpoint() {
     assert_eq!(second.status.code(), Some(2), "{}", String::from_utf8_lossy(&second.stderr));
     assert_eq!(std::fs::read(&ck).expect("checkpoint survives"), before);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn commits_listing_ends_quietly_when_the_reader_closes_the_pipe() {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_flexsim"))
+        .args(["sha", "--ext", "umc", "--commits"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("flexsim starts");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+    for _ in 0..2 {
+        lines.next().expect("a commit line").expect("readable line");
+    }
+    // Like `| head -2`: the reader closes the pipe with the listing
+    // far from done.
+    drop(lines);
+    let run = child.wait_with_output().expect("flexsim ends");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
+fn report_ends_quietly_when_stdout_is_already_closed() {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_flexsim"))
+        .args(["bitcount", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("flexsim starts");
+    // Like `| true`: the reader is gone before the run prints its
+    // report.
+    drop(child.stdout.take());
+    let run = child.wait_with_output().expect("flexsim ends");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }

@@ -1,5 +1,6 @@
 //! Greedy K-feasible-cone technology mapping to LUTs.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use crate::{Gate, Net, Netlist};
@@ -93,85 +94,137 @@ impl LutMapping {
     ///
     /// # Panics
     ///
-    /// Panics on input/state length mismatch.
-    pub fn eval(
-        &self,
-        netlist: &Netlist,
-        input_values: &[bool],
-        state: &mut Vec<bool>,
-    ) -> Vec<bool> {
+    /// Panics on input/state length mismatch, and if a LUT leaf, an
+    /// output or a flop input is neither a terminal nor an earlier LUT
+    /// root (a mapping of another netlist).
+    pub fn eval(&self, netlist: &Netlist, input_values: &[bool], state: &mut [bool]) -> Vec<bool> {
         assert_eq!(input_values.len(), netlist.inputs().len(), "input vector length");
         assert_eq!(state.len(), netlist.flops(), "state vector length");
-        let mut values = vec![None::<bool>; netlist.gates().len()];
-        let mut in_iter = input_values.iter();
-        let mut flop_iter = state.iter();
-        for (i, gate) in netlist.gates().iter().enumerate() {
-            match gate {
-                Gate::Input => values[i] = Some(*in_iter.next().expect("checked")),
-                Gate::Const(v) => values[i] = Some(*v),
-                Gate::Dff(_) => values[i] = Some(*flop_iter.next().expect("checked")),
-                _ => {}
-            }
-        }
-        // LUTs are in topological order (roots only reference earlier
-        // nets).
-        for lut in &self.luts {
-            let mut idx = 0usize;
-            for (bit, leaf) in lut.leaves.iter().enumerate() {
-                if values[leaf.index()].expect("leaf evaluated before root") {
-                    idx |= 1 << bit;
+        LUT_SLOTS.with_borrow_mut(|values| {
+            values.clear();
+            values.resize(netlist.gates().len(), UNDRIVEN);
+            let mut inputs = input_values.iter();
+            let mut flops = state.iter();
+            for (v, gate) in values.iter_mut().zip(netlist.gates()) {
+                match gate {
+                    Gate::Input => *v = u8::from(*inputs.next().expect("checked")),
+                    Gate::Const(c) => *v = u8::from(*c),
+                    Gate::Dff(_) => *v = u8::from(*flops.next().expect("checked")),
+                    _ => {}
                 }
             }
-            values[lut.root.index()] = Some(lut.table[idx]);
-        }
-        let mut next = Vec::with_capacity(state.len());
-        for (i, gate) in netlist.gates().iter().enumerate() {
-            if let Gate::Dff(d) = gate {
-                let _ = i;
-                next.push(values[d.index()].expect("flop input must be mapped"));
+            // LUTs are in topological order (roots only reference
+            // earlier nets). An undriven leaf sets bit 1 of `undriven`
+            // instead of costing a branch per leaf.
+            let mut undriven = 0;
+            for lut in &self.luts {
+                let mut idx = 0;
+                for (bit, leaf) in lut.leaves.iter().enumerate() {
+                    let v = values[leaf.index()];
+                    idx |= usize::from(v & 1) << bit;
+                    undriven |= v;
+                }
+                values[lut.root.index()] = u8::from(lut.table[idx]);
             }
-        }
-        *state = next;
-        netlist
-            .outputs()
-            .iter()
-            .map(|(_, n)| values[n.index()].expect("output must be mapped"))
-            .collect()
+            assert!(undriven & UNDRIVEN == 0, "leaf evaluated before root");
+            let driven = |n: Net, what: &str| match values[n.index()] {
+                UNDRIVEN => panic!("{what} must be mapped"),
+                v => v == 1,
+            };
+            let next = netlist.gates().iter().filter_map(|g| match g {
+                Gate::Dff(d) => Some(driven(*d, "flop input")),
+                _ => None,
+            });
+            for (q, d) in state.iter_mut().zip(next) {
+                *q = d;
+            }
+            netlist.outputs().iter().map(|&(_, n)| driven(n, "output")).collect()
+        })
     }
+}
+
+/// The slot value of a net no terminal or LUT drives.
+const UNDRIVEN: u8 = 2;
+
+thread_local! {
+    /// The per-net values [`LutMapping::eval`] evaluates into (0, 1 or
+    /// [`UNDRIVEN`]), reused across calls so that a cycle allocates
+    /// only its output vector.
+    static LUT_SLOTS: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 fn is_terminal(g: &Gate) -> bool {
     matches!(g, Gate::Input | Gate::Const(_) | Gate::Dff(_))
 }
 
-/// Evaluates the cone rooted at `net` down to `leaves`, under the given
-/// leaf assignment.
-fn eval_cone(netlist: &Netlist, net: Net, leaves: &[Net], assignment: usize) -> bool {
-    if let Ok(pos) = leaves.binary_search(&net) {
-        return (assignment >> pos) & 1 == 1;
+/// The value of leaf `i` across entries `64 * word ..` of a truth
+/// table: the low six leaves alternate within the word, the others
+/// select whole words.
+fn leaf_word(i: usize, word: usize) -> u64 {
+    const ALTERNATING: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    match ALTERNATING.get(i) {
+        Some(&w) => w,
+        None => 0u64.wrapping_sub(((word >> (i - 6)) & 1) as u64),
     }
-    match netlist.gates()[net.index()] {
-        Gate::Const(v) => v,
-        Gate::Input | Gate::Dff(_) => {
-            unreachable!("terminal {net:?} must be a leaf of its cone")
-        }
-        Gate::Not(a) => !eval_cone(netlist, a, leaves, assignment),
-        Gate::And(a, b) => {
-            eval_cone(netlist, a, leaves, assignment) && eval_cone(netlist, b, leaves, assignment)
-        }
-        Gate::Or(a, b) => {
-            eval_cone(netlist, a, leaves, assignment) || eval_cone(netlist, b, leaves, assignment)
-        }
-        Gate::Xor(a, b) => {
-            eval_cone(netlist, a, leaves, assignment) ^ eval_cone(netlist, b, leaves, assignment)
-        }
-        Gate::Mux { sel, a, b } => {
-            if eval_cone(netlist, sel, leaves, assignment) {
-                eval_cone(netlist, b, leaves, assignment)
-            } else {
-                eval_cone(netlist, a, leaves, assignment)
+}
+
+/// Computes truth tables 64 entries at a time: one walk of a LUT's cone
+/// evaluates every gate once over a word whose bit *j* is entry
+/// `64 * word + j`. Each net's value is memoized under the walk's
+/// generation, so shared subcones are walked once and the memo never
+/// needs clearing.
+struct ConeWalk<'a> {
+    gates: &'a [Gate],
+    /// Per net: the generation that wrote the value, and the value.
+    memo: Vec<(u32, u64)>,
+    generation: u32,
+}
+
+impl ConeWalk<'_> {
+    /// The truth table of the cone rooted at `root` over `leaves`.
+    fn table(&mut self, root: Net, leaves: &[Net]) -> Vec<bool> {
+        let entries = 1usize << leaves.len();
+        let mut table = Vec::with_capacity(entries);
+        for word in 0..entries.div_ceil(64) {
+            self.generation += 1;
+            for (i, leaf) in leaves.iter().enumerate() {
+                self.memo[leaf.index()] = (self.generation, leaf_word(i, word));
             }
+            let bits = self.word(root);
+            table.extend((0..(entries - 64 * word).min(64)).map(|j| (bits >> j) & 1 == 1));
         }
+        table
+    }
+
+    /// The value of `net` under the current walk's leaf words.
+    fn word(&mut self, net: Net) -> u64 {
+        let (generation, value) = self.memo[net.index()];
+        if generation == self.generation {
+            return value;
+        }
+        let value = match self.gates[net.index()] {
+            Gate::Const(v) => 0u64.wrapping_sub(u64::from(v)),
+            Gate::Input | Gate::Dff(_) => {
+                unreachable!("terminal {net:?} must be a leaf of its cone")
+            }
+            Gate::Not(a) => !self.word(a),
+            Gate::And(a, b) => self.word(a) & self.word(b),
+            Gate::Or(a, b) => self.word(a) | self.word(b),
+            Gate::Xor(a, b) => self.word(a) ^ self.word(b),
+            Gate::Mux { sel, a, b } => {
+                let s = self.word(sel);
+                (s & self.word(b)) | (!s & self.word(a))
+            }
+        };
+        self.memo[net.index()] = (self.generation, value);
+        value
     }
 }
 
@@ -271,15 +324,14 @@ pub fn map_to_luts(netlist: &Netlist, k: usize) -> LutMapping {
     // Build the LUTs (topological: net order).
     let mut luts = Vec::new();
     let mut depth = 0;
+    let mut walk = ConeWalk { gates, memo: vec![(0, 0); n], generation: 0 };
     for i in 0..n {
         if !is_root[i] {
             continue;
         }
         let root = Net(i as u32);
         let leaves: Vec<Net> = leafset[i].iter().copied().collect();
-        let table: Vec<bool> = (0..1usize << leaves.len())
-            .map(|assignment| eval_cone(netlist, root, &leaves, assignment))
-            .collect();
+        let table = walk.table(root, &leaves);
         depth = depth.max(conedepth[i]);
         luts.push(Lut { root, leaves, table });
     }
@@ -305,6 +357,42 @@ mod tests {
         let m = map_to_luts(&b.finish(), LUT_K);
         assert_eq!(m.lut_count(), 1);
         assert_eq!(m.depth(), 1);
+    }
+
+    /// A mapping read against a netlist it was not made from panics
+    /// instead of reading undriven nets as 0.
+    #[test]
+    #[should_panic(expected = "leaf evaluated before root")]
+    fn eval_refuses_an_undriven_leaf() {
+        let mut b = NetlistBuilder::new("and");
+        let (x, y) = (b.input(), b.input());
+        let z = b.and(x, y);
+        b.output("z", z);
+        let m = map_to_luts(&b.finish(), LUT_K);
+        // Net 1 is an input there, a NOT gate here.
+        let mut b = NetlistBuilder::new("other");
+        let x = b.input();
+        let nx = b.not(x);
+        let y = b.input();
+        let z = b.and(nx, y);
+        b.output("z", z);
+        m.eval(&b.finish(), &[false, true], &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "output must be mapped")]
+    fn eval_refuses_an_undriven_output() {
+        let mut b = NetlistBuilder::new("and");
+        let (x, y) = (b.input(), b.input());
+        let z = b.and(x, y);
+        b.output("z", z);
+        let m = map_to_luts(&b.finish(), LUT_K);
+        let mut b = NetlistBuilder::new("other");
+        let (x, y) = (b.input(), b.input());
+        let z = b.or(x, y);
+        let w = b.xor(z, y);
+        b.output("w", w);
+        m.eval(&b.finish(), &[false, true], &mut []);
     }
 
     #[test]
@@ -396,28 +484,33 @@ mod tests {
     }
 }
 
+/// Random netlists and the properties the mapper and the compiled
+/// evaluator keep on them.
 #[cfg(test)]
-mod props {
+pub(crate) mod props {
     use super::*;
     use crate::{Netlist, NetlistBuilder};
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     /// Random netlist construction recipe: a list of ops over the pool
     /// of existing nets.
     #[derive(Clone, Debug)]
-    enum Op {
+    pub(crate) enum Op {
         Not(usize),
         And(usize, usize),
         Or(usize, usize),
         Xor(usize, usize),
         Mux(usize, usize, usize),
+        /// `Mux(sel, a, a)`, which folds to `a`.
+        MuxSame(usize, usize),
         Reg(usize),
         Const(bool),
         /// A flop whose data input is never connected: a self-loop.
         Hold,
     }
 
-    fn build(num_inputs: usize, ops: &[Op]) -> Netlist {
+    pub(crate) fn build(num_inputs: usize, ops: &[Op]) -> Netlist {
         let mut b = NetlistBuilder::new("random");
         let mut pool: Vec<crate::Net> = (0..num_inputs).map(|_| b.input()).collect();
         for op in ops {
@@ -428,6 +521,7 @@ mod props {
                 Op::Or(a, c) => b.or(pick(a), pick(c)),
                 Op::Xor(a, c) => b.xor(pick(a), pick(c)),
                 Op::Mux(s, a, c) => b.mux(pick(s), pick(a), pick(c)),
+                Op::MuxSame(s, a) => b.mux(pick(s), pick(a), pick(a)),
                 Op::Reg(d) => b.register(pick(d)),
                 Op::Const(v) => b.constant(v),
                 Op::Hold => b.dff(),
@@ -441,13 +535,14 @@ mod props {
         b.finish()
     }
 
-    fn arb_op() -> impl Strategy<Value = Op> {
+    pub(crate) fn arb_op() -> impl Strategy<Value = Op> {
         prop_oneof![
             any::<usize>().prop_map(Op::Not),
             (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Op::And(a, b)),
             (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Op::Or(a, b)),
             (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Op::Xor(a, b)),
             (any::<usize>(), any::<usize>(), any::<usize>()).prop_map(|(s, a, b)| Op::Mux(s, a, b)),
+            (any::<usize>(), any::<usize>()).prop_map(|(s, a)| Op::MuxSame(s, a)),
             any::<usize>().prop_map(Op::Reg),
             any::<bool>().prop_map(Op::Const),
             Just(Op::Hold),
@@ -456,7 +551,7 @@ mod props {
 
     /// A flop state drawn from `seed`, so that hold flops start at
     /// something other than zero.
-    fn seeded_state(n: &Netlist, seed: u64) -> Vec<u64> {
+    pub(crate) fn seeded_state(n: &Netlist, seed: u64) -> Vec<u64> {
         let mut x = seed;
         (0..n.flops())
             .map(|_| {
@@ -467,8 +562,57 @@ mod props {
             .collect()
     }
 
-    fn lane(words: &[u64], i: usize) -> Vec<bool> {
+    pub(crate) fn lane(words: &[u64], i: usize) -> Vec<bool> {
         words.iter().map(|w| (w >> i) & 1 == 1).collect()
+    }
+
+    /// The per-assignment oracle for truth tables: evaluates the cone
+    /// rooted at `net` down to `leaves` under one leaf assignment.
+    fn eval_cone(netlist: &Netlist, net: Net, leaves: &[Net], assignment: usize) -> bool {
+        if let Ok(pos) = leaves.binary_search(&net) {
+            return (assignment >> pos) & 1 == 1;
+        }
+        let e = |n| eval_cone(netlist, n, leaves, assignment);
+        match netlist.gates()[net.index()] {
+            Gate::Const(v) => v,
+            Gate::Input | Gate::Dff(_) => unreachable!("terminal {net:?} must be a leaf"),
+            Gate::Not(a) => !e(a),
+            Gate::And(a, b) => e(a) && e(b),
+            Gate::Or(a, b) => e(a) || e(b),
+            Gate::Xor(a, b) => e(a) ^ e(b),
+            Gate::Mux { sel, a, b } => e(if e(sel) { b } else { a }),
+        }
+    }
+
+    /// Checks every LUT's table against [`eval_cone`]; returns the
+    /// widest cone seen.
+    fn check_tables(n: &Netlist, m: &LutMapping) -> Result<usize, TestCaseError> {
+        let mut widest = 0;
+        for lut in m.luts() {
+            let oracle: Vec<bool> = (0..1usize << lut.leaves.len())
+                .map(|a| eval_cone(n, lut.root, &lut.leaves, a))
+                .collect();
+            prop_assert_eq!(&lut.table, &oracle, "LUT at {:?}", lut.root);
+            widest = widest.max(lut.leaves.len());
+        }
+        Ok(widest)
+    }
+
+    /// A 16-leaf cone fills 1,024 words: leaves 6..16 select the word.
+    #[test]
+    fn sixteen_input_cone_table_matches_the_oracle() {
+        let mut b = NetlistBuilder::new("cone16");
+        let xs = b.input_bus(16);
+        let low = b.reduce_xor(&xs[..8].to_vec());
+        let high = b.reduce_or(&xs[8..].to_vec());
+        let pick = b.mux(xs[15], xs[0], xs[9]);
+        let both = b.and(low, high);
+        let o = b.xor(both, pick);
+        b.output("o", o);
+        let n = b.finish();
+        let m = map_to_luts(&n, 16);
+        assert_eq!(m.lut_count(), 1);
+        assert_eq!(check_tables(&n, &m).expect("tables match"), 16);
     }
 
     proptest! {
@@ -516,6 +660,20 @@ mod props {
                     prop_assert_eq!(&o, &lane(&outs, i));
                     prop_assert_eq!(&*state, &lane(&words, i));
                 }
+            }
+        }
+
+        /// Word-parallel truth tables equal the per-assignment oracle at
+        /// every `k` in 1..=8; cones wider than 6 take the multi-word
+        /// path.
+        #[test]
+        fn truth_tables_match_the_per_assignment_oracle(
+            num_inputs in 1usize..16,
+            ops in prop::collection::vec(arb_op(), 1..200),
+        ) {
+            let n = build(num_inputs, &ops);
+            for k in 1..=8 {
+                check_tables(&n, &map_to_luts(&n, k))?;
             }
         }
 

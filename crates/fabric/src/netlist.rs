@@ -182,8 +182,8 @@ impl Netlist {
 
     /// The one evaluator behind [`Netlist::eval`] and
     /// [`Netlist::eval_lanes`]: fills the slot array from the inputs
-    /// and the current state, runs the compiled ops, then latches the
-    /// flops and reads the outputs.
+    /// and the current state, runs every op in its one lowered form,
+    /// then latches the flops and reads the outputs.
     fn step<T: Copy>(
         &self,
         inputs: &[T],
@@ -195,28 +195,25 @@ impl Netlist {
         assert_eq!(state.len(), self.flops, "state vector length");
         let p = &self.program;
         SLOTS.with_borrow_mut(|slots| {
-            slots.clear();
-            slots.extend([0, !0]);
-            slots.extend(inputs.iter().map(|&v| lane(v)));
-            slots.extend(state.iter().map(|&v| lane(v)));
-            for op in &p.ops {
-                let s = |n: u32| slots[n as usize];
-                let v = match *op {
-                    Op::Not(a) => !s(a),
-                    Op::And(a, b) => s(a) & s(b),
-                    Op::Or(a, b) => s(a) | s(b),
-                    Op::Xor(a, b) => s(a) ^ s(b),
-                    Op::Mux(sel, a, b) => {
-                        let m = s(sel);
-                        (m & s(b)) | (!m & s(a))
-                    }
-                };
-                slots.push(v);
+            let first_op = 2 + inputs.len() + state.len();
+            let len = first_op + p.ops.len();
+            if slots.len() < len {
+                slots.resize(len, 0);
+            }
+            // Every slot is written before it is read: an op reads only
+            // earlier slots.
+            let s = &mut slots[..len];
+            (s[ZERO as usize], s[ONE as usize]) = (0, !0);
+            for (slot, &v) in s[2..first_op].iter_mut().zip(inputs.iter().chain(state.iter())) {
+                *slot = lane(v);
+            }
+            for (i, &[a, b, c, d]) in p.ops.iter().enumerate() {
+                s[first_op + i] = (s[a as usize] & (s[b as usize] ^ s[c as usize])) ^ s[d as usize];
             }
             for (q, &d) in state.iter_mut().zip(&p.next_state) {
-                *q = unlane(slots[d as usize]);
+                *q = unlane(s[d as usize]);
             }
-            p.outputs.iter().map(|&o| unlane(slots[o as usize])).collect()
+            p.outputs.iter().map(|&o| unlane(s[o as usize])).collect()
         })
     }
 
@@ -236,8 +233,10 @@ thread_local! {
 const ZERO: u32 = 0;
 const ONE: u32 = 1;
 
-/// One compiled gate over slot indices. Op `i` of a [`Program`] writes
-/// the slot after the inputs, the flops and ops `0..i`.
+/// One kept gate over slot indices, the form constant folding works on;
+/// [`Program`] stores it lowered by [`Op::lower`]. Op `i` of a
+/// [`Program`] writes the slot after the inputs, the flops and ops
+/// `0..i`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Op {
     Not(u32),
@@ -265,6 +264,19 @@ impl Op {
             Op::Or(a, b) => Op::Or(f(a), f(b)),
             Op::Xor(a, b) => Op::Xor(f(a), f(b)),
             Op::Mux(sel, a, b) => Op::Mux(f(sel), f(a), f(b)),
+        }
+    }
+
+    /// The op as `[a, b, c, d]`, computing
+    /// `(s[a] & (s[b] ^ s[c])) ^ s[d]`: every kept gate runs as this one
+    /// branchless form.
+    fn lower(self) -> [u32; 4] {
+        match self {
+            Op::Not(x) => [ONE, x, ONE, ZERO],
+            Op::And(x, y) => [x, y, ZERO, ZERO],
+            Op::Or(x, y) => [x, y, ONE, y],
+            Op::Xor(x, y) => [ONE, x, y, ZERO],
+            Op::Mux(sel, x, y) => [sel, x, y, x],
         }
     }
 
@@ -297,7 +309,8 @@ impl Op {
 /// order), then one per op.
 #[derive(Clone, Debug)]
 struct Program {
-    ops: Vec<Op>,
+    /// Each op lowered by [`Op::lower`].
+    ops: Vec<[u32; 4]>,
     /// The slot each flop latches, in flop order.
     next_state: Vec<u32>,
     /// The slot of each primary output.
@@ -364,7 +377,7 @@ impl Program {
         }
         let at = |s: u32| slot[s as usize];
         Program {
-            ops: ops.map(|i| kept[i].expect("filtered").map(at)).collect(),
+            ops: ops.map(|i| kept[i].expect("filtered").map(at).lower()).collect(),
             next_state: next_state.into_iter().map(at).collect(),
             outputs: outputs.into_iter().map(at).collect(),
         }
@@ -860,5 +873,69 @@ mod tests {
         assert_eq!(n.flops(), 1);
         assert_eq!(n.macros()[0].bits(), 256);
         assert!(n.to_string().contains("counts"));
+    }
+}
+
+/// The compiled program against a plain interpreter of the gate list.
+#[cfg(test)]
+mod props {
+    use super::*;
+    use crate::lutmap::props::{arb_op, build, lane, seeded_state};
+    use proptest::prelude::*;
+
+    /// Evaluates `n`'s gates one at a time in net order over 64 lanes,
+    /// with no folding and no dead-gate removal.
+    fn interpret(n: &Netlist, inputs: &[u64], state: &mut [u64]) -> Vec<u64> {
+        let (mut ins, mut flops) = (inputs.iter(), state.iter());
+        let mut v: Vec<u64> = Vec::with_capacity(n.gates().len());
+        for gate in n.gates() {
+            let s = |net: Net| v[net.index()];
+            let word = match *gate {
+                Gate::Input => *ins.next().expect("one word per input"),
+                Gate::Dff(_) => *flops.next().expect("one word per flop"),
+                Gate::Const(c) => 0u64.wrapping_sub(u64::from(c)),
+                Gate::Not(a) => !s(a),
+                Gate::And(a, b) => s(a) & s(b),
+                Gate::Or(a, b) => s(a) | s(b),
+                Gate::Xor(a, b) => s(a) ^ s(b),
+                Gate::Mux { sel, a, b } => (s(sel) & s(b)) | (!s(sel) & s(a)),
+            };
+            v.push(word);
+        }
+        let next = n.gates().iter().filter_map(|g| match *g {
+            Gate::Dff(d) => Some(v[d.index()]),
+            _ => None,
+        });
+        for (q, d) in state.iter_mut().zip(next) {
+            *q = d;
+        }
+        n.outputs().iter().map(|(_, o)| v[o.index()]).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// `eval_lanes` and `eval` (lane 0) equal the gate interpreter,
+        /// outputs and state, every cycle; the random circuits include
+        /// constants and `Mux(sel, a, a)`, so folding is exercised.
+        #[test]
+        fn compiled_program_matches_a_gate_interpreter(
+            num_inputs in 1usize..8,
+            ops in prop::collection::vec(arb_op(), 1..120),
+            stimulus in prop::collection::vec(prop::collection::vec(any::<u64>(), 8..9), 1..12),
+            init in any::<u64>(),
+        ) {
+            let n = build(num_inputs, &ops);
+            let mut words = seeded_state(&n, init);
+            let mut reference = words.clone();
+            let mut bools = lane(&words, 0);
+            for cycle in &stimulus {
+                let inputs = &cycle[..num_inputs];
+                let want = interpret(&n, inputs, &mut reference);
+                prop_assert_eq!(&n.eval_lanes(inputs, &mut words), &want);
+                prop_assert_eq!(&words, &reference);
+                prop_assert_eq!(n.eval(&lane(inputs, 0), &mut bools), lane(&want, 0));
+                prop_assert_eq!(&bools, &lane(&reference, 0));
+            }
+        }
     }
 }

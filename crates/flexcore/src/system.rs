@@ -393,6 +393,11 @@ impl<E: Extension, S: TraceSink> System<E, S> {
         &self.sink
     }
 
+    /// The installed trace sink, mutably (between runs).
+    pub fn sink_mut(&mut self) -> &mut S {
+        &mut self.sink
+    }
+
     /// Consumes the system, returning the sink (and whatever it
     /// recorded) — the usual way to extract metrics after a run.
     pub fn into_sink(self) -> S {
