@@ -317,6 +317,26 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_triage_label_mid_file_is_corruption() {
+        let path = tmpfile("triage");
+        let (mut j, _) = Journal::open(&path, &header(1), false).expect("create");
+        j.append_trial("sha trial 0", &outcome(1)).expect("append");
+        j.append_trial("sha trial 1", &outcome(2)).expect("append");
+        drop(j);
+        let text = std::fs::read_to_string(&path).expect("read");
+        let tampered = text.replacen(
+            r#""trap_skid":null}"#,
+            r#""trap_skid":null,"triage":"bogus","mttr":0}"#,
+            1,
+        );
+        assert_ne!(tampered, text, "the first record was tampered with");
+        std::fs::write(&path, tampered).expect("write");
+        let err = Journal::open(&path, &header(1), true).expect_err("not reused without triage");
+        assert!(matches!(err, JournalError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("`triage`"), "names the key: {err}");
+    }
+
+    #[test]
     fn non_resume_open_truncates_an_existing_journal() {
         let path = tmpfile("truncate");
         let (mut j, _) = Journal::open(&path, &header(1), false).expect("create");

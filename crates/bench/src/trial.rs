@@ -24,6 +24,7 @@ use flexcore_isa::Instruction;
 use flexcore_mem::{MainMemory, SystemBus};
 use flexcore_pipeline::{Core, CoreConfig, ExitReason, Stepped, TracePacket};
 use flexcore_workloads::Workload;
+use serde::{Deserialize, Value};
 
 use crate::swap::{build_extension, schedule, SwapPoint};
 use crate::{ExtKind, MAX_INSTRUCTIONS};
@@ -454,8 +455,8 @@ pub fn run_trial(spec: &TrialSpec, reference: Option<&RunResult>) -> TrialOutcom
 }
 
 /// The JSONL trial record of a campaign progress journal.
-pub fn outcome_record(label: &str, o: &TrialOutcome) -> serde::Value {
-    let mut obj = serde::Value::object()
+pub fn outcome_record(label: &str, o: &TrialOutcome) -> Value {
+    let mut obj = Value::object()
         .field("label", &label)
         .field("trapped", &o.trapped)
         .field("diverged", &o.diverged)
@@ -469,29 +470,38 @@ pub fn outcome_record(label: &str, o: &TrialOutcome) -> serde::Value {
     obj.build()
 }
 
-fn decode_record_bool(v: &serde::Value, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(serde::Value::Bool(b)) => Ok(*b),
-        _ => Err(format!("trial record missing boolean `{key}`")),
-    }
+/// Key `key` of a trial record, which must be present.
+fn required<T: Deserialize>(v: &Value, key: &str) -> Result<T, String> {
+    T::dec(serde::field(v, "trial record", key)?, key)
+}
+
+/// Key `key` of a trial record: absent or `null` is `None`, anything
+/// else must decode as a `T`.
+fn optional<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, String> {
+    v.get(key).map_or(Ok(None), |x| Option::<T>::dec(x, key))
 }
 
 /// Decodes one [`outcome_record`] back into a [`TrialOutcome`].
-pub fn decode_outcome(v: &serde::Value) -> Result<TrialOutcome, String> {
+///
+/// The triage keys are absent in records written without recovery
+/// (consumers keep the two modes apart via their campaign headers); a
+/// key that is present must hold a value of its type.
+pub fn decode_outcome(v: &Value) -> Result<TrialOutcome, String> {
+    let triage = optional::<String>(v, "triage")?
+        .map(|label| {
+            FaultOutcome::from_label(&label)
+                .ok_or_else(|| format!("`triage` = `{label}` is not a fault outcome"))
+        })
+        .transpose()?;
     Ok(TrialOutcome {
-        trapped: decode_record_bool(v, "trapped")?,
-        diverged: decode_record_bool(v, "diverged")?,
-        deadlocked: decode_record_bool(v, "deadlocked")?,
-        over_budget: decode_record_bool(v, "over_budget")?,
-        faults_injected: v
-            .get("faults_injected")
-            .and_then(serde::Value::as_u64)
-            .ok_or("trial record missing `faults_injected`")?,
-        trap_skid: v.get("trap_skid").and_then(serde::Value::as_u64),
-        // Absent in records written without recovery; consumers keep
-        // the two modes apart via their campaign headers.
-        triage: v.get("triage").and_then(serde::Value::as_str).and_then(FaultOutcome::from_label),
-        mttr: v.get("mttr").and_then(serde::Value::as_u64),
+        trapped: required(v, "trapped")?,
+        diverged: required(v, "diverged")?,
+        deadlocked: required(v, "deadlocked")?,
+        over_budget: required(v, "over_budget")?,
+        faults_injected: required(v, "faults_injected")?,
+        trap_skid: optional(v, "trap_skid")?,
+        triage,
+        mttr: optional(v, "mttr")?,
     })
 }
 
@@ -559,12 +569,33 @@ mod tests {
             ..TrialOutcome::default()
         };
         let v = outcome_record("sha trial 9", &o);
-        assert_eq!(v.get("label").and_then(serde::Value::as_str), Some("sha trial 9"));
+        assert_eq!(v.get("label").and_then(Value::as_str), Some("sha trial 9"));
         assert_eq!(decode_outcome(&v).expect("decodes"), o);
 
         let plain = TrialOutcome { deadlocked: true, ..TrialOutcome::default() };
         let v = outcome_record("x", &plain);
         assert!(v.get("triage").is_none(), "triage fields only appear on supervised trials");
         assert_eq!(decode_outcome(&v).expect("decodes"), plain);
+    }
+
+    #[test]
+    fn a_present_but_mistyped_key_is_refused_by_name() {
+        let record = |tail: &str| {
+            let json = format!(
+                r#"{{"label":"x","trapped":true,"diverged":false,"deadlocked":false,"over_budget":false,"faults_injected":1{tail}}}"#
+            );
+            decode_outcome(&serde::from_str(&json).expect("valid JSON"))
+        };
+        assert_eq!(record("").map(|o| o.trap_skid), Ok(None));
+        assert_eq!(record(r#","trap_skid":null"#).map(|o| o.trap_skid), Ok(None));
+        for (tail, key) in [
+            (r#","trap_skid":"7""#, "`trap_skid`"),
+            (r#","trap_skid":null,"triage":"bogus","mttr":0"#, "`triage`"),
+            (r#","trap_skid":null,"triage":"recovered","mttr":"soon""#, "`mttr`"),
+            (r#","triage":7"#, "`triage`"),
+        ] {
+            let err = record(tail).expect_err(tail);
+            assert!(err.contains(key), "{tail}: {err}");
+        }
     }
 }

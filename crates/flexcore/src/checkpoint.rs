@@ -27,16 +27,17 @@
 //! The snapshot serializes to JSON
 //! ([`Snapshot::to_json`]) and parses back ([`Snapshot::from_json`]),
 //! which is what the `flexsim --checkpoint-every` / `--resume` flags
-//! ship to disk. Each saved type below is described once, as the field
-//! list of the crate's one codec, and that list both writes and reads
-//! the file; only the two tagged enums and the meta-data line list are
-//! written out by hand.
+//! ship to disk. Each saved type is described once, as a
+//! [`serde::codec_object!`] field list next to its type, and that list
+//! both writes and reads the file; the types `flexsim --json` also
+//! shows are saved in the same shape. Only the tagged enums
+//! ([`ExitReason`](flexcore_pipeline::ExitReason) and
+//! [`FaultAction`]) are written out by hand.
 
-use flexcore_mem::{BusStats, CacheSnapshot, CacheStats, LineState, MainMemory, MetaCacheSnapshot};
-use flexcore_pipeline::{CoreSnapshot, CoreStats, ExitReason};
-use serde::Value;
+use flexcore_mem::{BusStats, MainMemory, MetaCacheSnapshot};
+use flexcore_pipeline::CoreSnapshot;
+use serde::{field, Deserialize, Serialize, Value};
 
-use crate::codec::{self, codec_array, codec_object, field, items, Codec};
 use crate::ext::MonitorTrap;
 use crate::faults::{
     BitstreamStrike, FaultAction, FaultEvent, FaultInjectorSnapshot, PACKET_FIELDS,
@@ -48,8 +49,10 @@ use crate::stats::{ForwardStats, ResilienceStats};
 /// other versions. Version 2 widened the resilience counter array from
 /// 5 to 7 entries (degraded-mode accounting); version 3 widened it to
 /// 10 (hot-swap accounting); version 4 widened it to 11 (static
-/// check-elision accounting).
-pub const SNAPSHOT_FORMAT: u32 = 4;
+/// check-elision accounting); version 5 saves the counters, the exit
+/// reason and the monitor trap in the shapes `flexsim --json` shows
+/// them in (keyed objects, `"0x%08x"` pcs).
+pub const SNAPSHOT_FORMAT: u32 = 5;
 
 /// Word-level difference of one 4-KB page against the baseline image
 /// captured at [`load_program`](crate::System::load_program).
@@ -160,8 +163,11 @@ pub(crate) fn apply_delta(mem: &mut MainMemory, pages: &[PageDelta]) {
 }
 
 // ---- the saved shapes, each described once -----------------------------
+//
+// The counters, the exit reason and the monitor trap are described next
+// to their types and saved in the shapes `flexsim --json` shows them in.
 
-codec_object!(Snapshot {
+serde::codec_object!(Snapshot {
     "format": format,
     "ext": ext_name,
     "fifo_depth": fifo_depth,
@@ -181,119 +187,26 @@ codec_object!(Snapshot {
     "resilience": resilience,
     "fabric_stuck": fabric_stuck,
 });
-codec_object!(CoreSnapshot {
-    "regs": regs,
-    "icc": icc,
-    "pc": pc,
-    "npc": npc,
-    "annul_next": annul_next,
-    "cycle": cycle,
-    "icache": icache,
-    "dcache": dcache,
-    "storebuf_pending": storebuf_pending,
-    "storebuf_stalls": storebuf_stalls,
-    "stats": stats,
-    "console": console,
-    "exited": exited,
-    "commit_slot": commit_slot,
-});
-codec_object!(CoreStats {
-    "instret": instret,
-    "annulled": annulled,
-    "per_class": per_class,
-    "external_stall_cycles": external_stall_cycles,
-    "store_stall_cycles": store_stall_cycles,
-});
-codec_object!(CacheSnapshot { "lines": lines, "stamp": stamp, "stats": stats });
-codec_array!(LineState [tag, valid, dirty, lru]);
-codec_array!(CacheStats [read_hits, read_misses, write_hits, write_misses, writebacks]);
-codec_object!(PageDelta { "base": base, "words": words });
-codec_array!(BusStats [
-    busy_cycles,
-    core_transfers,
-    fabric_transfers,
-    core_wait_cycles,
-    fabric_wait_cycles,
-]);
-codec_object!(FifoSnapshot {
+serde::codec_object!(PageDelta { "base": base, "words": words });
+serde::codec_object!(FifoSnapshot {
     "dequeues": dequeues,
     "stall_cycles": stall_cycles,
     "peak_occupancy": peak_occupancy,
 });
-codec_object!(ForwardStats {
-    "committed": committed,
-    "forwarded": forwarded,
-    "dropped": dropped,
-    "per_class": per_class,
-    "fifo_stall_cycles": fifo_stall_cycles,
-    "peak_occupancy": peak_occupancy,
-});
-codec_object!(MonitorTrap { "pc": pc, "reason": reason });
-codec_object!(FaultInjectorSnapshot {
+serde::codec_object!(FaultInjectorSnapshot {
     "rng_states": rng_states,
     "exhausted": exhausted,
     "log": log,
     "bitstream_log": bitstream_log,
     "bitstream_attempts": bitstream_attempts,
 });
-codec_object!(FaultEvent { "at": at, "cycle": cycle, "action": action });
-codec_object!(BitstreamStrike { "attempt": attempt, "offset": offset, "mask": mask });
-codec_array!(ResilienceStats [
-    faults_injected,
-    packets_corrupted,
-    dropped_overflow,
-    bitstream_retries,
-    bitstream_reloads,
-    unmonitored_commits,
-    suppressed_checks,
-    swaps_completed,
-    swap_drained_packets,
-    swap_stall_cycles,
-    elided_checks,
-]);
-
-/// A tagged variant as `{"kind", <x>, <y>}`: the two enums below.
-fn tagged(kind: &str, (x, y): (&str, &str), (a, b): (u64, u64)) -> Value {
-    Value::object()
-        .raw("kind", Value::Str(kind.to_string()))
-        .raw(x, a.enc())
-        .raw(y, b.enc())
-        .build()
-}
-
-/// `{kind, a, b}`: the exit's pc (or halt code) and its word or address.
-impl Codec for ExitReason {
-    fn enc(&self) -> Value {
-        let (kind, a, b) = match *self {
-            ExitReason::Halt(code) => ("halt", code, 0),
-            ExitReason::IllegalInstruction { pc, word } => ("illegal-instruction", pc, word),
-            ExitReason::MisalignedAccess { pc, addr } => ("misaligned-access", pc, addr),
-            ExitReason::DivideByZero { pc } => ("divide-by-zero", pc, 0),
-            ExitReason::InstructionLimit => ("instruction-limit", 0, 0),
-            ExitReason::MonitorTrap { pc } => ("monitor-trap", pc, 0),
-        };
-        tagged(kind, ("a", "b"), (a.into(), b.into()))
-    }
-
-    fn dec(v: &Value, what: &str) -> Result<Self, String> {
-        let a = u32::dec(field(v, what, "a")?, "a")?;
-        let b = u32::dec(field(v, what, "b")?, "b")?;
-        match String::dec(field(v, what, "kind")?, "kind")?.as_str() {
-            "halt" => Ok(ExitReason::Halt(a)),
-            "illegal-instruction" => Ok(ExitReason::IllegalInstruction { pc: a, word: b }),
-            "misaligned-access" => Ok(ExitReason::MisalignedAccess { pc: a, addr: b }),
-            "divide-by-zero" => Ok(ExitReason::DivideByZero { pc: a }),
-            "instruction-limit" => Ok(ExitReason::InstructionLimit),
-            "monitor-trap" => Ok(ExitReason::MonitorTrap { pc: a }),
-            other => Err(format!("unknown exit reason `{other}`")),
-        }
-    }
-}
+serde::codec_object!(FaultEvent { "at": at, "cycle": cycle, "action": action });
+serde::codec_object!(BitstreamStrike { "attempt": attempt, "offset": offset, "mask": mask });
 
 /// `{kind, x, mask}`: `x` is the register, the address, or the packet
-/// field's index in [`PACKET_FIELDS`].
-impl Codec for FaultAction {
-    fn enc(&self) -> Value {
+/// field's index in `PACKET_FIELDS`.
+impl Serialize for FaultAction {
+    fn to_value(&self) -> Value {
         let (kind, x, mask) = match *self {
             FaultAction::FlipResult { mask } => ("flip-result", 0, mask),
             FaultAction::FlipRegister { reg, mask } => ("flip-register", u32::from(reg), mask),
@@ -306,9 +219,11 @@ impl Codec for FaultAction {
             FaultAction::PoisonMeta { addr, mask } => ("poison-meta", addr, mask),
             FaultAction::StickFabric => ("stick-fabric", 0, 0),
         };
-        tagged(kind, ("x", "mask"), (x.into(), mask.into()))
+        Value::object().field("kind", &kind).field("x", &x).field("mask", &mask).build()
     }
+}
 
+impl Deserialize for FaultAction {
     fn dec(v: &Value, what: &str) -> Result<Self, String> {
         let x = field(v, what, "x")?;
         let mask = u32::dec(field(v, what, "mask")?, "mask")?;
@@ -331,34 +246,22 @@ impl Codec for FaultAction {
     }
 }
 
-/// `{tags, lines}`, each resident line as a `{base, bytes}` object.
-impl Codec for MetaCacheSnapshot {
-    fn enc(&self) -> Value {
-        let lines = self.lines.iter().map(|(base, bytes)| {
-            Value::object().raw("base", base.enc()).raw("bytes", bytes.enc()).build()
-        });
-        Value::object()
-            .raw("tags", self.tags.enc())
-            .raw("lines", Value::Array(lines.collect()))
-            .build()
+/// Parses `json` as a `T` whose `format` field must be `format`. The
+/// version is checked before anything else is decoded, so a file from
+/// another format version is refused as such.
+pub(crate) fn from_json<T: Deserialize>(json: &str, what: &str, format: u32) -> Result<T, String> {
+    let v = serde::from_str(json).map_err(|e| format!("invalid {what} JSON: {e}"))?;
+    let found = u32::dec(field(&v, what, "format")?, "format")?;
+    if found != format {
+        return Err(format!("unsupported {what} format {found} (this build reads {format})"));
     }
-
-    fn dec(v: &Value, what: &str) -> Result<Self, String> {
-        let lines = items(field(v, what, "lines")?, "lines")?
-            .iter()
-            .map(|line| {
-                let base = u32::dec(field(line, "meta line", "base")?, "base")?;
-                Ok((base, Vec::dec(field(line, "meta line", "bytes")?, "bytes")?))
-            })
-            .collect::<Result<_, String>>()?;
-        Ok(MetaCacheSnapshot { tags: CacheSnapshot::dec(field(v, what, "tags")?, "tags")?, lines })
-    }
+    T::dec(&v, what)
 }
 
 impl Snapshot {
     /// Serializes the snapshot to one-line JSON.
     pub fn to_json(&self) -> String {
-        serde::to_string(&self.enc())
+        serde::to_string(self)
     }
 
     /// Parses a snapshot serialized by [`Snapshot::to_json`].
@@ -369,7 +272,7 @@ impl Snapshot {
     /// mistyped field, an integer out of its field's range, or a
     /// format-version mismatch (checked first).
     pub fn from_json(s: &str) -> Result<Snapshot, RestoreError> {
-        codec::from_json(s, "snapshot", SNAPSHOT_FORMAT).map_err(RestoreError)
+        from_json(s, "snapshot", SNAPSHOT_FORMAT).map_err(RestoreError)
     }
 }
 

@@ -20,12 +20,13 @@
 //! corrupted table can only cost performance, never soundness.
 //!
 //! On disk a table is `{"format", "entries"}`, the entries `[pc, mask]`
-//! pairs in ascending PC order, written and read through the crate's
-//! one codec (see [`crate::checkpoint`] for the other saved type).
+//! pairs in ascending PC order, written and read through one
+//! [`serde::codec_object!`] description (see [`crate::checkpoint`] for
+//! the other saved type).
 
 use std::collections::BTreeMap;
 
-use crate::codec::{self, codec_object, Codec};
+use crate::checkpoint::from_json;
 
 /// Version tag embedded in serialized elision tables; loading rejects
 /// other versions.
@@ -97,13 +98,13 @@ struct ElisionFile {
     entries: Vec<(u32, u8)>,
 }
 
-codec_object!(ElisionFile { "format": format, "entries": entries });
+serde::codec_object!(ElisionFile { "format": format, "entries": entries });
 
 impl ElisionTable {
     /// Serializes the table to one-line JSON.
     pub fn to_json(&self) -> String {
         let file = ElisionFile { format: ELISION_FORMAT, entries: self.entries().collect() };
-        serde::to_string(&file.enc())
+        serde::to_string(&file)
     }
 
     /// Parses a table serialized by [`ElisionTable::to_json`].
@@ -114,7 +115,7 @@ impl ElisionTable {
     /// field, a PC or mask out of range, or a format-version mismatch
     /// (checked first).
     pub fn from_json(s: &str) -> Result<ElisionTable, String> {
-        let file: ElisionFile = codec::from_json(s, "elision", ELISION_FORMAT)?;
+        let file: ElisionFile = from_json(s, "elision", ELISION_FORMAT)?;
         let mut table = ElisionTable::new();
         for (pc, mask) in file.entries {
             table.set(pc, mask);

@@ -3,6 +3,7 @@
 //! [`System::load_bitstream`](crate::System::load_bitstream).
 
 use flexcore_mem::BusStats;
+use serde::{Serialize, Value};
 
 use crate::lockstep::DivergenceReport;
 use crate::obs::FlightEntry;
@@ -34,6 +35,18 @@ pub struct DeadlockSnapshot {
     /// the system's trace sink; empty otherwise.
     pub recent: Vec<FlightEntry>,
 }
+
+serde::codec_object!(encode DeadlockSnapshot {
+    "cycle": cycle,
+    "pc": pc via serde::hex32,
+    "instret": instret,
+    "fifo_occupancy": fifo_occupancy,
+    "fifo_depth": fifo_depth,
+    "fabric_free_at": fabric_free_at,
+    "fabric_stuck": fabric_stuck,
+    "bus": bus,
+    "recent": recent,
+});
 
 impl DeadlockSnapshot {
     /// The flight log as one disassembled line per commit (empty string
@@ -141,6 +154,33 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// `{kind, detail}`: the variant's payload, or its fields, as detail.
+impl Serialize for SimError {
+    fn to_value(&self) -> Value {
+        let (kind, detail) = match self {
+            SimError::Deadlock(snap) => ("deadlock", snap.to_value()),
+            SimError::Divergence(report) => ("divergence", report.to_value()),
+            SimError::CycleBudgetExceeded { budget, cycle, instret } => (
+                "cycle_budget_exceeded",
+                Value::object()
+                    .field("budget", budget)
+                    .field("cycle", cycle)
+                    .field("instret", instret)
+                    .build(),
+            ),
+            SimError::UnrecoverableCorruption { context, attempts, detail } => (
+                "unrecoverable_corruption",
+                Value::object()
+                    .field("context", context)
+                    .field("attempts", attempts)
+                    .field("detail", detail)
+                    .build(),
+            ),
+        };
+        Value::object().field("kind", &kind).raw("detail", detail).build()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,5 +214,14 @@ mod tests {
         .to_string();
         assert!(msg.contains("bitstream"));
         assert!(msg.contains("4 attempt"));
+    }
+
+    #[test]
+    fn sim_error_serializes_tagged() {
+        let e = SimError::CycleBudgetExceeded { budget: 10, cycle: 11, instret: 2 };
+        let v = e.to_value();
+        assert_eq!(v.get("kind").and_then(Value::as_str), Some("cycle_budget_exceeded"));
+        let json = serde::to_string(&v);
+        assert!(serde::from_str(&json).is_ok(), "emitted JSON parses");
     }
 }

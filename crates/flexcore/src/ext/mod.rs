@@ -45,6 +45,8 @@ pub struct MonitorTrap {
     pub reason: String,
 }
 
+serde::codec_object!(MonitorTrap { "pc": pc via serde::hex32, "reason": reason });
+
 impl fmt::Display for MonitorTrap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "monitor trap at {:#010x}: {}", self.pc, self.reason)

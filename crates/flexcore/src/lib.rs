@@ -83,10 +83,8 @@ pub mod reconfig;
 pub mod recovery;
 pub mod software;
 
-mod codec;
 mod elide;
 mod error;
-mod serde_impls;
 mod shadow;
 mod stats;
 mod system;

@@ -212,6 +212,12 @@ pub struct LockstepCommit {
     pub inst_word: u32,
 }
 
+serde::codec_object!(encode LockstepCommit {
+    "index": index,
+    "pc": pc via serde::hex32,
+    "inst_word": inst_word via serde::hex32,
+});
+
 impl fmt::Display for LockstepCommit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {:#010x} {:#010x}", self.index, self.pc, self.inst_word)
@@ -228,6 +234,12 @@ pub struct RegMismatch {
     /// The golden model's value.
     pub golden: u32,
 }
+
+serde::codec_object!(encode RegMismatch {
+    "reg": reg,
+    "dut": dut via serde::hex32,
+    "golden": golden via serde::hex32,
+});
 
 /// Everything captured at the first lockstep mismatch: where the two
 /// models disagree, the last commits of both, and the frozen
@@ -263,6 +275,32 @@ pub struct DivergenceReport {
     /// The flight-recorder ring frozen at detection (disassembled
     /// commit history; empty without a flight-recorder sink).
     pub flight: Vec<FlightEntry>,
+}
+
+serde::codec_object!(encode DivergenceReport {
+    "commit_index": commit_index,
+    "cycle": cycle,
+    "reason": reason,
+    "dut_pc": dut_pc via serde::hex32,
+    "golden_pc": golden_pc via serde::hex32,
+    "dut_inst_word": dut_inst_word via serde::hex32,
+    "golden_inst_word": golden_inst_word via serde::hex32,
+    "reg_mismatches": reg_mismatches,
+    "icc_mismatch": icc_mismatch via icc_pair,
+    "dut_recent": dut_recent,
+    "golden_recent": golden_recent,
+    "flight": flight,
+});
+
+/// Encode-only field adapter: an NZVC mismatch as `{dut, golden}`.
+mod icc_pair {
+    use serde::Value;
+
+    pub(super) fn enc(icc: &Option<(u8, u8)>) -> Value {
+        icc.map_or(Value::Null, |(dut, golden)| {
+            Value::object().field("dut", &dut).field("golden", &golden).build()
+        })
+    }
 }
 
 impl fmt::Display for DivergenceReport {

@@ -23,6 +23,13 @@ pub struct FlightEntry {
     pub inst: Instruction,
 }
 
+serde::codec_object!(encode FlightEntry {
+    "instret": instret,
+    "cycle": cycle,
+    "pc": pc via serde::hex32,
+    "disassembly": inst via serde::display,
+});
+
 impl fmt::Display for FlightEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {} {:#010x} {}", self.instret, self.cycle, self.pc, self.inst)

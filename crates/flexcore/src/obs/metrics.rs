@@ -259,7 +259,7 @@ impl TraceSink for MetricsRecorder {
 /// Serialization of the series (JSONL).
 mod export {
     use super::*;
-    use flexcore_pipeline::per_class_value;
+    use flexcore_pipeline::per_class;
     use serde::Value;
 
     impl MetricsRecorder {
@@ -299,7 +299,7 @@ mod export {
                     .field("bus_fabric_wait_cycles", &e.bus_fabric_wait_cycles)
                     .field("faults", &e.faults)
                     .field("traps", &e.traps)
-                    .raw("per_class", per_class_value(&e.per_class))
+                    .raw("per_class", per_class::enc(&e.per_class))
                     .build();
                 out.push_str(&serde::to_string(&line));
                 out.push('\n');

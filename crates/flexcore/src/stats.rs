@@ -42,6 +42,16 @@ impl ForwardStats {
     }
 }
 
+serde::codec_object!(ForwardStats {
+    "committed": committed,
+    "forwarded": forwarded,
+    "dropped": dropped,
+    "forwarded_fraction": forwarded_fraction(),
+    "fifo_stall_cycles": fifo_stall_cycles,
+    "peak_occupancy": peak_occupancy,
+    "per_class": per_class via flexcore_pipeline::per_class,
+});
+
 /// Fault-injection and graceful-degradation accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
@@ -80,6 +90,20 @@ pub struct ResilienceStats {
     /// extension's check redundant at that PC.
     pub elided_checks: u64,
 }
+
+serde::codec_object!(ResilienceStats {
+    "faults_injected": faults_injected,
+    "packets_corrupted": packets_corrupted,
+    "dropped_overflow": dropped_overflow,
+    "bitstream_retries": bitstream_retries,
+    "bitstream_reloads": bitstream_reloads,
+    "unmonitored_commits": unmonitored_commits,
+    "suppressed_checks": suppressed_checks,
+    "swaps_completed": swaps_completed,
+    "swap_drained_packets": swap_drained_packets,
+    "swap_stall_cycles": swap_stall_cycles,
+    "elided_checks": elided_checks,
+});
 
 /// The complete result of a [`System`](crate::System) run.
 ///
@@ -298,9 +322,52 @@ impl RunResult {
     }
 }
 
+// Host-time measurement fields all carry the `host_` prefix so
+// determinism gates can filter them (`grep -v '"host_'`): wall-clock
+// legitimately differs between identical runs.
+serde::codec_object!(encode RunResult {
+    "exit": exit,
+    "monitor_trap": monitor_trap,
+    "trap_skid": trap_skid,
+    "cycles": cycles,
+    "instret": instret,
+    "cpi": cpi(),
+    "forward": forward,
+    "core": core,
+    "icache": icache,
+    "dcache": dcache,
+    "meta_cache": meta_cache,
+    "bus": bus,
+    "resilience": resilience,
+    "console": console via lossy_text,
+    "flight": flight,
+    "host_ns": host_ns,
+    "host_sim_insns_per_sec": sim_insns_per_sec(),
+    "host_sim_cycles_per_sec": sim_cycles_per_sec(),
+});
+
+/// Encode-only field adapter: bytes as text, invalid UTF-8 as U+FFFD.
+mod lossy_text {
+    pub(super) fn enc(bytes: &[u8]) -> serde::Value {
+        serde::Value::Str(String::from_utf8_lossy(bytes).into_owned())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Deserialize, Serialize, Value};
+
+    #[test]
+    fn forward_stats_round_trip_key_counters() {
+        let s =
+            ForwardStats { committed: 10, forwarded: 4, peak_occupancy: 3, ..Default::default() };
+        let v = s.to_value();
+        assert_eq!(v.get("committed").and_then(Value::as_u64), Some(10));
+        assert_eq!(v.get("peak_occupancy").and_then(Value::as_u64), Some(3));
+        assert_eq!(v.get("forwarded_fraction").and_then(Value::as_f64), Some(0.4));
+        assert_eq!(ForwardStats::dec(&v, "forward"), Ok(s), "the extra is skipped");
+    }
 
     #[test]
     fn forwarded_fraction_handles_empty_run() {

@@ -76,6 +76,14 @@ pub struct BusStats {
     pub fabric_wait_cycles: u64,
 }
 
+serde::codec_object!(BusStats {
+    "busy_cycles": busy_cycles,
+    "core_transfers": core_transfers,
+    "fabric_transfers": fabric_transfers,
+    "core_wait_cycles": core_wait_cycles,
+    "fabric_wait_cycles": fabric_wait_cycles,
+});
+
 impl fmt::Display for BusStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -114,6 +114,16 @@ impl CacheStats {
     }
 }
 
+serde::codec_object!(CacheStats {
+    "read_hits": read_hits,
+    "read_misses": read_misses,
+    "write_hits": write_hits,
+    "write_misses": write_misses,
+    "writebacks": writebacks,
+    "accesses": accesses(),
+    "miss_ratio": miss_ratio(),
+});
+
 impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -140,6 +150,9 @@ pub struct LineState {
     pub lru: u64,
 }
 
+// Positional: a checkpoint holds one per cache line.
+serde::codec_array!(LineState [tag, valid, dirty, lru]);
+
 const INVALID: LineState = LineState { tag: 0, valid: false, dirty: false, lru: 0 };
 
 /// Complete checkpointable state of a [`TimingCache`].
@@ -152,6 +165,8 @@ pub struct CacheSnapshot {
     /// Accumulated statistics.
     pub stats: CacheStats,
 }
+
+serde::codec_object!(CacheSnapshot { "lines": lines, "stamp": stamp, "stats": stats });
 
 /// Outcome of a cache access: what the timing model must pay for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -364,6 +379,15 @@ impl TimingCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Serialize, Value};
+
+    #[test]
+    fn cache_stats_serialize_with_derived_fields() {
+        let s = CacheStats { read_hits: 3, read_misses: 1, ..Default::default() };
+        let v = s.to_value();
+        assert_eq!(v.get("accesses").and_then(Value::as_u64), Some(4));
+        assert_eq!(v.get("miss_ratio").and_then(Value::as_f64), Some(0.25));
+    }
 
     fn tiny(ways: u32, policy: WritePolicy) -> TimingCache {
         TimingCache::new(CacheConfig {

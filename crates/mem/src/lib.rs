@@ -48,7 +48,6 @@ mod bus;
 mod cache;
 mod mainmem;
 mod metacache;
-mod serde_impls;
 mod storebuf;
 
 pub use bus::{BusMaster, BusStats, SdramTiming, SystemBus};

@@ -25,6 +25,8 @@ pub struct MetaCacheSnapshot {
     pub lines: Vec<(u32, Vec<u8>)>,
 }
 
+serde::codec_object!(MetaCacheSnapshot { "tags": tags, "lines": lines });
+
 /// The reconfigurable fabric's private L1 cache for meta-data.
 ///
 /// Per the paper (§III.D): "The meta-data cache is almost identical to

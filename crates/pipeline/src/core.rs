@@ -3,6 +3,7 @@
 use flexcore_asm::Program;
 use flexcore_isa::{decode, IccFlags, InstrClass, Instruction, Opcode, Operand2, Reg};
 use flexcore_mem::{BusMaster, CacheStats, MainMemory, StoreBuffer, SystemBus, TimingCache};
+use serde::{field, hex32, Deserialize, Serialize, Value};
 
 use crate::alu::alu;
 use crate::config::{
@@ -45,6 +46,50 @@ pub enum ExitReason {
         /// PC of the instruction that failed the monitor's check.
         pc: u32,
     },
+}
+
+/// `{kind, detail}`, each pc and word a [`hex32`] string.
+impl Serialize for ExitReason {
+    fn to_value(&self) -> Value {
+        let detail = Value::object();
+        let (kind, detail) = match *self {
+            ExitReason::Halt(code) => ("halt", detail.field("code", &code)),
+            ExitReason::IllegalInstruction { pc, word } => (
+                "illegal_instruction",
+                detail.raw("pc", hex32::enc(&pc)).raw("word", hex32::enc(&word)),
+            ),
+            ExitReason::MisalignedAccess { pc, addr } => (
+                "misaligned_access",
+                detail.raw("pc", hex32::enc(&pc)).raw("addr", hex32::enc(&addr)),
+            ),
+            ExitReason::DivideByZero { pc } => {
+                ("divide_by_zero", detail.raw("pc", hex32::enc(&pc)))
+            }
+            ExitReason::InstructionLimit => ("instruction_limit", detail),
+            ExitReason::MonitorTrap { pc } => ("monitor_trap", detail.raw("pc", hex32::enc(&pc))),
+        };
+        Value::object().field("kind", &kind).raw("detail", detail.build()).build()
+    }
+}
+
+impl Deserialize for ExitReason {
+    fn dec(v: &Value, what: &str) -> Result<Self, String> {
+        let detail = field(v, what, "detail")?;
+        let word = |key: &str| hex32::dec(field(detail, "detail", key)?, key);
+        Ok(match String::dec(field(v, what, "kind")?, "kind")?.as_str() {
+            "halt" => ExitReason::Halt(u32::dec(field(detail, "detail", "code")?, "code")?),
+            "illegal_instruction" => {
+                ExitReason::IllegalInstruction { pc: word("pc")?, word: word("word")? }
+            }
+            "misaligned_access" => {
+                ExitReason::MisalignedAccess { pc: word("pc")?, addr: word("addr")? }
+            }
+            "divide_by_zero" => ExitReason::DivideByZero { pc: word("pc")? },
+            "instruction_limit" => ExitReason::InstructionLimit,
+            "monitor_trap" => ExitReason::MonitorTrap { pc: word("pc")? },
+            other => return Err(format!("unknown exit reason `{other}`")),
+        })
+    }
 }
 
 /// Outcome of a single [`Core::step_into`]: the packet itself lands in
@@ -110,6 +155,23 @@ pub struct CoreSnapshot {
     /// Commit-group slot (for `commit_width > 1`).
     pub commit_slot: u32,
 }
+
+serde::codec_object!(CoreSnapshot {
+    "regs": regs,
+    "icc": icc,
+    "pc": pc,
+    "npc": npc,
+    "annul_next": annul_next,
+    "cycle": cycle,
+    "icache": icache,
+    "dcache": dcache,
+    "storebuf_pending": storebuf_pending,
+    "storebuf_stalls": storebuf_stalls,
+    "stats": stats,
+    "console": console,
+    "exited": exited,
+    "commit_slot": commit_slot,
+});
 
 /// Slots in [`Core`]'s decode memo, direct-mapped on `pc >> 2`: a
 /// hot loop of up to 4 KB of text decodes once.
@@ -712,5 +774,22 @@ impl Core {
                 return reason;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn exit_reason_tags_its_kind() {
+        let v = ExitReason::Halt(0).to_value();
+        assert_eq!(v.get("kind").and_then(Value::as_str), Some("halt"));
+        let v = ExitReason::MonitorTrap { pc: 0x40 }.to_value();
+        assert_eq!(
+            v.get("detail").and_then(|d| d.get("pc")).and_then(Value::as_str),
+            Some("0x00000040")
+        );
+        assert_eq!(ExitReason::dec(&v, "exit"), Ok(ExitReason::MonitorTrap { pc: 0x40 }));
     }
 }

@@ -61,14 +61,12 @@
 mod alu;
 mod config;
 mod core;
-mod serde_impls;
 mod stats;
 mod trace;
 
 pub use config::CoreConfig;
 pub use core::{Core, CoreSnapshot, ExitReason, StepResult, Stepped};
-pub use serde_impls::per_class_value;
-pub use stats::CoreStats;
+pub use stats::{per_class, CoreStats};
 pub use trace::TracePacket;
 
 /// Byte stores to this address appear on the simulated console

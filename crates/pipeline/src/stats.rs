@@ -23,6 +23,55 @@ pub struct CoreStats {
     pub store_stall_cycles: u64,
 }
 
+serde::codec_object!(CoreStats {
+    "instret": instret,
+    "annulled": annulled,
+    "external_stall_cycles": external_stall_cycles,
+    "store_stall_cycles": store_stall_cycles,
+    "per_class": per_class via per_class,
+});
+
+/// Field adapter for per-class counter arrays (indexed by
+/// [`InstrClass::index`]): an object keyed by lower-case class name
+/// that omits zero entries (32 mostly-zero keys would drown the
+/// signal).
+pub mod per_class {
+    use flexcore_isa::{InstrClass, NUM_INSTR_CLASSES};
+    use serde::{Deserialize, Value};
+
+    fn key(c: InstrClass) -> String {
+        format!("{c:?}").to_lowercase()
+    }
+
+    /// The nonzero counters, keyed by class name.
+    pub fn enc(per_class: &[u64]) -> Value {
+        let mut obj = Value::object();
+        for c in InstrClass::all() {
+            let n = per_class[c.index()];
+            if n > 0 {
+                obj = obj.field(&key(c), &n);
+            }
+        }
+        obj.build()
+    }
+
+    /// Reads an object written by [`enc`]; an absent class is zero, an
+    /// unknown one an error.
+    pub fn dec(v: &Value, what: &str) -> Result<[u64; NUM_INSTR_CLASSES], String> {
+        let Value::Object(entries) = v else {
+            return Err(format!("`{what}` is not an object"));
+        };
+        let mut counts = [0; NUM_INSTR_CLASSES];
+        for (name, n) in entries {
+            let c = InstrClass::all()
+                .find(|&c| key(c) == *name)
+                .ok_or_else(|| format!("`{what}` has an unknown class `{name}`"))?;
+            counts[c.index()] = u64::dec(n, name)?;
+        }
+        Ok(counts)
+    }
+}
+
 impl CoreStats {
     /// Committed instructions of one class.
     pub fn class_count(&self, class: InstrClass) -> u64 {
@@ -61,5 +110,20 @@ mod tests {
         s.per_class[InstrClass::Add.index()] = 5;
         assert_eq!(s.class_fraction(|c| c.is_mem()), 0.5);
         assert_eq!(s.class_fraction(|c| c.is_load()), 0.3);
+    }
+
+    #[test]
+    fn per_class_omits_zeroes() {
+        use serde::{Deserialize, Serialize, Value};
+
+        let mut s = CoreStats { instret: 2, ..CoreStats::default() };
+        s.per_class[InstrClass::Ld.index()] = 2;
+        let v = s.to_value();
+        let pc = v.get("per_class").expect("present");
+        assert_eq!(pc.get("ld").and_then(Value::as_u64), Some(2));
+        assert!(pc.get("st").is_none());
+        assert_eq!(CoreStats::dec(&v, "stats"), Ok(s));
+        let unknown = serde::from_str(r#"{"ldx":1}"#).expect("valid JSON");
+        assert!(per_class::dec(&unknown, "per_class").is_err());
     }
 }

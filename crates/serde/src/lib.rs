@@ -3,10 +3,19 @@
 //! The workspace must build with no network and no registry cache (the
 //! same constraint that produced the vendored `proptest` subset), so
 //! this crate provides the small slice of `serde`'s surface the
-//! observability layer needs: a [`Serialize`] trait mapping values into
-//! a JSON [`Value`] model, byte-deterministic emitters ([`to_string`],
-//! [`to_string_pretty`]), and a strict parser ([`from_str`]) used by
-//! tests and CI gates to validate emitted output.
+//! workspace needs: a [`Serialize`] trait mapping values into a JSON
+//! [`Value`] model and its strict inverse [`Deserialize`],
+//! byte-deterministic emitters ([`to_string`], [`to_string_pretty`]),
+//! and a strict parser ([`from_str`]) for files read back from outside
+//! the program (checkpoints, elision tables, progress journals).
+//!
+//! Each struct that is written (and perhaps read back) is described
+//! once, as a list of `"key": field` entries ([`codec_object!`]) or of
+//! positional fields ([`codec_array!`]); that one list both writes the
+//! JSON and reads it back, so the two directions cannot drift apart.
+//! Decoding is strict: a missing key, a wrong JSON type, a wrong array
+//! length or an integer out of its field's range is an error naming the
+//! field, never a silent truncation.
 //!
 //! Determinism notes: objects preserve insertion order (no hash-map
 //! reordering), floats emit via Rust's shortest-roundtrip `Display`,
@@ -15,18 +24,17 @@
 //! # Example
 //!
 //! ```
-//! use serde::{from_str, to_string, Serialize, Value};
+//! use serde::{from_str, to_string, Deserialize, Value};
 //!
+//! #[derive(Debug, PartialEq)]
 //! struct Point { x: u32, y: u32 }
-//! impl Serialize for Point {
-//!     fn to_value(&self) -> Value {
-//!         Value::object().field("x", &self.x).field("y", &self.y).build()
-//!     }
-//! }
+//! serde::codec_object!(Point { "x": x, "y": y });
 //!
 //! let json = to_string(&Point { x: 3, y: 4 });
 //! assert_eq!(json, r#"{"x":3,"y":4}"#);
-//! assert_eq!(from_str(&json).unwrap().get("y").and_then(Value::as_u64), Some(4));
+//! let v = from_str(&json).unwrap();
+//! assert_eq!(v.get("y").and_then(Value::as_u64), Some(4));
+//! assert_eq!(Point::dec(&v, "point"), Ok(Point { x: 3, y: 4 }));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -148,16 +156,24 @@ impl Serialize for bool {
     }
 }
 
-macro_rules! ser_uint {
+macro_rules! uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
-                Value::U64(u64::from(*self))
+                Value::U64(*self as u64)
+            }
+        }
+
+        impl Deserialize for $t {
+            fn dec(v: &Value, what: &str) -> Result<Self, String> {
+                let n = v.as_u64().ok_or_else(|| format!("`{what}` is not an integer"))?;
+                <$t>::try_from(n)
+                    .map_err(|_| format!("`{what}` = {n} does not fit in {}", stringify!($t)))
             }
         }
     )*};
 }
-ser_uint!(u8, u16, u32, u64);
+uint!(u8, u16, u32, u64, usize);
 
 macro_rules! ser_int {
     ($($t:ty),*) => {$(
@@ -170,12 +186,6 @@ macro_rules! ser_int {
     )*};
 }
 ser_int!(i8, i16, i32, i64);
-
-impl Serialize for usize {
-    fn to_value(&self) -> Value {
-        Value::U64(*self as u64)
-    }
-}
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -232,6 +242,186 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+}
+
+/// A pair is a 2-array.
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
+    fn to_value(&self) -> Value {
+        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    }
+}
+
+/// Strict conversion back from the JSON [`Value`] model, the inverse of
+/// [`Serialize`] for the types that are read back.
+pub trait Deserialize: Sized {
+    /// Reads a value written by [`Serialize::to_value`]; `what` names
+    /// it in errors.
+    fn dec(v: &Value, what: &str) -> Result<Self, String>;
+}
+
+/// Key `key` of the object `v` (named `what` in errors).
+pub fn field<'a>(v: &'a Value, what: &str, key: &str) -> Result<&'a Value, String> {
+    v.get(key).ok_or_else(|| format!("`{what}` has no field `{key}`"))
+}
+
+/// The elements of the array `v` (named `what` in errors).
+pub fn items<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], String> {
+    v.as_array().ok_or_else(|| format!("`{what}` is not an array"))
+}
+
+impl Deserialize for bool {
+    fn dec(v: &Value, what: &str) -> Result<Self, String> {
+        match v {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(format!("`{what}` is not a boolean")),
+        }
+    }
+}
+
+impl Deserialize for String {
+    fn dec(v: &Value, what: &str) -> Result<Self, String> {
+        v.as_str().map(str::to_string).ok_or_else(|| format!("`{what}` is not a string"))
+    }
+}
+
+/// `null` is `None`.
+impl<T: Deserialize> Deserialize for Option<T> {
+    fn dec(v: &Value, what: &str) -> Result<Self, String> {
+        match v {
+            Value::Null => Ok(None),
+            _ => T::dec(v, what).map(Some),
+        }
+    }
+}
+
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn dec(v: &Value, what: &str) -> Result<Self, String> {
+        items(v, what)?.iter().map(|item| T::dec(item, what)).collect()
+    }
+}
+
+impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
+    fn dec(v: &Value, what: &str) -> Result<Self, String> {
+        Vec::dec(v, what)?
+            .try_into()
+            .map_err(|got: Vec<T>| format!("`{what}` has {} entries, not {N}", got.len()))
+    }
+}
+
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
+    fn dec(v: &Value, what: &str) -> Result<Self, String> {
+        match items(v, what)? {
+            [a, b] => Ok((A::dec(a, what)?, B::dec(b, what)?)),
+            other => Err(format!("`{what}` has {} entries, not 2", other.len())),
+        }
+    }
+}
+
+/// Field adapter (see [`codec_object!`]): a 32-bit word as the
+/// `"0x%08x"` string outputs show pcs and instruction words in. Only
+/// exactly that form (ten characters, lower-case hex) reads back.
+pub mod hex32 {
+    use super::Value;
+
+    /// `0x` and eight lower-case hex digits.
+    pub fn enc(v: &u32) -> Value {
+        Value::Str(format!("{v:#010x}"))
+    }
+
+    /// Reads a string written by [`enc`], and no other.
+    pub fn dec(v: &Value, what: &str) -> Result<u32, String> {
+        let word = v.as_str().and_then(|s| u32::from_str_radix(s.strip_prefix("0x")?, 16).ok());
+        word.filter(|w| enc(w) == *v).ok_or_else(|| format!("`{what}` is not a \"0x%08x\" word"))
+    }
+}
+
+/// Encode-only field adapter (see [`codec_object!`]): a value as its
+/// `Display` string.
+pub mod display {
+    use super::Value;
+
+    /// The value's `Display` rendering.
+    pub fn enc<T: std::fmt::Display>(v: &T) -> Value {
+        Value::Str(v.to_string())
+    }
+}
+
+/// Describes a struct written as a JSON object, once for both
+/// directions: implements [`Serialize`] and [`Deserialize`] from the
+/// `"key": entry` list, in the order the object lists them. An entry is
+///
+/// * `field`: written with [`Serialize`], read with [`Deserialize`];
+/// * `field via adapter`: written with `adapter::enc(&field)`, read
+///   with `adapter::dec(value, key)` (a rendering such as [`hex32`]);
+/// * `method()`: an encode-only extra, `self.method()`, which the
+///   decoder skips.
+///
+/// The `encode` form, `codec_object!(encode Type { .. })`, implements
+/// only [`Serialize`], for types that are written but never read back
+/// (its adapters need no `dec`).
+#[macro_export]
+macro_rules! codec_object {
+    (encode $ty:ident { $($body:tt)* }) => {
+        $crate::codec_object!(@munch encode $ty [] [] $($body)*);
+    };
+    ($ty:ident { $($body:tt)* }) => {
+        $crate::codec_object!(@munch both $ty [] [] $($body)*);
+    };
+    // Each entry is moved into the encoder list `($key [access] enc)`
+    // and, unless it is an extra, the decoder list `($key field dec)`.
+    (@munch $mode:ident $ty:ident [$($enc:tt)*] [$($dec:tt)*]
+        $key:literal: $method:ident() $(, $($rest:tt)*)?) => {
+        $crate::codec_object!(@munch $mode $ty
+            [$($enc)* ($key [$method()] $crate::Serialize::to_value)] [$($dec)*] $($($rest)*)?);
+    };
+    (@munch $mode:ident $ty:ident [$($enc:tt)*] [$($dec:tt)*]
+        $key:literal: $field:ident via $($a:ident)::+ $(, $($rest:tt)*)?) => {
+        $crate::codec_object!(@munch $mode $ty [$($enc)* ($key [$field] $($a)::+::enc)]
+            [$($dec)* ($key $field $($a)::+::dec)] $($($rest)*)?);
+    };
+    (@munch $mode:ident $ty:ident [$($enc:tt)*] [$($dec:tt)*]
+        $key:literal: $field:ident $(, $($rest:tt)*)?) => {
+        $crate::codec_object!(@munch $mode $ty [$($enc)* ($key [$field] $crate::Serialize::to_value)]
+            [$($dec)* ($key $field $crate::Deserialize::dec)] $($($rest)*)?);
+    };
+    (@munch encode $ty:ident [$(($key:literal [$($get:tt)+] $enc:path))*] [$($dec:tt)*]) => {
+        impl $crate::Serialize for $ty {
+            fn to_value(&self) -> $crate::Value {
+                $crate::Value::object()$(.raw($key, $enc(&self.$($get)+)))*.build()
+            }
+        }
+    };
+    (@munch both $ty:ident [$($enc:tt)*] [$(($key:literal $field:ident $dec:path))*]) => {
+        $crate::codec_object!(@munch encode $ty [$($enc)*] []);
+        impl $crate::Deserialize for $ty {
+            fn dec(v: &$crate::Value, what: &str) -> Result<Self, String> {
+                Ok($ty { $($field: $dec($crate::field(v, what, $key)?, $key)?),* })
+            }
+        }
+    };
+}
+
+/// Describes a struct written as a JSON array of its fields, in the
+/// listed order (bulk data where per-entry keys would dominate the
+/// file): implements [`Serialize`] and [`Deserialize`].
+#[macro_export]
+macro_rules! codec_array {
+    ($ty:ident [$($field:ident),* $(,)?]) => {
+        impl $crate::Serialize for $ty {
+            fn to_value(&self) -> $crate::Value {
+                $crate::Value::Array(vec![$($crate::Serialize::to_value(&self.$field)),*])
+            }
+        }
+        impl $crate::Deserialize for $ty {
+            fn dec(v: &$crate::Value, what: &str) -> Result<Self, String> {
+                let [$($field),*] = $crate::items(v, what)? else {
+                    let names = [$(stringify!($field)),*];
+                    return Err(format!("`{what}` needs exactly {} entries", names.len()));
+                };
+                Ok($ty { $($field: $crate::Deserialize::dec($field, stringify!($field))?),* })
+            }
+        }
+    };
 }
 
 fn escape_into(s: &str, out: &mut String) {
@@ -486,20 +676,37 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// Consumes a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number in JSON's grammar: no leading zeros, and at least one
+    /// digit after `-`, after `.` and in an exponent.
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let int_start = self.pos;
+        match self.digits() {
+            0 => return self.err("expected a digit"),
+            n if n > 1 && self.bytes[int_start] == b'0' => {
+                self.pos = int_start;
+                return self.err("leading zero in a number");
+            }
+            _ => {}
         }
         let mut float = false;
         if self.peek() == Some(b'.') {
             float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return self.err("expected a digit after `.`");
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -508,8 +715,8 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return self.err("expected a digit in the exponent");
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
@@ -563,6 +770,8 @@ impl<'a> Parser<'a> {
             Some(b'{') => {
                 self.pos += 1;
                 let mut fields = Vec::new();
+                // Hashed, so a hostile file with many keys stays linear.
+                let mut keys = std::collections::HashSet::new();
                 self.skip_ws();
                 if self.peek() == Some(b'}') {
                     self.pos += 1;
@@ -570,7 +779,12 @@ impl<'a> Parser<'a> {
                 }
                 loop {
                     self.skip_ws();
+                    let key_at = self.pos;
                     let key = self.string()?;
+                    if !keys.insert(key.clone()) {
+                        self.pos = key_at;
+                        return self.err(format!("duplicate key `{key}`"));
+                    }
                     self.skip_ws();
                     self.expect(b':')?;
                     let v = self.value(depth + 1)?;
@@ -668,6 +882,34 @@ mod tests {
         }
     }
 
+    /// `(input, offset of the refusal)`.
+    fn refused_at(input: &str) -> usize {
+        from_str(input).expect_err(input).offset
+    }
+
+    #[test]
+    fn leading_zeros_are_rejected() {
+        assert_eq!(refused_at("01"), 0);
+        assert_eq!(refused_at("-01"), 1);
+        assert_eq!(refused_at("[00]"), 1);
+        assert_eq!(from_str("[0,-0,0.5,0e1]").map(|v| to_string(&v)), Ok("[0,0,0.5,0.0]".into()));
+    }
+
+    #[test]
+    fn a_fraction_needs_a_digit() {
+        assert_eq!(refused_at("1."), 2);
+        assert_eq!(refused_at("1.e3"), 2);
+        assert_eq!(refused_at("1e"), 2);
+        assert_eq!(refused_at("-"), 1);
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected() {
+        assert_eq!(refused_at(r#"{"a":1,"a":2}"#), 7);
+        assert_eq!(refused_at(r#"{"o":{"b":1, "b":1}}"#), 13);
+        assert!(from_str(r#"{"a":{"a":1}}"#).is_ok(), "keys are per object");
+    }
+
     #[test]
     fn deep_nesting_is_bounded() {
         let deep = "[".repeat(1000) + &"]".repeat(1000);
@@ -687,5 +929,70 @@ mod tests {
         assert_eq!(to_string(&Some(3u32)), "3");
         assert_eq!(to_string(&vec![1u32, 2, 3]), "[1,2,3]");
         assert_eq!(to_string(&[1u64; 2]), "[1,1]");
+        assert_eq!(to_string(&(1u32, 2u8)), "[1,2]");
+    }
+
+    #[test]
+    fn primitives_decode_strictly() {
+        let v = |json: &str| from_str(json).expect("valid JSON");
+        assert_eq!(u8::dec(&v("255"), "n"), Ok(255));
+        assert_eq!(u8::dec(&v("256"), "n"), Err("`n` = 256 does not fit in u8".into()));
+        assert!(u32::dec(&v("-1"), "n").is_err());
+        assert!(bool::dec(&v("1"), "b").is_err());
+        assert_eq!(Option::<u64>::dec(&v("null"), "o"), Ok(None));
+        assert_eq!(<[u8; 2]>::dec(&v("[1,2]"), "a"), Ok([1, 2]));
+        assert_eq!(<[u8; 2]>::dec(&v("[1]"), "a"), Err("`a` has 1 entries, not 2".into()));
+        assert_eq!(<(u32, String)>::dec(&v(r#"[7,"x"]"#), "p"), Ok((7, "x".into())));
+    }
+
+    #[test]
+    fn hex32_reads_only_its_own_form() {
+        assert_eq!(to_string(&hex32::enc(&0x40)), r#""0x00000040""#);
+        assert_eq!(hex32::dec(&hex32::enc(&u32::MAX), "pc"), Ok(u32::MAX));
+        let bad = [r#""0x40""#, r#""0X00000040""#, r#""0x+0000040""#, r#""0x0000ABCD""#, "64"];
+        for bad in bad {
+            assert!(hex32::dec(&from_str(bad).expect("valid JSON"), "pc").is_err(), "{bad}");
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Sample {
+        n: u32,
+        pc: u32,
+        pair: Option<(u8, u8)>,
+    }
+
+    impl Sample {
+        fn double(&self) -> u32 {
+            self.n * 2
+        }
+    }
+
+    codec_object!(Sample { "n": n, "double": double(), "pc": pc via hex32, "pair": pair });
+
+    #[derive(Debug, PartialEq)]
+    struct Row {
+        a: u8,
+        b: bool,
+    }
+
+    codec_array!(Row [a, b]);
+
+    #[test]
+    fn described_types_round_trip_and_skip_extras() {
+        let s = Sample { n: 3, pc: 0x1000, pair: Some((1, 2)) };
+        let json = to_string(&s);
+        assert_eq!(json, r#"{"n":3,"double":6,"pc":"0x00001000","pair":[1,2]}"#);
+        assert_eq!(Sample::dec(&from_str(&json).expect("valid JSON"), "sample"), Ok(s));
+        let missing = from_str(r#"{"n":3,"pair":null}"#).expect("valid JSON");
+        assert_eq!(Sample::dec(&missing, "sample"), Err("`sample` has no field `pc`".into()));
+
+        assert_eq!(to_string(&Row { a: 1, b: true }), "[1,true]");
+        assert_eq!(
+            Row::dec(&from_str("[1,true]").expect("valid JSON"), "row"),
+            Ok(Row { a: 1, b: true })
+        );
+        let short = from_str("[1]").expect("valid JSON");
+        assert_eq!(Row::dec(&short, "row"), Err("`row` needs exactly 2 entries".into()));
     }
 }

@@ -372,13 +372,13 @@ fn snapshot_json_format_is_pinned() {
     assert_eq!(
         hashes,
         [
-            0x78cc_750b_2896_c694,
-            0x4d5a_31db_4e6a_8ae9,
-            0x5856_dd98_0ea1_7b10,
-            0xca6c_7ab6_9ec8_28c6,
-            0x5001_a5fc_199d_1ce5,
-            0x7033_ddb9_07bd_74f3,
-            0x9f03_e8a2_70bd_927c,
+            0x8fc7_d18c_4510_c6bb,
+            0xf424_b03a_5137_d337,
+            0x79f3_91d1_4807_944a,
+            0x424d_b984_3106_9414,
+            0xfabd_c8f3_353f_a380,
+            0x599f_411c_f545_b136,
+            0x40c0_f30d_8097_3ed6,
         ]
     );
 }

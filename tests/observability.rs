@@ -8,11 +8,18 @@ use flexcore_suite::fabric::Netlist;
 use flexcore_suite::fabric::{vcd_signal_count, write_vcd};
 use flexcore_suite::flexcore::ext::{Dift, Sec, Umc};
 use flexcore_suite::flexcore::ext::{ExtEnv, ExtensionDescriptor, MonitorTrap};
+use flexcore_suite::flexcore::lockstep::{DivergenceReport, LockstepCommit, RegMismatch};
+use flexcore_suite::flexcore::obs::FlightEntry;
 use flexcore_suite::flexcore::obs::{
     ChromeRecorder, MetricsRecorder, Observer, PacketTap, TraceSink,
 };
-use flexcore_suite::flexcore::{Cfgr, Extension, ForwardPolicy, RunResult, System, SystemConfig};
-use flexcore_suite::pipeline::{ExitReason, TracePacket};
+use flexcore_suite::flexcore::{
+    Cfgr, DeadlockSnapshot, Extension, ForwardPolicy, ForwardStats, ResilienceStats, RunResult,
+    SimError, System, SystemConfig,
+};
+use flexcore_suite::isa::decode;
+use flexcore_suite::mem::{BusStats, CacheStats};
+use flexcore_suite::pipeline::{CoreStats, ExitReason, TracePacket};
 use flexcore_suite::workloads::Workload;
 use proptest::prelude::*;
 
@@ -275,4 +282,176 @@ fn vcd_dump_matches_the_netlist_interface() {
     assert!(text.contains("$enddefinitions"));
     let vars = text.lines().filter(|l| l.trim_start().starts_with("$var")).count();
     assert_eq!(vars, vcd_signal_count(&netlist), "one $var per signal");
+}
+
+// ------------------------------------------------------- output shapes
+
+/// 64-bit FNV-1a, for pinning long outputs by hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// A flight-recorder entry for `add %o0, 1, %o1` at commit `n`.
+fn flight_entry(n: u64) -> FlightEntry {
+    let inst = decode(0x9202_2001).expect("add %o0, 1, %o1 decodes");
+    FlightEntry { cycle: 100 + n, instret: n, pc: 0x1000 + 4 * n as u32, inst }
+}
+
+/// A hand-built run result that sets every field to a distinct value,
+/// with `host_ns` zeroed so the `host_*` rates are pinned too.
+fn pinned_result(exit: ExitReason, trapped: bool) -> RunResult {
+    let cache = |seed: u64| CacheStats {
+        read_hits: seed + 1,
+        read_misses: seed + 2,
+        write_hits: seed + 3,
+        write_misses: seed + 4,
+        writebacks: seed + 5,
+    };
+    // Class 0 stays zero, so the keyed `per_class` object omits it.
+    let per_class = std::array::from_fn(|i| i as u64 * 3);
+    RunResult {
+        exit,
+        monitor_trap: trapped.then(|| MonitorTrap { pc: 0x1010, reason: "ALU \"result\"".into() }),
+        trap_skid: trapped.then_some(2),
+        cycles: 12_345,
+        instret: 4000,
+        forward: ForwardStats {
+            committed: 4000,
+            forwarded: 1500,
+            dropped: 2,
+            per_class,
+            fifo_stall_cycles: 44,
+            peak_occupancy: 10,
+        },
+        core: CoreStats {
+            instret: 4000,
+            annulled: 12,
+            per_class,
+            external_stall_cycles: 90,
+            store_stall_cycles: 91,
+        },
+        icache: cache(100),
+        dcache: cache(200),
+        meta_cache: cache(300),
+        bus: BusStats {
+            busy_cycles: 1,
+            core_transfers: 2,
+            fabric_transfers: 3,
+            core_wait_cycles: 4,
+            fabric_wait_cycles: 5,
+        },
+        resilience: ResilienceStats {
+            faults_injected: 1,
+            packets_corrupted: 2,
+            dropped_overflow: 3,
+            bitstream_retries: 4,
+            bitstream_reloads: 5,
+            unmonitored_commits: 6,
+            suppressed_checks: 7,
+            swaps_completed: 8,
+            swap_drained_packets: 9,
+            swap_stall_cycles: 10,
+            elided_checks: 11,
+        },
+        console: b"ok\n\xff".to_vec(),
+        flight: vec![flight_entry(3998), flight_entry(3999)],
+        host_ns: 0,
+    }
+}
+
+fn pinned_divergence() -> DivergenceReport {
+    let commit = |index: u64| LockstepCommit { index, pc: 0x2000 + 4 * index as u32, inst_word: 7 };
+    DivergenceReport {
+        commit_index: 42,
+        cycle: 99,
+        reason: "register mismatch".into(),
+        dut_pc: 0x2040,
+        golden_pc: 0x2044,
+        dut_inst_word: 0x9202_2001,
+        golden_inst_word: 0x0100_0000,
+        reg_mismatches: vec![
+            RegMismatch { reg: 9, dut: 1, golden: 2 },
+            RegMismatch { reg: 31, dut: u32::MAX, golden: 0 },
+        ],
+        icc_mismatch: Some((0b1000, 0b0100)),
+        dut_recent: vec![commit(41), commit(42)],
+        golden_recent: vec![commit(42)],
+        flight: vec![flight_entry(42)],
+    }
+}
+
+/// The output shapes behind `flexsim --json` and the divergence and
+/// flight reports are pinned: a run result for every exit kind with
+/// and without a monitor trap, every simulation error, a divergence
+/// report and a flight entry each hash to the values recorded when the
+/// pin was taken.
+#[test]
+fn output_json_shapes_are_pinned() {
+    let exits = [
+        ExitReason::Halt(7),
+        ExitReason::IllegalInstruction { pc: 0x1004, word: 0xdead_beef },
+        ExitReason::MisalignedAccess { pc: 0x1008, addr: 0x8003 },
+        ExitReason::DivideByZero { pc: 0x100c },
+        ExitReason::InstructionLimit,
+        ExitReason::MonitorTrap { pc: 0x1010 },
+    ];
+    let mut outputs: Vec<String> = exits
+        .iter()
+        .flat_map(|&exit| {
+            [false, true].map(|trapped| serde::to_string(&pinned_result(exit, trapped)))
+        })
+        .collect();
+    let errors = [
+        SimError::Deadlock(DeadlockSnapshot {
+            cycle: 1_000_000,
+            pc: 0x1020,
+            instret: 77,
+            fifo_occupancy: 4,
+            fifo_depth: 4,
+            fabric_free_at: u64::MAX,
+            fabric_stuck: true,
+            bus: BusStats { busy_cycles: 9, ..BusStats::default() },
+            recent: vec![flight_entry(77)],
+        }),
+        SimError::CycleBudgetExceeded { budget: 10, cycle: 11, instret: 2 },
+        SimError::Divergence(Box::new(pinned_divergence())),
+        SimError::UnrecoverableCorruption {
+            context: "bitstream",
+            attempts: 3,
+            detail: "checksum mismatch".into(),
+        },
+    ];
+    outputs.extend(errors.iter().map(serde::to_string));
+    outputs.push(serde::to_string(&pinned_divergence()));
+    outputs.push(serde::to_string(&flight_entry(5)));
+    for json in &outputs {
+        assert!(serde::from_str(json).is_ok(), "emitted JSON parses: {json}");
+    }
+    let hashes: Vec<u64> = outputs.iter().map(|json| fnv1a(json.as_bytes())).collect();
+    assert_eq!(
+        hashes,
+        [
+            0x60af_2ef7_efbe_f909,
+            0xc68d_e221_da1e_f6fb,
+            0x19d8_af3a_5823_4033,
+            0xe2d9_4415_1a19_fc59,
+            0xb828_c4d0_6ee7_58c0,
+            0xf208_39a2_b1e5_d216,
+            0x68f4_1ad6_777d_9671,
+            0x2af6_5728_3840_ed63,
+            0xce56_9c09_b1d0_3d3c,
+            0x330a_dff1_1873_b2ca,
+            0x74d4_0e7d_3e00_d233,
+            0x20e0_420b_069c_7e59,
+            0x22bc_d13a_8f1b_9b9a,
+            0x74e2_c56e_cfc3_b8a7,
+            0x09d4_5a07_22b0_f30c,
+            0xd253_0e92_daf2_f39e,
+            0xcddb_7290_346e_b5b7,
+            0x91a5_d1d0_52a1_e167,
+        ],
+        "{outputs:#?}"
+    );
 }
